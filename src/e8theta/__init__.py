@@ -9,8 +9,6 @@ from .e8 import (
     check_identity_116,
     e8_roots,
     enumerate_shells,
-    load_shell_table,
-    save_shell_table,
     theta_e8,
 )
 from .errors import (
@@ -46,7 +44,6 @@ from .index import (
 from .laurent import LaurentPolynomial
 from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
-from .rings import COMPLEX, LAURENT_W, QI, RATFUNC_W
 from .series import TruncatedSeries, format_series, phi_series
 from .theta import (
     ThetaExpansion,

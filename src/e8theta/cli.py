@@ -272,7 +272,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             return _cmd_classify(args)
         parser.error(f"unknown command {args.command!r}")
-    except (FixtureFormatError, BudgetExceededError, FileNotFoundError, ValueError) as exc:
+    except (FixtureFormatError, BudgetExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
@@ -280,3 +280,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

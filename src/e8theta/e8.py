@@ -10,7 +10,6 @@ shells.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +18,6 @@ from .errors import BudgetExceededError
 from .gaussian import GaussianRational
 from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
-from .rings import LAURENT_W
 from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_series
 
@@ -119,37 +117,6 @@ def e8_roots() -> list[LatticeVector]:
     return list(_cached_shells(1, DEFAULT_BUDGET).shells[1])
 
 
-# binary shell cache: magic, version byte, u32 max half-norm, u64 count,
-# then count records of 8 little-endian int16 doubled coordinates in
-# (half-norm, lexicographic) order
-_CACHE_MAGIC = b"E8SHELLS"
-_CACHE_VERSION = 1
-
-
-def save_shell_table(table: ShellTable, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<BIQ", _CACHE_VERSION, table.max_half_norm, table.total_vectors()))
-        for m in range(table.max_half_norm + 1):
-            for d in table.shells.get(m, []):
-                f.write(struct.pack("<8h", *d))
-
-
-def load_shell_table(path) -> ShellTable:
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"not a shell cache file: bad magic {magic!r}")
-        version, max_half_norm, n = struct.unpack("<BIQ", f.read(13))
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported shell cache version {version}")
-        shells: dict[int, list[LatticeVector]] = {m: [] for m in range(max_half_norm + 1)}
-        for _ in range(n):
-            d = struct.unpack("<8h", f.read(16))
-            shells[sum(x * x for x in d) // 8].append(d)
-    return ShellTable(max_half_norm, shells)
-
-
 def theta_e8(
     beta: tuple[int, ...], order: int, budget: int = DEFAULT_BUDGET
 ) -> TruncatedSeries:
@@ -174,7 +141,7 @@ def theta_e8(
         coeffs[U_PER_Q * m] = LaurentPolynomial(
             "w", {e: GaussianRational(c) for e, c in counts.items()}
         )
-    return TruncatedSeries(LAURENT_W, coeffs, validity)
+    return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w"))
 
 
 def _validate_beta(beta) -> tuple[int, ...]:
@@ -261,11 +228,7 @@ def basic_character(
     1, 248, 4124, 34752, ...
     """
     beta = _validate_beta(beta)
-    phi_inv_8 = phi_series(order).invert() ** 8
-    phi_laurent = phi_inv_8.map_coefficients(
-        lambda c: LaurentPolynomial.constant("w", c), LAURENT_W
-    )
-    series = phi_laurent * theta_e8(beta, order, budget)
+    series = phi_series(order).invert() ** 8 * theta_e8(beta, order, budget)
     dims = []
     for i in range(order + 1):
         value = series.q_coefficient(i).sum_of_coefficients()

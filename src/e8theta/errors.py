@@ -2,7 +2,7 @@
 
 
 class RingMismatchError(TypeError):
-    """Raised when two series or polynomials over different rings are combined."""
+    """Raised when polynomials or rational functions in different variables are combined."""
 
 
 class NotInvertibleError(ArithmeticError):

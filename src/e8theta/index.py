@@ -1,13 +1,17 @@
 """Equivariant index series for circle actions with isolated fixed points.
 
 Per fixed point the series is a product of three blocks, all exact on the
-u = q^(1/24) lattice with rational-function coefficients in w = e^(pi i t):
+u = q^(1/24) lattice with Laurent-polynomial coefficients in w = e^(pi i t),
+divided at the end by the tangent lead below, once per coefficient, which
+gives rational-function coefficients:
 
 * tangent block: over the rotation weights alpha_j, the quotient
   theta'(0,tau) / (2 pi i theta(alpha_j t, tau)), implemented as the
   identity  phi(q)^2 / ((w^a - w^-a) prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m));
-  the 2 pi i cancels symbolically, and the identity is asserted against a
-  numeric evaluation once per process before first use.
+  the 2 pi i cancels symbolically.  The q-product has constant term 1, so
+  it inverts over Laurent polynomials; only the lead prod_j (w^a - w^-a)
+  needs the fraction field.  The identity is asserted against a numeric
+  evaluation once per process before first use.
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
   single quotient i * theta(c t) / (theta_1 theta_2 theta_3)(0).  The i
@@ -15,7 +19,8 @@ u = q^(1/24) lattice with rational-function coefficients in w = e^(pi i t):
   index; in particular the order-zero coefficient is the honest Lefschetz
   number of the (1 - Lbar)-twisted operator.
 * lattice block: the full sum of the four 8-fold theta products at
-  z_l = beta_l t (twice the specialized lattice theta function).
+  z_l = beta_l t (twice the specialized lattice theta function, i.e.
+  twice `e8.theta_product_side`).
 
 Only whole powers of q survive per point; both that and the reality of all
 summed coefficients are asserted on construction.
@@ -27,13 +32,12 @@ import cmath
 from dataclasses import dataclass
 
 from .bundles import BundleExpr, order_one_twist
-from .e8 import DEFAULT_BUDGET
+from .e8 import theta_product_side
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from .gaussian import GaussianRational, I as GAUSS_I
 from .laurent import LaurentPolynomial
 from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
-from .rings import LAURENT_W, RATFUNC_W
 from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_series
 
@@ -73,23 +77,30 @@ def _w_monomials(coeffs: dict[int, int]) -> LaurentPolynomial:
     return LaurentPolynomial("w", {e: GaussianRational(n) for e, n in coeffs.items()})
 
 
-def _tangent_denominator(alpha: tuple[int, ...], validity: int) -> TruncatedSeries:
-    """(prod_j (w^a - w^-a)) * prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m)."""
+def _tangent_block(
+    alpha: tuple[int, ...], validity: int
+) -> tuple[LaurentPolynomial, TruncatedSeries]:
+    """Split the tangent denominator into its lead and its q-product.
+
+    Returns the lead prod_j (w^a - w^-a) and the inverse, over Laurent
+    polynomials, of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m).
+    """
     lead = LaurentPolynomial.one("w")
     for a in alpha:
         lead = lead * _w_monomials({a: 1, -a: -1})
-    s = TruncatedSeries.monomial(LAURENT_W, lead, 0, validity)
+    s = TruncatedSeries.one(validity, LaurentPolynomial.zero("w"))
     for a in alpha:
         m = 1
         while U_PER_Q * m <= validity:
             s = s.times_one_plus(_w_monomials({2 * a: -1}), U_PER_Q * m)
             s = s.times_one_plus(_w_monomials({-2 * a: -1}), U_PER_Q * m)
             m += 1
-    return s
+    return lead, s.invert()
 
 
-def _laurent_to_ratfunc(series: TruncatedSeries) -> TruncatedSeries:
-    return series.map_coefficients(RationalFunction.from_laurent, RATFUNC_W)
+def _over_lead(series: TruncatedSeries, lead: LaurentPolynomial) -> TruncatedSeries:
+    """Divide a Laurent-valued series by the tangent lead, one coefficient at a time."""
+    return series.map_coefficients(lambda c: RationalFunction(c, lead))
 
 
 def _scalar_theta_product_at_zero(order: int) -> TruncatedSeries:
@@ -112,21 +123,6 @@ def _line_block(flavor: IndexFlavor, c: int, order: int) -> TruncatedSeries:
     return num * _scalar_theta_product_at_zero(order).invert()
 
 
-def _lattice_block(beta: tuple[int, ...], order: int) -> TruncatedSeries:
-    """Full sum of the four 8-fold theta products at z_l = beta_l t."""
-    total = None
-    for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        expansion = theta_series(kind, order)
-        prod = None
-        for b in beta:
-            factor = expansion.scaled(b)
-            prod = factor if prod is None else prod * factor
-            if prod.is_zero():
-                break
-        total = prod if total is None else total + prod
-    return total
-
-
 _factor_identity_checked = False
 
 
@@ -136,12 +132,8 @@ def _assert_quotient_identity():
     if _factor_identity_checked:
         return
     order = 6
-    validity = U_PER_Q * order
-    den = _tangent_denominator((1,), validity)
-    phi2 = phi_series(order) ** 2
-    quotient = _laurent_to_ratfunc(den).invert() * _laurent_to_ratfunc(
-        phi2.map_coefficients(lambda s: LaurentPolynomial.constant("w", s), LAURENT_W)
-    )
+    lead, tangent = _tangent_block((1,), U_PER_Q * order)
+    quotient = _over_lead(phi_series(order) ** 2 * tangent, lead)
     t, tau = 0.23, 1.3j
     w = cmath.exp(1j * cmath.pi * t)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
@@ -160,33 +152,21 @@ def point_contribution(
     """Exact series of one fixed point's summand, through q^order."""
     _assert_quotient_identity()
     work_order = order + 1
-    validity = U_PER_Q * work_order
-    den = _tangent_denominator(point.alpha, validity)
-    tangent = _laurent_to_ratfunc(den).invert()
-    phi_2k = phi_series(work_order) ** (2 * k)
-    laurent_part = phi_2k.map_coefficients(
-        lambda c: LaurentPolynomial.constant("w", c), LAURENT_W
-    )
-    laurent_part = laurent_part * _line_block(flavor, point.c, work_order)
-    laurent_part = laurent_part * _lattice_block(point.beta, work_order)
-    out = tangent * _laurent_to_ratfunc(laurent_part)
+    lead, tangent = _tangent_block(point.alpha, U_PER_Q * work_order)
+    out = phi_series(work_order) ** (2 * k) * tangent
+    out = out * _line_block(flavor, point.c, work_order)
+    # theta_product_side expands through q^(order + 1) = q^work_order
+    out = out * theta_product_side(point.beta, order).scale(2)
     target = U_PER_Q * order
     if out.order < target:
         raise AssertionError(f"validity shortfall: {out.order} < {target}")
-    return out.truncate(target)
+    return _over_lead(out.truncate(target), lead)
 
 
-def index_series(
-    fixture: FixedPointFixture,
-    flavor: IndexFlavor,
-    order: int,
-    budget: int = DEFAULT_BUDGET,
-) -> IndexSeries:
+def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) -> IndexSeries:
     """Sum of the fixed-point contributions, with structural assertions."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    # budget is accepted for interface parity; the lattice block runs over
-    # theta products, not shell enumeration, so it never bites here
     total = None
     for p in fixture.points:
         contrib = point_contribution(p, fixture.k, flavor, order)
@@ -229,9 +209,7 @@ def lefschetz_number(
     return RationalFunction(num, den)
 
 
-def verify_qexpansion(
-    fixture: FixedPointFixture, flavor: IndexFlavor, budget: int = DEFAULT_BUDGET
-) -> VerificationReport:
+def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> VerificationReport:
     """Check the q^0 and q^1 coefficients against direct Lefschetz numbers.
 
     The two routes are independent: the series comes from theta quotients,
@@ -239,7 +217,7 @@ def verify_qexpansion(
     Also checks the square of the rank-reduced line bundle against its
     expansion in the atoms.
     """
-    ixs = index_series(fixture, flavor, 1, budget)
+    ixs = index_series(fixture, flavor, 1)
     even = flavor is IndexFlavor.I_SERIES
     items = []
 
@@ -295,10 +273,7 @@ def _sum_lefschetz(
 
 
 def check_rigidity(
-    fixture: FixedPointFixture,
-    flavor: IndexFlavor,
-    order: int,
-    budget: int = DEFAULT_BUDGET,
+    fixture: FixedPointFixture, flavor: IndexFlavor, order: int
 ) -> VerificationReport:
     """Classify each q-coefficient as zero / constant / w-dependent.
 
@@ -309,7 +284,7 @@ def check_rigidity(
     coefficient is always named.
     """
     an = anomaly(fixture, flavor)
-    ixs = index_series(fixture, flavor, order, budget)
+    ixs = index_series(fixture, flavor, order)
     items = []
     all_zero = True
     all_const = True
@@ -545,12 +520,7 @@ def check_transform_laws(
 _BRANCH_TABLE_NOTE = "vanishing parity: odd k for the even tower, even k for the odd tower"
 
 
-def classify(
-    fixture: FixedPointFixture,
-    flavor: IndexFlavor,
-    order: int,
-    budget: int = DEFAULT_BUDGET,
-) -> VerificationReport:
+def classify(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) -> VerificationReport:
     """Predict the theorem branch from n and k, then compare with observation.
 
     Branches (even tower; the odd tower flips the k parity):
@@ -571,7 +541,7 @@ def classify(
             branch, predicted = "ii", "VANISHING" if k_vanishing else "RIGID"
         elif n == 2 and k_vanishing:
             branch, predicted = "iii", "VANISHING"
-    rigidity = check_rigidity(fixture, flavor, order, budget)
+    rigidity = check_rigidity(fixture, flavor, order)
     observed = rigidity.verdict
     if predicted is None:
         ok = True

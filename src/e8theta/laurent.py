@@ -1,13 +1,17 @@
 """Laurent polynomials in one variable over the Gaussian rationals.
 
 The exponent map stores no zero coefficients, so equality is a structural
-comparison.  The variable is a free-form tag; mixing tags raises.
+comparison.  The variable is a free-form tag; mixing tags raises.  Sums and
+products with a scalar (int or Gaussian rational) promote the scalar to a
+constant polynomial.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertibleError, RingMismatchError
 from .gaussian import ONE, ZERO, GaussianRational
+
+_SCALARS = (GaussianRational, int)
 
 
 class LaurentPolynomial:
@@ -65,10 +69,6 @@ class LaurentPolynomial:
             raise ValueError("zero polynomial has no valuation")
         return min(self.coeffs)
 
-    def span(self) -> int:
-        """Laurent-degree span: degree minus valuation (0 for monomials)."""
-        return self.degree() - self.valuation()
-
     def coefficient(self, e: int) -> GaussianRational:
         return self.coeffs.get(e, ZERO)
 
@@ -85,7 +85,9 @@ class LaurentPolynomial:
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = LaurentPolynomial.constant(self.var, other)
         self._check_var(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -98,10 +100,15 @@ class LaurentPolynomial:
         r.var, r.coeffs = self.var, out
         return r
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, LaurentPolynomial):
+        if not isinstance(other, (LaurentPolynomial, *_SCALARS)):
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __neg__(self):
         r = LaurentPolynomial.__new__(LaurentPolynomial)
@@ -111,7 +118,9 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            return self.scale(other)
         self._check_var(other)
         out: dict[int, GaussianRational] = {}
         for e1, c1 in self.coeffs.items():
@@ -125,6 +134,8 @@ class LaurentPolynomial:
         r = LaurentPolynomial.__new__(LaurentPolynomial)
         r.var, r.coeffs = self.var, out
         return r
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:

@@ -5,13 +5,18 @@ constant term and leading coefficient 1 (monomial order: descending
 exponent), and shares no factor with the polynomial part of the numerator.
 Unit factors w^k are pushed into the numerator, so is_constant() detects a
 genuine scalar and not merely a monomial quotient.
+
+Arithmetic with a Laurent polynomial or a scalar acts on the numerator or
+denominator directly and normalises once; scalar products skip the gcd.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertibleError, RingMismatchError
 from .gaussian import GaussianRational
-from .laurent import LaurentPolynomial, laurent_exact_div, laurent_gcd
+from .laurent import _SCALARS, LaurentPolynomial, laurent_exact_div, laurent_gcd
+
+_PROMOTED = (LaurentPolynomial, *_SCALARS)
 
 
 class RationalFunction:
@@ -82,21 +87,24 @@ class RationalFunction:
             raise RingMismatchError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            other = RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        self._check(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if isinstance(other, RationalFunction):
+            self._check(other)
+            return RationalFunction(
+                self.num * other.den + other.num * self.den, self.den * other.den
+            )
+        if isinstance(other, _PROMOTED):
+            return RationalFunction(self.num + other * self.den, self.den)
+        return NotImplemented
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            other = RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
+        if not isinstance(other, (RationalFunction, *_PROMOTED)):
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __neg__(self):
         r = RationalFunction.__new__(RationalFunction)
@@ -104,19 +112,23 @@ class RationalFunction:
         return r
 
     def __mul__(self, other):
+        if isinstance(other, RationalFunction):
+            self._check(other)
+            return RationalFunction(self.num * other.num, self.den * other.den)
         if isinstance(other, LaurentPolynomial):
-            other = RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        self._check(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+            return RationalFunction(self.num * other, self.den)
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            other = RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self * other.invert()
+        if isinstance(other, RationalFunction):
+            return self * other.invert()
+        if isinstance(other, _PROMOTED):
+            return RationalFunction(self.num, self.den * other)
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -160,13 +172,15 @@ class RationalFunction:
 
     def __eq__(self, other):
         if isinstance(other, LaurentPolynomial):
-            other = RationalFunction.from_laurent(other)
+            # a reduced denominator that is constant is exactly 1
+            return self.den.is_constant() and self.num == other
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # equal to a Laurent polynomial exactly when den is 1: hash like it
+        return hash(self.num) if self.den.is_constant() else hash((self.num, self.den))
 
     def __str__(self):
         if self.den.is_constant():

@@ -5,6 +5,13 @@ q = u^24, q^(1/2) = u^12, q^(1/8) = u^3.  A series stores the sparse map
 {u-exponent: coefficient} together with an inclusive validity order M:
 coefficients at exponents <= M are exact, nothing is known beyond M.
 
+Coefficients are Gaussian rationals, Laurent polynomials in w or rational
+functions in w.  A series keeps only the zero of its coefficient type; a
+sum or product of series over different types promotes through the
+coefficients' own operators (scalar -> Laurent -> rational function).
+The index series, for example, stays Laurent-valued through all of its
+products and divides out the tangent block once per coefficient.
+
 Validity propagation is conservative and never overstates what was
 computed: sums are valid to the smaller operand order, and a product of
 a (valid to Ma, lowest exponent ma) with b (valid to Mb, lowest mb) is
@@ -16,17 +23,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BeyondTruncationError, ExponentLatticeError, RingMismatchError
-from .rings import QI, CoefficientRing
+from .errors import BeyondTruncationError, ExponentLatticeError
+from .gaussian import ONE, ZERO, GaussianRational
 
 U_PER_Q = 24
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "coeffs", "order")
+    __slots__ = ("zero", "coeffs", "order")
 
-    def __init__(self, ring: CoefficientRing, coeffs: dict, order: int):
-        self.ring = ring
+    def __init__(self, coeffs: dict, order: int, zero=ZERO):
+        self.zero = zero
         self.order = int(order)
         clean = {}
         for e, c in coeffs.items():
@@ -35,23 +42,13 @@ class TruncatedSeries:
                 raise BeyondTruncationError(
                     f"coefficient at u^{e} beyond validity order {self.order}"
                 )
-            if not ring.is_zero(c):
+            if not c.is_zero():
                 clean[e] = c
         self.coeffs = clean
 
-    # constructors
-
     @classmethod
-    def zero(cls, ring: CoefficientRing, order: int) -> "TruncatedSeries":
-        return cls(ring, {}, order)
-
-    @classmethod
-    def one(cls, ring: CoefficientRing, order: int) -> "TruncatedSeries":
-        return cls(ring, {0: ring.one()}, order)
-
-    @classmethod
-    def monomial(cls, ring: CoefficientRing, coeff, exponent: int, order: int) -> "TruncatedSeries":
-        return cls(ring, {exponent: coeff}, order)
+    def one(cls, order: int, zero=ZERO) -> "TruncatedSeries":
+        return cls({0: zero + ONE}, order, zero)
 
     # structure
 
@@ -72,7 +69,7 @@ class TruncatedSeries:
             raise BeyondTruncationError(
                 f"u^{exponent} requested, series only valid through u^{self.order}"
             )
-        return self.coeffs.get(exponent, self.ring.zero())
+        return self.coeffs.get(exponent, self.zero)
 
     def q_coefficient(self, n: int):
         return self.coefficient(U_PER_Q * n)
@@ -83,30 +80,25 @@ class TruncatedSeries:
     def whole_q_powers(self) -> bool:
         return all(e % U_PER_Q == 0 for e in self.coeffs)
 
-    def _check_ring(self, other: "TruncatedSeries"):
-        if self.ring != other.ring:
-            raise RingMismatchError(
-                f"coefficient ring mismatch: {self.ring.name} vs {other.ring.name}"
-            )
-
     # arithmetic
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_ring(other)
         order = min(self.order, other.order)
-        out = {e: c for e, c in self.coeffs.items() if e <= order}
-        zero = self.ring.zero()
+        zero = self.zero + other.zero
+        # lift our coefficients too when the other operand's type is wider
+        lift = type(zero) is not type(self.zero)
+        out = {e: zero + c if lift else c for e, c in self.coeffs.items() if e <= order}
         for e, c in other.coeffs.items():
             if e > order:
                 continue
             s = out.get(e, zero) + c
-            if self.ring.is_zero(s):
+            if s.is_zero():
                 out.pop(e, None)
             else:
                 out[e] = s
-        return TruncatedSeries(self.ring, out, order)
+        return TruncatedSeries(out, order, zero)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -114,35 +106,34 @@ class TruncatedSeries:
         return self + (-other)
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, {e: -c for e, c in self.coeffs.items()}, self.order)
+        return TruncatedSeries({e: -c for e, c in self.coeffs.items()}, self.order, self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_ring(other)
         order = min(
             self.order + other._effective_base(),
             other.order + self._effective_base(),
         )
         out: dict = {}
-        zero = self.ring.zero()
+        zero = self.zero * other.zero
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 if e > order:
                     continue
                 s = out.get(e, zero) + c1 * c2
-                if self.ring.is_zero(s):
+                if s.is_zero():
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return TruncatedSeries(self.ring, out, order)
+        return TruncatedSeries(out, order, zero)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("use invert() for negative powers")
         if n == 0:
-            return TruncatedSeries.one(self.ring, self.order)
+            return TruncatedSeries.one(self.order, self.zero)
         result = None
         base = self
         while n:
@@ -155,17 +146,18 @@ class TruncatedSeries:
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to truncation.
 
-        The lowest coefficient must be invertible in the coefficient ring;
-        the result has base exponent -m0 and validity M - 2*m0.
+        The lowest coefficient must be invertible as a coefficient (a
+        Laurent polynomial only if it is a monomial); the result has base
+        exponent -m0 and validity M - 2*m0.
         """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert the zero series")
         m0 = self.base_exponent
         rel_order = self.order - m0
         a = {e - m0: c for e, c in self.coeffs.items()}
-        inv0 = self.ring.invert(a[0])
+        inv0 = a[0].invert()
         b = {0: inv0}
-        zero = self.ring.zero()
+        zero = self.zero
         for r in range(1, rel_order + 1):
             acc = zero
             for i, ai in a.items():
@@ -173,10 +165,10 @@ class TruncatedSeries:
                     bj = b.get(r - i)
                     if bj is not None:
                         acc = acc + ai * bj
-            if not self.ring.is_zero(acc):
+            if not acc.is_zero():
                 b[r] = -(inv0 * acc)
         out = {e - m0: c for e, c in b.items()}
-        return TruncatedSeries(self.ring, out, self.order - 2 * m0)
+        return TruncatedSeries(out, self.order - 2 * m0, zero)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -184,22 +176,23 @@ class TruncatedSeries:
                 f"cannot extend validity from u^{self.order} to u^{order}"
             )
         return TruncatedSeries(
-            self.ring, {e: c for e, c in self.coeffs.items() if e <= order}, order
+            {e: c for e, c in self.coeffs.items() if e <= order}, order, self.zero
         )
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by u^k (validity shifts along)."""
         return TruncatedSeries(
-            self.ring, {e + k: c for e, c in self.coeffs.items()}, self.order + k
+            {e + k: c for e, c in self.coeffs.items()}, self.order + k, self.zero
         )
 
     def scale(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by c (a ring element or exact scalar)."""
-        if not self.ring.contains(c):
-            c = self.ring.coerce_scalar(c)
-        if self.ring.is_zero(c):
-            return TruncatedSeries.zero(self.ring, self.order)
-        return TruncatedSeries(self.ring, {e: v * c for e, v in self.coeffs.items()}, self.order)
+        """Multiply every coefficient by c (an int or any coefficient)."""
+        if isinstance(c, int):
+            c = GaussianRational(c)
+        zero = self.zero * c
+        if c.is_zero():
+            return TruncatedSeries({}, self.order, zero)
+        return TruncatedSeries({e: v * c for e, v in self.coeffs.items()}, self.order, zero)
 
     def times_one_plus(self, coeff, exponent: int) -> "TruncatedSeries":
         """Multiply by (1 + coeff * u^exponent) without changing validity.
@@ -210,20 +203,23 @@ class TruncatedSeries:
         if exponent <= 0:
             raise ValueError("factor exponent must be positive")
         out = dict(self.coeffs)
-        zero = self.ring.zero()
+        zero = self.zero
         for e, c in self.coeffs.items():
             k = e + exponent
             if k > self.order:
                 continue
             s = out.get(k, zero) + c * coeff
-            if self.ring.is_zero(s):
+            if s.is_zero():
                 out.pop(k, None)
             else:
                 out[k] = s
-        return TruncatedSeries(self.ring, out, self.order)
+        return TruncatedSeries(out, self.order, zero)
 
-    def map_coefficients(self, fn: Callable, ring: CoefficientRing) -> "TruncatedSeries":
-        return TruncatedSeries(ring, {e: fn(c) for e, c in self.coeffs.items()}, self.order)
+    def map_coefficients(self, fn: Callable) -> "TruncatedSeries":
+        """Apply fn to every coefficient; fn(zero) becomes the new zero."""
+        return TruncatedSeries(
+            {e: fn(c) for e, c in self.coeffs.items()}, self.order, fn(self.zero)
+        )
 
     def agrees_with(self, other: "TruncatedSeries", through: int | None = None) -> bool:
         """Exact coefficient agreement through min validity (or `through`)."""
@@ -235,9 +231,9 @@ class TruncatedSeries:
                 continue
             if self.coeffs.get(e) != other.coeffs.get(e):
                 a, b = self.coeffs.get(e), other.coeffs.get(e)
-                if a is None and self.ring.is_zero(b):
+                if a is None and b.is_zero():
                     continue
-                if b is None and self.ring.is_zero(a):
+                if b is None and a.is_zero():
                     continue
                 return False
         return True
@@ -250,8 +246,8 @@ class TruncatedSeries:
         for e in sorted(set(self.coeffs) | set(other.coeffs)):
             if e > bound:
                 continue
-            a = self.coeffs.get(e, self.ring.zero())
-            b = other.coeffs.get(e, other.ring.zero())
+            a = self.coeffs.get(e, self.zero)
+            b = other.coeffs.get(e, other.zero)
             if a != b:
                 return e
         return None
@@ -262,22 +258,22 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.ring == other.ring and self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __str__(self):
         return format_series(self, fractional=True)
 
     def __repr__(self):
-        return f"<series[{self.ring.name}] {format_series(self, fractional=True)}>"
+        return f"<series[{type(self.zero).__name__}] {format_series(self, fractional=True)}>"
 
 
-def phi_series(order: int, ring: CoefficientRing = QI) -> TruncatedSeries:
+def phi_series(order: int) -> TruncatedSeries:
     """The Euler product (1-q)(1-q^2)... expanded exactly through q^order."""
     if order < 0:
         raise ValueError("order must be >= 0")
     validity = U_PER_Q * order + U_PER_Q - 1
-    s = TruncatedSeries.one(ring, validity)
-    minus_one = -ring.one()
+    s = TruncatedSeries.one(validity)
+    minus_one = -ONE
     for n in range(1, order + 1):
         s = s.times_one_plus(minus_one, U_PER_Q * n)
     return s

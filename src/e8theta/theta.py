@@ -28,7 +28,6 @@ from functools import lru_cache
 from .gaussian import GaussianRational, I, MINUS_I, ONE
 from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
-from .rings import LAURENT_W, QI
 from .series import TruncatedSeries, U_PER_Q, phi_series
 
 
@@ -60,13 +59,7 @@ class ThetaExpansion:
 
     def scaled(self, multiplier: int) -> TruncatedSeries:
         """Series of theta_kind(m*z) in (w, u): substitute w -> w^m."""
-        return self.series.map_coefficients(
-            lambda c: c.substitute_power(multiplier), LAURENT_W
-        )
-
-    def parity_image(self) -> TruncatedSeries:
-        """Series with w and w^-1 exchanged."""
-        return self.scaled(-1)
+        return self.series.map_coefficients(lambda c: c.substitute_power(multiplier))
 
 
 def _w(coeffs: dict[int, GaussianRational]) -> LaurentPolynomial:
@@ -88,7 +81,7 @@ def theta_series(kind: ThetaKind, order: int) -> ThetaExpansion:
         lead = _w({1: ONE, -1: ONE})
     else:
         lead = LaurentPolynomial.one("w")
-    s = TruncatedSeries.monomial(LAURENT_W, lead, m0, validity)
+    s = TruncatedSeries({m0: lead}, validity, LaurentPolynomial.zero("w"))
     minus_one = -LaurentPolynomial.one("w")
     j = 1
     while True:
@@ -137,7 +130,7 @@ def theta_sum_series(kind: ThetaKind, order: int) -> ThetaExpansion:
             c = ONE if (kind is ThetaKind.THETA3 or n % 2 == 0) else -ONE
             coeffs[12 * n * n] = _w({2 * n: c, -2 * n: c})
             n += 1
-    return ThetaExpansion(kind, TruncatedSeries(LAURENT_W, coeffs, validity))
+    return ThetaExpansion(kind, TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w")))
 
 
 def theta_prime_zero_series(order: int) -> TruncatedSeries:
@@ -152,9 +145,7 @@ def z_derivative_at_zero(expansion: ThetaExpansion) -> TruncatedSeries:
     (i/2) * sum_e e*c_e evaluated at w = 1.
     """
     half_i = GaussianRational(0, Fraction(1, 2))
-    return expansion.series.map_coefficients(
-        lambda c: half_i * c.exponent_weighted_sum(), QI
-    )
+    return expansion.series.map_coefficients(lambda c: half_i * c.exponent_weighted_sum())
 
 
 # numeric evaluation

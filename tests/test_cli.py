@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
+import e8theta
 from e8theta.cli import run
 from e8theta.fixtures import FixedPoint, FixedPointFixture, IndexFlavor, save_fixture
 
@@ -81,10 +85,28 @@ def test_classify_flavor_override(capsys):
     assert "RIGID (branch ii, n=0): consistent" in out
 
 
-def test_exit_codes_usage_errors(capsys):
+def test_exit_codes_usage_errors(capsys, tmp_path):
     assert invoke(capsys, "nope")[0] == 2
     assert invoke(capsys, "index", "check", "--fixture", "missing_file.json")[0] == 2
     assert invoke(capsys, "e8", "theta", "--beta", "1,2")[0] == 2
+    for command in (("index", "check"), ("classify",)):
+        code, _, err = invoke(capsys, *command, "--fixture", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(e8theta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "e8theta.cli", "e8", "dims", "--order", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 248 4124"
 
 
 def test_exit_code_budget(capsys):

@@ -10,8 +10,6 @@ from e8theta.e8 import (
     check_identity_116,
     e8_roots,
     enumerate_shells,
-    load_shell_table,
-    save_shell_table,
     theta_e8,
     theta_product_side,
 )
@@ -54,22 +52,6 @@ def test_roots_have_norm_two():
     roots = e8_roots()
     assert len(roots) == 240
     assert all(sum(d * d for d in r) == 8 for r in roots)
-
-
-def test_shell_cache_roundtrip(tmp_path):
-    table = enumerate_shells(2)
-    path = tmp_path / "shells.bin"
-    save_shell_table(table, path)
-    loaded = load_shell_table(path)
-    assert loaded.max_half_norm == 2
-    assert loaded.shells == table.shells
-
-
-def test_shell_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTACACHE" * 3)
-    with pytest.raises(ValueError):
-        load_shell_table(path)
 
 
 def test_theta_e8_scalar_series():

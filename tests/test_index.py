@@ -21,7 +21,6 @@ from e8theta.fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
 from e8theta.ratfunc import RationalFunction
-from e8theta.rings import LAURENT_W, RATFUNC_W
 from e8theta.series import TruncatedSeries, U_PER_Q
 from e8theta.index import (
     anomaly,
@@ -57,8 +56,8 @@ SINGLE = fixture(1, ((1,), 0, Z8))
 def _tower_series(point: FixedPoint, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     """Character of the twisting tower at one point, by geometric expansion."""
     validity = U_PER_Q * (order + 1)
-    num = TruncatedSeries.one(LAURENT_W, validity)
-    den = TruncatedSeries.one(LAURENT_W, validity)
+    num = TruncatedSeries.one(validity, LaurentPolynomial.zero("w"))
+    den = TruncatedSeries.one(validity, LaurentPolynomial.zero("w"))
     c2, c2m = W({2 * point.c: 1}), W({-2 * point.c: 1})
     one = LaurentPolynomial.one("w")
 
@@ -107,8 +106,7 @@ def oracle_contribution(point, k, flavor, order):
     for a in point.alpha:
         tangent = tangent * W({a: 1, -a: -1})
     prefactor = RationalFunction(spinor, tangent)
-    combined = (tower * lattice).map_coefficients(RationalFunction.from_laurent, RATFUNC_W)
-    return combined.scale(prefactor).truncate(U_PER_Q * order)
+    return (tower * lattice).scale(prefactor).truncate(U_PER_Q * order)
 
 
 @pytest.mark.parametrize("flavor", list(IndexFlavor))
@@ -165,6 +163,15 @@ def test_sphere_series_vanishes():
     assert ixs.series.is_zero()
 
 
+def test_vanishing_series_returns_rational_function_zero():
+    # the oracles read .evaluate, .is_constant and == off a zero coefficient
+    c = index_series(S2, IndexFlavor.I_SERIES, 3).q_coefficient(2)
+    assert isinstance(c, RationalFunction)
+    assert c.is_zero() and c.is_constant()
+    assert c == RationalFunction.zero("w")
+    assert c.evaluate(0.3 + 0.4j) == 0
+
+
 def test_product_of_spheres_vanishes():
     ixs = index_series(S2XS2, IndexFlavor.I_SERIES, 3)
     assert ixs.series.is_zero()
@@ -199,7 +206,7 @@ def test_negating_all_weights_substitutes_w_inverse(rng):
         for flavor in IndexFlavor:
             direct = index_series(neg, flavor, 1).series
             flipped = index_series(fx, flavor, 1).series.map_coefficients(
-                lambda c: c.substitute_inverse(), RATFUNC_W
+                lambda c: c.substitute_inverse()
             )
             assert direct.agrees_with(flipped)
 

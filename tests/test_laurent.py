@@ -101,3 +101,13 @@ def test_gaussian_coefficients_in_gcd():
     q = laurent_exact_div(p, d)
     assert q * d == p
     assert q == LaurentPolynomial("w", {1: ONE, 0: I})
+
+
+def test_scalar_promotion():
+    p = L({1: 2, -1: 3})
+    assert p * 2 == 2 * p == L({1: 4, -1: 6})
+    assert p * I == I * p == LaurentPolynomial("w", {1: GaussianRational(0, 2), -1: GaussianRational(0, 3)})
+    assert p + 1 == 1 + p == L({1: 2, 0: 1, -1: 3})
+    assert p - ONE == L({1: 2, 0: -1, -1: 3})
+    assert ONE - p == L({1: -2, 0: 1, -1: -3})
+    assert (p * 0).is_zero()

@@ -93,3 +93,21 @@ def test_substitute_inverse():
 def test_evaluate():
     r = RF({1: 1, -1: -1}, {0: 2})
     assert abs(r.evaluate(2 + 0j) - 0.75) < 1e-15
+
+
+def test_promotion_matches_explicit_lift():
+    r = RF({1: 1, 0: 2}, {2: 1, 0: -3})
+    p = L({2: 1, -1: 4})
+    lifted = RationalFunction.from_laurent(p)
+    three = GaussianRational(3)
+    assert r * p == p * r == r * lifted
+    assert r + p == p + r == r + lifted
+    assert r - p == r - lifted
+    assert p - r == lifted - r
+    assert r / p == r / lifted
+    assert r * three == three * r == r * RationalFunction.constant("w", 3)
+    assert r + 3 == 3 + r == r + RationalFunction.constant("w", 3)
+    assert 3 - r == RationalFunction.constant("w", 3) - r
+    assert RationalFunction.constant("w", 5) == L({0: 5})
+    assert len({RationalFunction.from_laurent(p), p}) == 1
+    assert RationalFunction(p, L({0: 2})) != p

@@ -12,14 +12,13 @@ from e8theta.errors import (
 )
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
-from e8theta.rings import LAURENT_W, QI
+from e8theta.ratfunc import RationalFunction
 from e8theta.series import TruncatedSeries, U_PER_Q, format_series, phi_series
 
 
 def qs(coeffs, order_q):
     """Scalar series from whole q-power dict."""
     return TruncatedSeries(
-        QI,
         {U_PER_Q * e: GaussianRational(c) for e, c in coeffs.items()},
         U_PER_Q * order_q + U_PER_Q - 1,
     )
@@ -39,17 +38,45 @@ def test_additive_inverse():
 
 
 def test_mul_binomials():
-    one_plus_u = TruncatedSeries(QI, {0: GaussianRational(1), 1: GaussianRational(1)}, 30)
-    one_minus_u = TruncatedSeries(QI, {0: GaussianRational(1), 1: GaussianRational(-1)}, 30)
+    one_plus_u = TruncatedSeries({0: GaussianRational(1), 1: GaussianRational(1)}, 30)
+    one_minus_u = TruncatedSeries({0: GaussianRational(1), 1: GaussianRational(-1)}, 30)
     prod = one_plus_u * one_minus_u
     assert prod.coefficient(0) == GaussianRational(1)
     assert prod.coefficient(1).is_zero()
     assert prod.coefficient(2) == GaussianRational(-1)
 
 
-def test_ring_mismatch_raises():
-    a = phi_series(3)
-    b = TruncatedSeries.one(LAURENT_W, 10)
+def W(coeffs, var="w"):
+    return LaurentPolynomial(var, {e: GaussianRational(c) for e, c in coeffs.items()})
+
+
+def test_mixed_coefficient_product_promotes():
+    scalar = phi_series(2)
+    laurent = TruncatedSeries({0: W({1: 1, -1: -1}), 24: W({2: 3, 0: -1})}, 71, W({}))
+    ratfunc = TruncatedSeries(
+        {0: RationalFunction(W({0: 1}), W({1: 1, 0: -2})), 30: RationalFunction.constant("w", 5)},
+        71,
+        RationalFunction.zero("w"),
+    )
+    lifted = (
+        scalar.map_coefficients(lambda c: RationalFunction.constant("w", c))
+        * laurent.map_coefficients(RationalFunction.from_laurent)
+        * ratfunc
+    )
+    for got in (scalar * laurent * ratfunc, ratfunc * (laurent * scalar), laurent * ratfunc * scalar):
+        assert got == lifted
+        assert isinstance(got.zero, RationalFunction)
+        assert all(isinstance(c, RationalFunction) for c in got.coeffs.values())
+    assert scalar * laurent == laurent * scalar
+    total = scalar + laurent
+    assert isinstance(total.zero, LaurentPolynomial)
+    assert total.coefficient(48) == W({0: -1})  # phi's q^2 term, lifted
+    assert total == laurent + scalar
+
+
+def test_variable_mismatch_raises_through_series():
+    a = TruncatedSeries.one(10, W({}))
+    b = TruncatedSeries.one(10, W({}, var="x"))
     with pytest.raises(RingMismatchError):
         a + b
     with pytest.raises(RingMismatchError):
@@ -71,7 +98,7 @@ def test_phi_order_zero():
 
 def test_phi_inverse_roundtrip():
     phi = phi_series(8)
-    assert (phi * phi.invert()).agrees_with(TruncatedSeries.one(QI, phi.order))
+    assert (phi * phi.invert()).agrees_with(TruncatedSeries.one(phi.order))
     assert phi.invert().invert().agrees_with(phi)
 
 
@@ -103,7 +130,7 @@ def test_invert_with_shift():
     inv = s.invert()
     assert inv.base_exponent == -3
     assert inv.order == s.order - 6
-    assert (s * inv).agrees_with(TruncatedSeries.one(QI, inv.order))
+    assert (s * inv).agrees_with(TruncatedSeries.one(inv.order))
 
 
 def test_ring_axioms_randomized():
@@ -112,7 +139,6 @@ def test_ring_axioms_randomized():
     def rand_series():
         order = rng.randint(4, 9)
         return TruncatedSeries(
-            QI,
             {e: GaussianRational(rng.randint(-4, 4), rng.randint(-2, 2)) for e in range(order)},
             order,
         )
@@ -141,14 +167,14 @@ def test_coefficient_beyond_truncation_raises():
 
 
 def test_whole_power_display_guard():
-    half = TruncatedSeries(QI, {12: GaussianRational(1)}, 30)
+    half = TruncatedSeries({12: GaussianRational(1)}, 30)
     with pytest.raises(ExponentLatticeError):
         format_series(half, fractional=False)
     assert "q^(1/2)" in format_series(half, fractional=True)
 
 
 def test_format_reduced_fractions():
-    s = TruncatedSeries(QI, {3: GaussianRational(2), 48: GaussianRational(Fraction(1, 3))}, 50)
+    s = TruncatedSeries({3: GaussianRational(2), 48: GaussianRational(Fraction(1, 3))}, 50)
     text = format_series(s, fractional=True)
     assert "q^(1/8)" in text
     assert "1/3*q^2" in text
@@ -156,26 +182,12 @@ def test_format_reduced_fractions():
 
 def test_pow_zero_is_one():
     s = phi_series(4)
-    assert (s**0).agrees_with(TruncatedSeries.one(QI, s.order))
+    assert (s**0).agrees_with(TruncatedSeries.one(s.order))
 
 
 def test_scale_coerces_scalars():
     s = phi_series(3)
     doubled = s.scale(2)
     assert doubled.q_coefficient(1) == GaussianRational(-2)
-    lw = TruncatedSeries.one(LAURENT_W, 5).scale(GaussianRational(3))
+    lw = TruncatedSeries.one(5, LaurentPolynomial.zero("w")).scale(GaussianRational(3))
     assert lw.coefficient(0) == LaurentPolynomial.constant("w", GaussianRational(3))
-
-
-def test_complex_float_ring_for_numeric_specialization():
-    from e8theta.rings import COMPLEX
-
-    phi = phi_series(10)
-    numeric = phi.map_coefficients(complex, COMPLEX)
-    q = 0.1
-    u = q ** (1 / U_PER_Q)
-    direct = 1.0
-    for n in range(1, 11):
-        direct *= 1 - q**n
-    assert abs(numeric.evaluate(u) - direct) < 10 * q**11  # truncation bound
-    assert (numeric * numeric.invert()).coefficient(0) == 1 + 0j

@@ -54,11 +54,21 @@ def test_product_equals_sum_form(kind, order):
 @pytest.mark.parametrize("kind", list(ThetaKind))
 def test_parity(kind, order=6):
     exp = theta_series(kind, order)
-    flipped = exp.parity_image()
+    flipped = exp.scaled(-1)
     if kind is ThetaKind.THETA:
         assert flipped.agrees_with(-exp.series)
     else:
         assert flipped.agrees_with(exp.series)
+
+
+def test_theta_gap_returns_laurent_zero():
+    series = theta_series(ThetaKind.THETA2, 3).series
+    assert 1 not in series.coeffs
+    c = series.coefficient(1)
+    assert isinstance(c, LaurentPolynomial)
+    assert c.is_zero() and c.is_constant()
+    assert c == LaurentPolynomial.zero("w")
+    assert c.evaluate(0.3 + 0.4j) == 0
 
 
 def test_theta_vanishes_at_zero():
