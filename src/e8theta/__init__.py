@@ -13,7 +13,6 @@ from .e8 import (
 )
 from .errors import (
     BeyondTruncationError,
-    BudgetExceededError,
     ExponentLatticeError,
     FixtureFormatError,
     NotInvertibleError,

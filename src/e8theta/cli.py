@@ -13,8 +13,8 @@ import random
 import sys
 import time
 
-from .e8 import DEFAULT_BUDGET, basic_character, check_identity_116, theta_e8
-from .errors import BudgetExceededError, FixtureFormatError
+from .e8 import basic_character, check_identity_116, theta_e8
+from .errors import FixtureFormatError
 from .fixtures import IndexFlavor, resolve_fixture
 from .index import (
     check_transform_laws,
@@ -97,16 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = e8_sub.add_parser("theta", help="print the specialized lattice theta series")
     p.add_argument("--beta", type=_parse_beta, default=(0,) * 8)
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p = e8_sub.add_parser("dims", help="graded dimensions of the basic representation")
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p = e8_sub.add_parser("identity", help="lattice sum versus four theta products")
     p.add_argument("--beta", type=_parse_beta, default=None)
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--random", type=int, default=0, metavar="N", help="also check N random specializations")
     p.add_argument("--seed", type=int, default=20260808)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_index = sub.add_parser("index", help="equivariant index series on a fixture")
     index_sub = p_index.add_subparsers(dest="subcommand", required=True)
@@ -118,14 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = index_sub.add_parser(name, help=helptext)
         p.add_argument("--fixture", required=True, help="path or bundled name (s2, cp2, ...)")
         p.add_argument("--flavor", choices=["I", "J"], default=None, help="override the fixture's flavor")
-        p.add_argument("--order", type=int, default=5)
-        if name in ("check", "transform"):
-            p.add_argument("--tol", type=float, default=1e-8)
         if name == "transform":
+            p.add_argument("--tol", type=float, default=1e-8)
             p.add_argument("--t", type=_parse_complex, default=0.11 + 0.07j)
             p.add_argument("--tau", type=_parse_complex, default=0.2 + 1.1j)
             p.add_argument("--a", type=int, default=2)
             p.add_argument("--b", type=int, default=0)
+        else:
+            p.add_argument("--order", type=int, default=5)
 
     p = sub.add_parser("classify", help="theorem branch prediction versus observed behavior")
     p.add_argument("--fixture", required=True)
@@ -177,13 +174,13 @@ def _cmd_theta_check(args) -> int:
 
 
 def _cmd_e8_theta(args) -> int:
-    s = theta_e8(args.beta, args.order, args.budget)
+    s = theta_e8(args.beta, args.order)
     print(format_series(s, fractional=False))
     return 0
 
 
 def _cmd_e8_dims(args) -> int:
-    ch = basic_character((0,) * 8, args.order, args.budget)
+    ch = basic_character((0,) * 8, args.order)
     print(" ".join(str(d) for d in ch.graded_dims))
     return 0
 
@@ -202,7 +199,7 @@ def _cmd_e8_identity(args) -> int:
     items = []
     ok = True
     for beta in betas:
-        rep = check_identity_116(beta, args.order, args.budget)
+        rep = check_identity_116(beta, args.order)
         ok = ok and rep.ok
         for item in rep.items:
             item.name = f"beta={list(beta)}: {item.name}"
@@ -272,7 +269,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             return _cmd_classify(args)
         parser.error(f"unknown command {args.command!r}")
-    except (FixtureFormatError, BudgetExceededError, OSError, ValueError) as exc:
+    except (FixtureFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -6,6 +6,11 @@ is stored through its doubled coordinates d_l = 2*gamma_l, so membership
 reads: all d_l share one parity and sum(d_l) = 0 mod 4.  Roots have
 |gamma|^2 = 2; the half-norm m = |gamma|^2 / 2 = sum(d_l^2) / 8 indexes
 shells.
+
+Enumeration stops at half-norm MAX_HALF_NORM = 10, so theta_e8,
+check_identity_116 and basic_character take orders up to 10.  Through
+half-norm m there are 1 + 240 * sum_{n<=m} sigma_3(n) points: 794,161 for
+m = 10, 1,113,841 for m = 11.
 """
 
 from __future__ import annotations
@@ -14,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetExceededError
 from .gaussian import GaussianRational
 from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_series
 
-DEFAULT_BUDGET = 1_000_000
+MAX_HALF_NORM = 10
 
 _KNOWN_SHELL_COUNTS = (1, 240, 2160, 6720)
 
@@ -42,11 +46,7 @@ class ShellTable:
         return sum(len(v) for v in self.shells.values())
 
 
-def half_norm(d: LatticeVector) -> Fraction:
-    return Fraction(sum(x * x for x in d), 8)
-
-
-def _scan_parity(values: tuple[int, ...], budget_sq: int, out, guard):
+def _scan_parity(values: tuple[int, ...], norm_sq: int, out):
     """DFS over 8 doubled coordinates drawn from `values`, pruned by norm."""
     stack = [((), 0)]
     while stack:
@@ -54,39 +54,33 @@ def _scan_parity(values: tuple[int, ...], budget_sq: int, out, guard):
         depth = len(prefix)
         if depth == 8:
             if sum(prefix) % 4 == 0:
-                guard()
                 out.append(prefix)
             continue
         for v in values:
             n2 = norm + v * v
-            if n2 <= budget_sq:
+            if n2 <= norm_sq:
                 stack.append((prefix + (v,), n2))
 
 
-def enumerate_shells(max_half_norm: int, budget: int = DEFAULT_BUDGET) -> ShellTable:
-    """Complete, duplicate-free enumeration of all points with half-norm <= bound."""
-    if max_half_norm < 0:
-        raise ValueError("max_half_norm must be >= 0")
-    budget_sq = 8 * max_half_norm
-    r = int(budget_sq**0.5)
-    evens = tuple(v for v in range(-r - (r % 2), r + 2, 2) if v * v <= budget_sq)
-    odds = tuple(v for v in range(-(r | 1), r + 2, 2) if v % 2 != 0 and v * v <= budget_sq)
+def enumerate_shells(max_half_norm: int) -> ShellTable:
+    """Complete, duplicate-free enumeration of all points with half-norm <= bound.
 
-    count = 0
-
-    def guard():
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise BudgetExceededError(
-                f"enumeration up to half-norm {max_half_norm} exceeds the "
-                f"{budget}-vector budget"
-            )
+    The bound must lie in 0..MAX_HALF_NORM; anything else raises ValueError
+    before any vector is enumerated.
+    """
+    if not 0 <= max_half_norm <= MAX_HALF_NORM:
+        raise ValueError(
+            f"E8 order (half-norm bound) must lie in 0..{MAX_HALF_NORM}, got {max_half_norm}"
+        )
+    norm_sq = 8 * max_half_norm
+    r = int(norm_sq**0.5)
+    evens = tuple(v for v in range(-r - (r % 2), r + 2, 2) if v * v <= norm_sq)
+    odds = tuple(v for v in range(-(r | 1), r + 2, 2) if v % 2 != 0 and v * v <= norm_sq)
 
     found: list[LatticeVector] = []
-    _scan_parity(evens, budget_sq, found, guard)
+    _scan_parity(evens, norm_sq, found)
     if odds:
-        _scan_parity(odds, budget_sq, found, guard)
+        _scan_parity(odds, norm_sq, found)
 
     shells: dict[int, list[LatticeVector]] = {m: [] for m in range(max_half_norm + 1)}
     for d in found:
@@ -108,18 +102,16 @@ def enumerate_shells(max_half_norm: int, budget: int = DEFAULT_BUDGET) -> ShellT
 
 
 @lru_cache(maxsize=8)
-def _cached_shells(max_half_norm: int, budget: int) -> ShellTable:
-    return enumerate_shells(max_half_norm, budget)
+def _cached_shells(max_half_norm: int) -> ShellTable:
+    return enumerate_shells(max_half_norm)
 
 
 def e8_roots() -> list[LatticeVector]:
     """The 240 doubled-coordinate roots (half-norm 1)."""
-    return list(_cached_shells(1, DEFAULT_BUDGET).shells[1])
+    return list(_cached_shells(1).shells[1])
 
 
-def theta_e8(
-    beta: tuple[int, ...], order: int, budget: int = DEFAULT_BUDGET
-) -> TruncatedSeries:
+def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     """Lattice theta series specialized along beta.
 
     Sum over points gamma of q^(|gamma|^2/2) * w^(2<gamma,beta>) where
@@ -130,7 +122,7 @@ def theta_e8(
     beta = _validate_beta(beta)
     if order < 0:
         raise ValueError("order must be >= 0")
-    table = _cached_shells(order, budget)
+    table = _cached_shells(order)
     validity = U_PER_Q * order + U_PER_Q - 1
     coeffs: dict[int, LaurentPolynomial] = {}
     for m in range(order + 1):
@@ -152,11 +144,16 @@ def _validate_beta(beta) -> tuple[int, ...]:
 
 
 def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
-    """Half the sum of the four 8-fold theta products at z_l = beta_l t."""
+    """Half the sum of the four 8-fold theta products at z_l = beta_l t.
+
+    Valid through q^order, i.e. u^(24 order): the theta_2 and theta_3
+    products are valid exactly that far, the other two (which start at
+    q^(1/8)) further.
+    """
     beta = _validate_beta(beta)
     total = None
     for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        expansion = theta_series(kind, order + 1)
+        expansion = theta_series(kind, order)
         prod = None
         for b in beta:
             factor = expansion.scaled(b)
@@ -167,9 +164,7 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     return total.scale(GaussianRational(Fraction(1, 2)))
 
 
-def check_identity_116(
-    beta: tuple[int, ...], order: int, budget: int = DEFAULT_BUDGET
-) -> VerificationReport:
+def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
     """Lattice sum versus half-sum of four theta products, exactly.
 
     The two sides are computed by unrelated routes (shell enumeration vs
@@ -178,7 +173,7 @@ def check_identity_116(
     module docstring; a mismatch is reported, never silently re-based.
     """
     beta = _validate_beta(beta)
-    lhs = theta_e8(beta, order, budget)
+    lhs = theta_e8(beta, order)
     rhs = theta_product_side(beta, order)
     bound = U_PER_Q * order
     items = []
@@ -219,16 +214,14 @@ class BasicCharacter:
     graded_dims: list[int]
 
 
-def basic_character(
-    beta: tuple[int, ...], order: int, budget: int = DEFAULT_BUDGET
-) -> BasicCharacter:
+def basic_character(beta: tuple[int, ...], order: int) -> BasicCharacter:
     """phi(q)^(-8) times the specialized lattice theta series.
 
     The q^i coefficient at w = 1 is the dimension of the i-th graded piece:
     1, 248, 4124, 34752, ...
     """
     beta = _validate_beta(beta)
-    series = phi_series(order).invert() ** 8 * theta_e8(beta, order, budget)
+    series = phi_series(order).invert() ** 8 * theta_e8(beta, order)
     dims = []
     for i in range(order + 1):
         value = series.q_coefficient(i).sum_of_coefficients()

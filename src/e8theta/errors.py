@@ -17,9 +17,5 @@ class BeyondTruncationError(ValueError):
     """Raised when a coefficient past the validity order of a series is requested."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when a lattice enumeration would exceed its vector-count budget."""
-
-
 class FixtureFormatError(ValueError):
     """Raised on malformed fixture files; the message names the offending field."""

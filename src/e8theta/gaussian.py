@@ -81,14 +81,8 @@ class GaussianRational:
     def invert(self):
         return GaussianRational(1) / self
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self):
         return self.re == 0 and self.im == 0
-
-    def is_real(self):
-        return self.im == 0
 
     def is_integer(self):
         return self.im == 0 and self.re.denominator == 1
@@ -134,4 +128,3 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
-HALF = GaussianRational(Fraction(1, 2))

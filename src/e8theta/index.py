@@ -22,7 +22,9 @@ gives rational-function coefficients:
   z_l = beta_l t (twice the specialized lattice theta function, i.e.
   twice `e8.theta_product_side`).
 
-Only whole powers of q survive per point; both that and the reality of all
+Every block expands through q^order and no further: validity propagation
+then leaves each point's product valid through exactly u^(24 order).  Only
+whole powers of q survive per point; both that and the reality of all
 summed coefficients are asserted on construction.
 """
 
@@ -151,13 +153,11 @@ def point_contribution(
 ) -> TruncatedSeries:
     """Exact series of one fixed point's summand, through q^order."""
     _assert_quotient_identity()
-    work_order = order + 1
-    lead, tangent = _tangent_block(point.alpha, U_PER_Q * work_order)
-    out = phi_series(work_order) ** (2 * k) * tangent
-    out = out * _line_block(flavor, point.c, work_order)
-    # theta_product_side expands through q^(order + 1) = q^work_order
-    out = out * theta_product_side(point.beta, order).scale(2)
     target = U_PER_Q * order
+    lead, tangent = _tangent_block(point.alpha, target)
+    out = phi_series(order) ** (2 * k) * tangent
+    out = out * _line_block(flavor, point.c, order)
+    out = out * theta_product_side(point.beta, order).scale(2)
     if out.order < target:
         raise AssertionError(f"validity shortfall: {out.order} < {target}")
     return _over_lead(out.truncate(target), lead)
@@ -371,38 +371,33 @@ def point_value(
     flavor: IndexFlavor,
     t: complex,
     tau: complex,
-    order: int | None = None,
 ) -> complex:
     """Floating-point value of one fixed point's summand."""
     value = (1 / (2j * cmath.pi)) ** k
-    tp = theta_prime_zero(tau, order)
+    tp = theta_prime_zero(tau)
     for a in point.alpha:
-        value *= tp / theta_eval(ThetaKind.THETA, a * t, tau, order)
+        value *= tp / theta_eval(ThetaKind.THETA, a * t, tau)
     if flavor is IndexFlavor.I_SERIES:
         for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-            value *= theta_eval(kind, point.c * t, tau, order) / theta_eval(kind, 0, tau, order)
+            value *= theta_eval(kind, point.c * t, tau) / theta_eval(kind, 0, tau)
     else:
         denom = 1
         for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-            denom *= theta_eval(kind, 0, tau, order)
-        value *= 1j * theta_eval(ThetaKind.THETA, point.c * t, tau, order) / denom
+            denom *= theta_eval(kind, 0, tau)
+        value *= 1j * theta_eval(ThetaKind.THETA, point.c * t, tau) / denom
     bracket = 0j
     for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         prod = 1 + 0j
         for b in point.beta:
-            prod *= theta_eval(kind, b * t, tau, order)
+            prod *= theta_eval(kind, b * t, tau)
         bracket += prod
     return value * bracket
 
 
 def index_value(
-    fixture: FixedPointFixture,
-    flavor: IndexFlavor,
-    t: complex,
-    tau: complex,
-    order: int | None = None,
+    fixture: FixedPointFixture, flavor: IndexFlavor, t: complex, tau: complex
 ) -> complex:
-    return sum(point_value(p, fixture.k, flavor, t, tau, order) for p in fixture.points)
+    return sum(point_value(p, fixture.k, flavor, t, tau) for p in fixture.points)
 
 
 def check_transform_laws(
@@ -413,7 +408,6 @@ def check_transform_laws(
     a: int,
     b: int,
     tol: float = 1e-8,
-    order: int | None = None,
 ) -> VerificationReport:
     """Numeric residuals of the three transformation laws, summand-wise.
 
@@ -449,14 +443,23 @@ def check_transform_laws(
         items.append(ReportItem(f"{label} {law}", "pass" if r < tol else "fail", residual=r))
         return r
 
-    per_point = []
-    for idx, p in enumerate(fixture.points):
-        base = point_value(p, fixture.k, flavor, t, tau, order)
-        v_t = point_value(p, fixture.k, flavor, t, tau + 1, order)
-        v_s = point_value(p, fixture.k, flavor, t / tau, -1 / tau, order)
-        v_l = point_value(p, fixture.k, flavor, t + a * tau + b, tau, order)
-        per_point.append((base, v_t, v_s, v_l))
-        f_s, f_std, f_printed = factors(an.per_point[idx])
+    # a summand on a zero of theta(alpha t), or an argument far enough off
+    # the real axis, makes the numeric evaluation fail: that is bad input
+    arguments = ((t, tau), (t, tau + 1), (t / tau, -1 / tau), (t + a * tau + b, tau))
+    try:
+        per_point = [
+            tuple(point_value(p, fixture.k, flavor, *ta) for ta in arguments)
+            for p in fixture.points
+        ]
+        point_factors = [factors(n) for n in an.per_point]
+        total_factors = factors(an.n) if an.consistent else None
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(
+            f"index series cannot be evaluated at t={t}, tau={tau}: {exc}"
+        ) from exc
+
+    for idx, (base, v_t, v_s, v_l) in enumerate(per_point):
+        f_s, f_std, f_printed = point_factors[idx]
         emit(f"point {idx}", v_t, base, "T-law")
         emit(f"point {idx}", v_s, f_s * base, "S-law")
         r_std = emit(f"point {idx}", v_l, f_std * base, "lattice law (standard exponent)")
@@ -466,7 +469,7 @@ def check_transform_laws(
     if an.consistent and len(fixture.points) > 1:
         # the sum can cancel to zero while its summands are exponentially
         # large; the attainable precision scales with the largest summand
-        f_s, f_std, f_printed = factors(an.n)
+        f_s, f_std, f_printed = total_factors
         base, v_t, v_s, v_l = (sum(vs) for vs in zip(*per_point))
         for law, lhs, rhs, col in (
             ("T-law", v_t, base, 1),

@@ -263,18 +263,21 @@ def _dense_trim(a: list[GaussianRational]) -> list[GaussianRational]:
     return a
 
 
-def _dense_mod(a: list[GaussianRational], b: list[GaussianRational]) -> list[GaussianRational]:
+def _dense_divmod(
+    a: list[GaussianRational], b: list[GaussianRational]
+) -> tuple[dict[int, GaussianRational], list[GaussianRational]]:
+    """Long division: the quotient as {degree: coefficient} and the remainder."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
+    quotient: dict[int, GaussianRational] = {}
+    while a and len(a) - 1 >= db:
         f = a[-1] / lb
         shift = len(a) - 1 - db
+        quotient[shift] = f
         for i, bc in enumerate(b):
             a[shift + i] = a[shift + i] - f * bc
         _dense_trim(a)
-        if not a:
-            break
-    return a
+    return quotient, a
 
 
 def laurent_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
@@ -291,7 +294,7 @@ def laurent_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial
     a = _to_dense(p) if not p.is_zero() else []
     b = _to_dense(q) if not q.is_zero() else []
     while b:
-        a, b = b, _dense_mod(a, b)
+        a, b = b, _dense_divmod(a, b)[1]
     lc = a[-1]
     return LaurentPolynomial(var, {i: c / lc for i, c in enumerate(a)})
 
@@ -304,19 +307,7 @@ def laurent_exact_div(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPoly
         return LaurentPolynomial.zero(p.var)
     if p.var != d.var:
         raise RingMismatchError(f"variable mismatch: {p.var!r} vs {d.var!r}")
-    vp, vd = p.valuation(), d.valuation()
-    a = _to_dense(p)
-    b = _to_dense(d)
-    db, lb = len(b) - 1, b[-1]
-    out: dict[int, GaussianRational] = {}
-    while a:
-        da = len(a) - 1
-        if da < db:
-            raise ValueError("not an exact division")
-        f = a[-1] / lb
-        out[da - db] = f
-        shift = da - db
-        for i, bc in enumerate(b):
-            a[shift + i] = a[shift + i] - f * bc
-        _dense_trim(a)
-    return LaurentPolynomial(p.var, out).shift(vp - vd)
+    quotient, remainder = _dense_divmod(_to_dense(p), _to_dense(d))
+    if remainder:
+        raise ValueError("not an exact division")
+    return LaurentPolynomial(p.var, quotient).shift(p.valuation() - d.valuation())

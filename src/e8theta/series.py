@@ -74,9 +74,6 @@ class TruncatedSeries:
     def q_coefficient(self, n: int):
         return self.coefficient(U_PER_Q * n)
 
-    def q_coefficients(self, through: int) -> list:
-        return [self.q_coefficient(n) for n in range(through + 1)]
-
     def whole_q_powers(self) -> bool:
         return all(e % U_PER_Q == 0 for e in self.coeffs)
 
@@ -220,23 +217,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             {e: fn(c) for e, c in self.coeffs.items()}, self.order, fn(self.zero)
         )
-
-    def agrees_with(self, other: "TruncatedSeries", through: int | None = None) -> bool:
-        """Exact coefficient agreement through min validity (or `through`)."""
-        bound = min(self.order, other.order)
-        if through is not None:
-            bound = min(bound, through)
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e > bound:
-                continue
-            if self.coeffs.get(e) != other.coeffs.get(e):
-                a, b = self.coeffs.get(e), other.coeffs.get(e)
-                if a is None and b.is_zero():
-                    continue
-                if b is None and a.is_zero():
-                    continue
-                return False
-        return True
 
     def first_difference(self, other: "TruncatedSeries", through: int | None = None):
         """Lowest exponent where the two series differ, or None."""

@@ -89,10 +89,20 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
     assert invoke(capsys, "nope")[0] == 2
     assert invoke(capsys, "index", "check", "--fixture", "missing_file.json")[0] == 2
     assert invoke(capsys, "e8", "theta", "--beta", "1,2")[0] == 2
+    # options that nothing read are gone
+    assert invoke(capsys, "e8", "dims", "--budget", "1000000")[0] == 2
+    assert invoke(capsys, "index", "check", "--fixture", "s2", "--tol", "5")[0] == 2
+    assert invoke(capsys, "index", "transform", "--fixture", "s2", "--order", "3")[0] == 2
     for command in (("index", "check"), ("classify",)):
         code, _, err = invoke(capsys, *command, "--fixture", str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
+    # a summand on a zero of theta(alpha t), or an overflowing evaluation
+    for point in (("--t", "0"), ("--tau=1e-300j",), ("--t=-300j",)):
+        code, _, err = invoke(capsys, "index", "transform", "--fixture", "cp1_spinc", *point)
+        assert code == 2
+        assert err.startswith("error:") and "t=" in err and "tau=" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_module_entry_point_runs():
@@ -109,12 +119,11 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "1 248 4124"
 
 
-def test_exit_code_budget(capsys):
-    code, _, err = invoke(
-        capsys, "e8", "dims", "--order", "3", "--budget", "10"
-    )
-    assert code == 2
-    assert "budget" in err
+def test_exit_code_e8_order_bound(capsys):
+    for command in (("e8", "dims"), ("e8", "theta"), ("e8", "identity")):
+        code, _, err = invoke(capsys, *command, "--order", "11")
+        assert code == 2
+        assert err.startswith("error:") and "10" in err
 
 
 def test_verification_failure_exits_one(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import brute_force_e8_shell, naive_partition_power
 
-from e8theta.errors import BudgetExceededError
+import e8theta.e8
 from e8theta.e8 import (
     basic_character,
     check_identity_116,
@@ -43,9 +43,14 @@ def test_enumeration_is_deterministic_and_sorted():
         assert vecs == sorted(vecs)
 
 
-def test_budget_guard_trips():
-    with pytest.raises(BudgetExceededError):
-        enumerate_shells(3, budget=100)
+def test_half_norm_bound_checked_before_enumeration(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("enumeration started for an out-of-range order")
+
+    monkeypatch.setattr(e8theta.e8, "_scan_parity", no_scan)
+    for bound in (11, -1):
+        with pytest.raises(ValueError, match=r"0\.\.10"):
+            enumerate_shells(bound)
 
 
 def test_roots_have_norm_two():
@@ -105,7 +110,7 @@ def test_identity_beta_zero_reduces_to_three_products():
     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         p = theta_series(kind, order + 1).scaled(0) ** 8
         manual = p if manual is None else manual + p
-    assert rhs.agrees_with(manual.scale(half), through=U_PER_Q * order)
+    assert rhs.first_difference(manual.scale(half), through=U_PER_Q * order) is None
     report = check_identity_116((0,) * 8, order)
     assert report.ok
 

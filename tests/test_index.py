@@ -124,7 +124,7 @@ def test_point_series_matches_tower_oracle(point, k, flavor):
     order = 2
     got = point_contribution(point, k, flavor, order)
     expected = oracle_contribution(point, k, flavor, order)
-    assert got.agrees_with(expected), (
+    assert got.first_difference(expected) is None, (
         f"{flavor}: mismatch at u^{got.first_difference(expected)}"
     )
 
@@ -208,7 +208,7 @@ def test_negating_all_weights_substitutes_w_inverse(rng):
             flipped = index_series(fx, flavor, 1).series.map_coefficients(
                 lambda c: c.substitute_inverse()
             )
-            assert direct.agrees_with(flipped)
+            assert direct.first_difference(flipped) is None
 
 
 # Lefschetz numbers and the q-expansion cross-check
@@ -373,3 +373,38 @@ def test_identity_single_point_reports_pole():
     report = evaluate_at_identity(index_series(SINGLE, IndexFlavor.I_SERIES, 1))
     assert not report.ok
     assert "pole" in report.first_failure.detail
+
+
+def test_blocks_expand_through_the_requested_order_only(monkeypatch):
+    import e8theta.e8
+    import e8theta.index
+    from e8theta.e8 import check_identity_116
+    from e8theta.fixtures import resolve_fixture
+
+    cp2, _ = resolve_fixture("cp2")
+    index_series(cp2, IndexFlavor.I_SERIES, 0)  # runs the one-shot order-6 tangent check
+    requested = []
+
+    def recorder(label, fn):
+        def wrapped(*args):
+            requested.append((label, args[-1]))
+            return fn(*args)
+
+        return wrapped
+
+    for module, name in (
+        (e8theta.index, "theta_series"),
+        (e8theta.index, "phi_series"),
+        (e8theta.e8, "theta_series"),
+    ):
+        label = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, recorder(label, getattr(module, name)))
+    for flavor in (IndexFlavor.I_SERIES, IndexFlavor.J_SERIES):
+        index_series(cp2, flavor, 3)
+    check_identity_116((1, 0, -1, 2, 0, 0, 1, 1), 3)
+    assert {label for label, _ in requested} == {
+        "e8theta.index.theta_series",
+        "e8theta.index.phi_series",
+        "e8theta.e8.theta_series",
+    }
+    assert max(order for _, order in requested) == 3, sorted(set(requested))
