@@ -15,6 +15,7 @@ m = 10, 1,113,841 for m = 11.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -128,7 +129,7 @@ def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     for m in range(order + 1):
         counts: dict[int, int] = {}
         for d in table.shells.get(m, []):
-            e = sum(dl * bl for dl, bl in zip(d, beta))
+            e = sum(map(operator.mul, d, beta))
             counts[e] = counts.get(e, 0) + 1
         coeffs[U_PER_Q * m] = LaurentPolynomial(
             "w", {e: GaussianRational(c) for e, c in counts.items()}

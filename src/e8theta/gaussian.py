@@ -1,7 +1,11 @@
 """Exact Gaussian rationals: the scalar field for every symbolic coefficient.
 
-All arithmetic is exact; ``Fraction`` keeps both parts in lowest terms with
-positive denominators, so values are canonical and equality is structural.
+Each part is an ``int`` when it is integral and a reduced ``Fraction`` (with
+a positive denominator) otherwise, so values are canonical and equality is
+structural.  Nearly every coefficient is a Gaussian integer, and on ``int``
+parts ``+``, ``-`` and ``*`` stay in ``int`` arithmetic; ``/`` forms a
+``Fraction`` and turns an integral result back into an ``int``.  Equality,
+hashing, ``str`` and ``repr`` read as if both parts were ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _canonical(re)
+        self.im = _canonical(im)
 
     @staticmethod
     def _coerce(x):
@@ -30,7 +34,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _new(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -38,25 +42,23 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _new(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _new(o.re - self.re, o.im - self.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self.re, -self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _new(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -64,13 +66,11 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        a, b, c, d = self.re, self.im, o.re, o.im
+        n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _new(Fraction(a * c + b * d, n), Fraction(b * c - a * d, n))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -85,12 +85,12 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def is_integer(self):
-        return self.im == 0 and self.re.denominator == 1
+        return self.im == 0 and type(self.re) is int
 
     def as_integer(self) -> int:
         if not self.is_integer():
             raise ValueError(f"not an integer: {self}")
-        return int(self.re)
+        return self.re
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -99,6 +99,7 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # hash(n) == hash(Fraction(n)), so an int part hashes as before
         return hash((self.re, self.im))
 
     def __complex__(self):
@@ -113,10 +114,29 @@ class GaussianRational:
         return f"{self.re}{sign}{_imag_str(abs(self.im))}"
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
 
-def _imag_str(im: Fraction) -> str:
+def _canonical(x):
+    """Any rational as a part: an int when integral, else a reduced Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+_allocate = object.__new__
+
+
+def _new(re, im):
+    """Build from parts that are already ints or reduced Fractions."""
+    g = _allocate(GaussianRational)
+    g.re = re if type(re) is int or re.denominator != 1 else re.numerator
+    g.im = im if type(im) is int or im.denominator != 1 else im.numerator
+    return g
+
+
+def _imag_str(im) -> str:
     if im == 1:
         return "i"
     if im == -1:

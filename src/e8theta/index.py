@@ -422,6 +422,10 @@ def check_transform_laws(
     are exponentially large in n, a and Im(tau).
     """
     t, tau = complex(t), complex(tau)
+    if not (cmath.isfinite(t) and cmath.isfinite(tau)):
+        raise ValueError(
+            f"index series cannot be evaluated at t={t}, tau={tau}: t and tau must be finite"
+        )
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     if a % 2 or b % 2:

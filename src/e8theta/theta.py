@@ -161,17 +161,17 @@ def _auto_factors(tau: complex, z: complex = 0j, tol: float = 1e-14) -> int:
     return max(8, min(n, 4000))
 
 
-def theta_eval(kind: ThetaKind, z: complex, tau: complex, order: int | None = None) -> complex:
+def theta_eval(kind: ThetaKind, z: complex, tau: complex) -> complex:
     """Truncated product evaluated in floating point.
 
-    The omitted factors differ from 1 by O(|q|^order * e^(4*pi*|Im z|)), so
-    the relative error is of that size.
+    The omitted factors differ from 1 by O(|q|^n * e^(4*pi*|Im z|)) for the
+    n factors kept; _auto_factors picks n so that this stays below ~1e-14.
     """
     z = complex(z)
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    n = order if order is not None else _auto_factors(tau, z)
+    n = _auto_factors(tau, z)
     # fractional q-powers are taken analytically in tau (q^s = e^(2 pi i s tau)),
     # never through a principal branch of q itself: the tau + 1 law depends on it
     q = cmath.exp(2j * cmath.pi * tau)
@@ -191,12 +191,12 @@ def theta_eval(kind: ThetaKind, z: complex, tau: complex, order: int | None = No
     return value
 
 
-def theta_prime_zero(tau: complex, order: int | None = None) -> complex:
+def theta_prime_zero(tau: complex) -> complex:
     """Numeric theta'(0, tau) = 2*pi * q^(1/8) * prod (1-q^j)^3."""
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    n = order if order is not None else _auto_factors(tau)
+    n = _auto_factors(tau)
     q = cmath.exp(2j * cmath.pi * tau)
     value = 2 * cmath.pi * cmath.exp(1j * cmath.pi * tau / 4)
     for j in range(1, n + 1):
@@ -211,12 +211,12 @@ def evaluate_expansion(expansion: ThetaExpansion, z: complex, tau: complex) -> c
     return expansion.series.evaluate(u, lambda c: c.evaluate(w))
 
 
-def jacobi_identity_residual(tau: complex, order: int | None = None) -> float:
+def jacobi_identity_residual(tau: complex) -> float:
     """|theta'(0,tau) - pi * theta_1(0,tau) theta_2(0,tau) theta_3(0,tau)|."""
-    lhs = theta_prime_zero(tau, order)
+    lhs = theta_prime_zero(tau)
     rhs = cmath.pi
     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        rhs *= theta_eval(kind, 0, tau, order)
+        rhs *= theta_eval(kind, 0, tau)
     return abs(lhs - rhs)
 
 
@@ -252,7 +252,7 @@ _LATTICE_SIGNS = {
 
 
 def check_modular_transform(
-    kind: ThetaKind, z: complex, tau: complex, tol: float = 1e-9, order: int | None = None
+    kind: ThetaKind, z: complex, tau: complex, tol: float = 1e-9
 ) -> VerificationReport:
     """Residuals of the tau+1 and -1/tau laws for one kind at one point."""
     z, tau = complex(z), complex(tau)
@@ -260,8 +260,8 @@ def check_modular_transform(
         raise ValueError("tau must lie in the upper half plane")
     items = []
     t_kind, t_factor = _T_LAW[kind]
-    lhs = theta_eval(kind, z, tau + 1, order)
-    rhs = t_factor * theta_eval(t_kind, z, tau, order)
+    lhs = theta_eval(kind, z, tau + 1)
+    rhs = t_factor * theta_eval(t_kind, z, tau)
     r = _rel(lhs, rhs)
     items.append(ReportItem(f"{kind.value} T-law", "pass" if r < tol else "fail", residual=r))
 
@@ -269,8 +269,8 @@ def check_modular_transform(
     factor = cmath.sqrt(tau / 1j)
     if kind is ThetaKind.THETA:
         factor *= 1 / 1j
-    lhs = theta_eval(kind, z, -1 / tau, order)
-    rhs = factor * cmath.exp(1j * cmath.pi * tau * z * z) * theta_eval(s_kind, tau * z, tau, order)
+    lhs = theta_eval(kind, z, -1 / tau)
+    rhs = factor * cmath.exp(1j * cmath.pi * tau * z * z) * theta_eval(s_kind, tau * z, tau)
     r = _rel(lhs, rhs)
     items.append(ReportItem(f"{kind.value} S-law", "pass" if r < tol else "fail", residual=r))
 
@@ -290,7 +290,6 @@ def check_lattice_transform(
     a: int,
     b: int,
     tol: float = 1e-9,
-    order: int | None = None,
 ) -> VerificationReport:
     """Residual of theta_kind(z + a + b*tau) against its predicted multiple.
 
@@ -303,8 +302,8 @@ def check_lattice_transform(
     s_int, s_tau = _LATTICE_SIGNS[kind]
     factor = (s_int ** (abs(a) % 2)) * (s_tau ** (abs(b) % 2))
     factor = factor * cmath.exp(-2j * cmath.pi * b * z - 1j * cmath.pi * b * b * tau)
-    lhs = theta_eval(kind, z + a + b * tau, tau, order)
-    rhs = factor * theta_eval(kind, z, tau, order)
+    lhs = theta_eval(kind, z + a + b * tau, tau)
+    rhs = factor * theta_eval(kind, z, tau)
     r = _rel(lhs, rhs)
     ok = r < tol
     item = ReportItem(f"{kind.value} lattice ({a},{b})", "pass" if ok else "fail", residual=r)

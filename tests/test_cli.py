@@ -93,12 +93,21 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
     assert invoke(capsys, "e8", "dims", "--budget", "1000000")[0] == 2
     assert invoke(capsys, "index", "check", "--fixture", "s2", "--tol", "5")[0] == 2
     assert invoke(capsys, "index", "transform", "--fixture", "s2", "--order", "3")[0] == 2
+    assert invoke(capsys, "theta", "check", "--order", "0")[0] == 2
     for command in (("index", "check"), ("classify",)):
         code, _, err = invoke(capsys, *command, "--fixture", str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
-    # a summand on a zero of theta(alpha t), or an overflowing evaluation
-    for point in (("--t", "0"), ("--tau=1e-300j",), ("--t=-300j",)):
+    # a summand on a zero of theta(alpha t), an overflowing evaluation, or a
+    # point that is not finite
+    for point in (
+        ("--t", "0"),
+        ("--tau=1e-300j",),
+        ("--t=-300j",),
+        ("--t=nan",),
+        ("--t=inf",),
+        ("--tau=nanj",),
+    ):
         code, _, err = invoke(capsys, "index", "transform", "--fixture", "cp1_spinc", *point)
         assert code == 2
         assert err.startswith("error:") and "t=" in err and "tau=" in err
