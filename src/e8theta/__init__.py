@@ -45,7 +45,6 @@ from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, format_series, phi_series
 from .theta import (
-    ThetaExpansion,
     ThetaKind,
     check_lattice_transform,
     check_modular_transform,
@@ -53,6 +52,7 @@ from .theta import (
     theta_eval,
     theta_prime_zero,
     theta_prime_zero_series,
+    theta_product,
     theta_series,
     theta_sum_series,
 )

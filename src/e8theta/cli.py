@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -22,7 +23,7 @@ from .index import (
     index_series,
     verify_qexpansion,
 )
-from .report import VerificationReport
+from .report import ReportItem, VerificationReport
 from .series import format_series
 from .theta import (
     ThetaKind,
@@ -30,7 +31,6 @@ from .theta import (
     check_modular_transform,
     jacobi_identity_residual,
     theta_series,
-    theta_sum_series,
 )
 
 _THETA_NAMES = {k.value: k for k in ThetaKind}
@@ -74,6 +74,26 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r} ({exc})")
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, got {text!r}")
+    return tol
+
+
+def _parse_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="e8theta",
@@ -85,37 +105,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta = sub.add_parser("theta", help="Jacobi theta expansions and law checks")
     theta_sub = p_theta.add_subparsers(dest="subcommand", required=True)
     p = theta_sub.add_parser("expand", help="print an exact expansion")
+    p.set_defaults(handler=_cmd_theta_expand)
     p.add_argument("--kind", choices=sorted(_THETA_NAMES), default="theta")
     p.add_argument("--order", type=int, default=5)
-    p.add_argument("--sum-form", action="store_true", help="use the sum form instead of the product")
     p = theta_sub.add_parser("check", help="Jacobi identity and all sixteen transformation laws")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.set_defaults(handler=_cmd_theta_check)
+    p.add_argument("--tol", type=_parse_tol, default=1e-9)
 
     p_e8 = sub.add_parser("e8", help="root-lattice theta function and basic character")
     e8_sub = p_e8.add_subparsers(dest="subcommand", required=True)
     p = e8_sub.add_parser("theta", help="print the specialized lattice theta series")
+    p.set_defaults(handler=_cmd_e8_theta)
     p.add_argument("--beta", type=_parse_beta, default=(0,) * 8)
     p.add_argument("--order", type=int, default=3)
     p = e8_sub.add_parser("dims", help="graded dimensions of the basic representation")
+    p.set_defaults(handler=_cmd_e8_dims)
     p.add_argument("--order", type=int, default=3)
     p = e8_sub.add_parser("identity", help="lattice sum versus four theta products")
+    p.set_defaults(handler=_cmd_e8_identity)
     p.add_argument("--beta", type=_parse_beta, default=None)
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--random", type=int, default=0, metavar="N", help="also check N random specializations")
+    p.add_argument("--random", type=_parse_count, default=0, metavar="N", help="also check N random specializations")
     p.add_argument("--seed", type=int, default=20260808)
 
     p_index = sub.add_parser("index", help="equivariant index series on a fixture")
     index_sub = p_index.add_subparsers(dest="subcommand", required=True)
-    for name, helptext in (
-        ("expand", "print the exact index series"),
-        ("check", "q-expansion cross-check, rigidity and theorem conformance"),
-        ("transform", "numeric transformation-law residuals"),
+    for name, helptext, handler in (
+        ("expand", "print the exact index series", _cmd_index_expand),
+        ("check", "q-expansion cross-check, rigidity and theorem conformance", _cmd_index_check),
+        ("transform", "numeric transformation-law residuals", _cmd_index_transform),
     ):
         p = index_sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
         p.add_argument("--fixture", required=True, help="path or bundled name (s2, cp2, ...)")
         p.add_argument("--flavor", choices=["I", "J"], default=None, help="override the fixture's flavor")
         if name == "transform":
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=_parse_tol, default=1e-8)
             p.add_argument("--t", type=_parse_complex, default=0.11 + 0.07j)
             p.add_argument("--tau", type=_parse_complex, default=0.2 + 1.1j)
             p.add_argument("--a", type=int, default=2)
@@ -124,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", type=int, default=5)
 
     p = sub.add_parser("classify", help="theorem branch prediction versus observed behavior")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("--fixture", required=True)
     p.add_argument("--flavor", choices=["I", "J"], default=None)
     p.add_argument("--order", type=int, default=5)
@@ -139,15 +165,12 @@ def _load(args):
 
 
 def _cmd_theta_expand(args) -> int:
-    kind = _THETA_NAMES[args.kind]
-    exp = theta_sum_series(kind, args.order) if args.sum_form else theta_series(kind, args.order)
-    print(f"{args.kind}(z, tau) =", format_series(exp.series, fractional=True))
+    series = theta_series(_THETA_NAMES[args.kind], args.order)
+    print(f"{args.kind}(z, tau) =", format_series(series, fractional=True))
     return 0
 
 
 def _cmd_theta_check(args) -> int:
-    from .report import ReportItem
-
     items = []
     for tau in _JACOBI_TAUS:
         r = jacobi_identity_residual(tau)
@@ -162,13 +185,7 @@ def _cmd_theta_check(args) -> int:
         for a, b in ((1, 0), (0, 1)):
             rep = check_lattice_transform(kind, z, tau, a, b, tol=args.tol)
             items.extend(rep.items)
-    ok = all(i.status == "pass" for i in items)
-    report = VerificationReport(
-        verdict="pass" if ok else "fail",
-        ok=ok,
-        items=items,
-        meta={"tol": args.tol, "z": str(z), "tau": str(tau)},
-    )
+    report = VerificationReport.from_items(items, {"tol": args.tol, "z": str(z), "tau": str(tau)})
     return _emit(args, "theta check", report)
 
 
@@ -196,16 +213,11 @@ def _cmd_e8_identity(args) -> int:
     if not betas:
         betas = [(0,) * 8, (1, 0, 0, 0, 0, 0, 0, 0)]
     items = []
-    ok = True
     for beta in betas:
-        rep = check_identity_116(beta, args.order)
-        ok = ok and rep.ok
-        for item in rep.items:
+        for item in check_identity_116(beta, args.order).items:
             item.name = f"beta={list(beta)}: {item.name}"
             items.append(item)
-    report = VerificationReport(
-        verdict="pass" if ok else "fail", ok=ok, items=items, meta={"order": args.order}
-    )
+    report = VerificationReport.from_items(items, {"order": args.order})
     return _emit(args, "e8 identity", report)
 
 
@@ -245,33 +257,15 @@ def _cmd_classify(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "theta":
-            return _cmd_theta_expand(args) if args.subcommand == "expand" else _cmd_theta_check(args)
-        if args.command == "e8":
-            return {
-                "theta": _cmd_e8_theta,
-                "dims": _cmd_e8_dims,
-                "identity": _cmd_e8_identity,
-            }[args.subcommand](args)
-        if args.command == "index":
-            return {
-                "expand": _cmd_index_expand,
-                "check": _cmd_index_check,
-                "transform": _cmd_index_transform,
-            }[args.subcommand](args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (FixtureFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

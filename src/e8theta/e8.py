@@ -24,7 +24,7 @@ from .gaussian import GaussianRational
 from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q, phi_series
-from .theta import ThetaKind, theta_series
+from .theta import ThetaKind, theta_product
 
 MAX_HALF_NORM = 10
 
@@ -153,14 +153,8 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     """
     beta = _validate_beta(beta)
     total = None
-    for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        expansion = theta_series(kind, order)
-        prod = None
-        for b in beta:
-            factor = expansion.scaled(b)
-            prod = factor if prod is None else prod * factor
-            if prod.is_zero():
-                break  # theta(0) = 0 kills the whole product
+    for kind in ThetaKind:
+        prod = theta_product([(kind, b) for b in beta], order)
         total = prod if total is None else total + prod
     return total.scale(GaussianRational(Fraction(1, 2)))
 
@@ -177,28 +171,19 @@ def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
     lhs = theta_e8(beta, order)
     rhs = theta_product_side(beta, order)
     bound = U_PER_Q * order
-    items = []
     e = lhs.first_difference(rhs, through=bound)
     if e is None:
-        items.append(
-            ReportItem(f"lattice sum = theta products through q^{order}", "pass")
-        )
-        ok = True
+        item = ReportItem(f"lattice sum = theta products through q^{order}", "pass")
     else:
-        items.append(
-            ReportItem(
-                "first mismatching coefficient",
-                "fail",
-                coefficient=f"u^{e} (q^{Fraction(e, U_PER_Q)}): "
-                f"lattice {lhs.coefficient(e)} vs products {rhs.coefficient(e)}",
-            )
+        item = ReportItem(
+            "first mismatching coefficient",
+            "fail",
+            coefficient=f"u^{e} (q^{Fraction(e, U_PER_Q)}): "
+            f"lattice {lhs.coefficient(e)} vs products {rhs.coefficient(e)}",
         )
-        ok = False
-    return VerificationReport(
-        verdict="pass" if ok else "fail",
-        ok=ok,
-        items=items,
-        meta={
+    return VerificationReport.from_items(
+        [item],
+        {
             "beta": list(beta),
             "order": order,
             "basis": "standard coordinates: integer/half-integer vectors, even sum",

@@ -41,7 +41,7 @@ from .laurent import LaurentPolynomial
 from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q, phi_series
-from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_series
+from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,9 @@ class IndexSeries:
         return self.series.q_coefficient(n)
 
 
+_EVEN_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
+
+
 def _w_monomials(coeffs: dict[int, int]) -> LaurentPolynomial:
     return LaurentPolynomial("w", {e: GaussianRational(n) for e, n in coeffs.items()})
 
@@ -105,24 +108,12 @@ def _over_lead(series: TruncatedSeries, lead: LaurentPolynomial) -> TruncatedSer
     return series.map_coefficients(lambda c: RationalFunction(c, lead))
 
 
-def _scalar_theta_product_at_zero(order: int) -> TruncatedSeries:
-    """theta_1(0) theta_2(0) theta_3(0) as a series with constant coefficients."""
-    prod = None
-    for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        factor = theta_series(kind, order).scaled(0)
-        prod = factor if prod is None else prod * factor
-    return prod
-
-
 def _line_block(flavor: IndexFlavor, c: int, order: int) -> TruncatedSeries:
     if flavor is IndexFlavor.I_SERIES:
-        num = None
-        for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-            factor = theta_series(kind, order).scaled(c)
-            num = factor if num is None else num * factor
+        num = theta_product([(kind, c) for kind in _EVEN_KINDS], order)
     else:
-        num = theta_series(ThetaKind.THETA, order).scaled(c).scale(GAUSS_I)
-    return num * _scalar_theta_product_at_zero(order).invert()
+        num = theta_product([(ThetaKind.THETA, c)], order).scale(GAUSS_I)
+    return num * theta_product([(kind, 0) for kind in _EVEN_KINDS], order).invert()
 
 
 _factor_identity_checked = False
@@ -254,12 +245,8 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
         ReportItem("squared reduced line bundle expands in the atoms", "pass" if ok2 else "fail")
     )
 
-    ok = ok0 and ok1 and ok2
-    return VerificationReport(
-        verdict="pass" if ok else "fail",
-        ok=ok,
-        items=items,
-        meta={"flavor": flavor.value, "k": fixture.k, "label": fixture.label},
+    return VerificationReport.from_items(
+        items, {"flavor": flavor.value, "k": fixture.k, "label": fixture.label}
     )
 
 
@@ -333,31 +320,26 @@ def evaluate_at_identity(ixs: IndexSeries) -> VerificationReport:
     """
     items = []
     values = []
-    ok = True
     for i in range(ixs.order + 1):
         c = ixs.q_coefficient(i)
         if c.has_pole_at_one():
             items.append(ReportItem(f"q^{i}", "fail", coefficient=str(c), detail="pole at w=1"))
-            ok = False
             continue
         v = c.value_at_one()
         if not v.is_integer():
             items.append(
                 ReportItem(f"q^{i}", "fail", coefficient=str(v), detail="non-integer value")
             )
-            ok = False
             continue
         values.append(v.as_integer())
         items.append(ReportItem(f"q^{i}", "pass", detail=str(v.as_integer())))
-    return VerificationReport(
-        verdict="pass" if ok else "fail",
-        ok=ok,
-        items=items,
-        meta={
+    return VerificationReport.from_items(
+        items,
+        {
             "flavor": ixs.flavor.value,
             "label": ixs.fixture.label,
             "order": ixs.order,
-            "values": values if ok else None,
+            "values": values if len(values) == len(items) else None,
         },
     )
 
@@ -378,11 +360,11 @@ def point_value(
     for a in point.alpha:
         value *= tp / theta_eval(ThetaKind.THETA, a * t, tau)
     if flavor is IndexFlavor.I_SERIES:
-        for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
+        for kind in _EVEN_KINDS:
             value *= theta_eval(kind, point.c * t, tau) / theta_eval(kind, 0, tau)
     else:
         denom = 1
-        for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
+        for kind in _EVEN_KINDS:
             denom *= theta_eval(kind, 0, tau)
         value *= 1j * theta_eval(ThetaKind.THETA, point.c * t, tau) / denom
     bracket = 0j

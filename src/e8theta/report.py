@@ -39,6 +39,12 @@ class VerificationReport:
     items: list[ReportItem] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_items(cls, items: list[ReportItem], meta: dict) -> "VerificationReport":
+        """A residual check's report: "pass" exactly when every item passed."""
+        ok = all(item.status == "pass" for item in items)
+        return cls(verdict="pass" if ok else "fail", ok=ok, items=items, meta=meta)
+
     @property
     def first_failure(self) -> ReportItem | None:
         for item in self.items:

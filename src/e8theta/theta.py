@@ -11,9 +11,9 @@ half-angle factors are Laurent monomials: 2*sin(pi*z) = -i*(w - w^-1) and
 
 (in the classical 1..4 numbering these are theta_1, theta_2, theta_4 and
 theta_3 respectively).  Expansions live on the u = q^(1/24) lattice with
-Laurent-polynomial coefficients in w; the equivalent sum forms (triple
-product) are implemented as an independent cross-check and for fast scalar
-evaluation.
+Laurent-polynomial coefficients in w.  The product form is the production
+route; the equivalent sum forms (triple product) are built independently
+and serve only as the test oracle for it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,22 +51,12 @@ def base_exponent(kind: ThetaKind) -> int:
     return 3 if kind in (ThetaKind.THETA, ThetaKind.THETA1) else 0
 
 
-@dataclass(frozen=True)
-class ThetaExpansion:
-    kind: ThetaKind
-    series: TruncatedSeries
-
-    def scaled(self, multiplier: int) -> TruncatedSeries:
-        """Series of theta_kind(m*z) in (w, u): substitute w -> w^m."""
-        return self.series.map_coefficients(lambda c: c.substitute_power(multiplier))
-
-
 def _w(coeffs: dict[int, GaussianRational]) -> LaurentPolynomial:
     return LaurentPolynomial("w", coeffs)
 
 
 @lru_cache(maxsize=None)
-def theta_series(kind: ThetaKind, order: int) -> ThetaExpansion:
+def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
     """Exact product-form expansion through q^order."""
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -95,12 +84,29 @@ def theta_series(kind: ThetaKind, order: int) -> ThetaExpansion:
             s = s.times_one_plus(_w({2: s_one}), e_w)
             s = s.times_one_plus(_w({-2: s_one}), e_w)
         j += 1
-    return ThetaExpansion(kind, s)
+    return s
 
 
-@lru_cache(maxsize=None)
-def theta_sum_series(kind: ThetaKind, order: int) -> ThetaExpansion:
-    """Sum-form (triple product) expansion: an independent route.
+def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> TruncatedSeries:
+    """prod theta_kind(m*z) over the (kind, m) pairs, through q^order.
+
+    Each factor is theta_series(kind, order) with w -> w^m.  The factors
+    multiply in the given order, and the product stops at the first zero
+    (theta(0) = 0 kills it).
+    """
+    prod = None
+    for kind, m in factors:
+        factor = theta_series(kind, order).map_coefficients(lambda c: c.substitute_power(m))
+        prod = factor if prod is None else prod * factor
+        if prod.is_zero():
+            break
+    if prod is None:
+        raise ValueError("theta_product needs at least one factor")
+    return prod
+
+
+def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:
+    """Sum-form (triple product) expansion: the independent test oracle.
 
     theta   = -i * sum_n (-1)^n q^((2n+1)^2/8) w^(2n+1)
     theta_1 =      sum_n        q^((2n+1)^2/8) w^(2n+1)
@@ -130,7 +136,7 @@ def theta_sum_series(kind: ThetaKind, order: int) -> ThetaExpansion:
             c = ONE if (kind is ThetaKind.THETA3 or n % 2 == 0) else -ONE
             coeffs[12 * n * n] = _w({2 * n: c, -2 * n: c})
             n += 1
-    return ThetaExpansion(kind, TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w")))
+    return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w"))
 
 
 def theta_prime_zero_series(order: int) -> TruncatedSeries:
@@ -138,14 +144,14 @@ def theta_prime_zero_series(order: int) -> TruncatedSeries:
     return (phi_series(order) ** 3).shift(3)
 
 
-def z_derivative_at_zero(expansion: ThetaExpansion) -> TruncatedSeries:
+def z_derivative_at_zero(series: TruncatedSeries) -> TruncatedSeries:
     """Term-by-term d/dz at z = 0, divided by 2*pi.
 
     d/dz acts on w^e as pi*i*e*w^e, so each coefficient becomes
     (i/2) * sum_e e*c_e evaluated at w = 1.
     """
     half_i = GaussianRational(0, Fraction(1, 2))
-    return expansion.series.map_coefficients(lambda c: half_i * c.exponent_weighted_sum())
+    return series.map_coefficients(lambda c: half_i * c.exponent_weighted_sum())
 
 
 # numeric evaluation
@@ -204,11 +210,11 @@ def theta_prime_zero(tau: complex) -> complex:
     return value
 
 
-def evaluate_expansion(expansion: ThetaExpansion, z: complex, tau: complex) -> complex:
+def evaluate_expansion(series: TruncatedSeries, z: complex, tau: complex) -> complex:
     """Specialize the exact expansion at w = e^(pi i z), u = e^(2 pi i tau / 24)."""
     w = cmath.exp(1j * cmath.pi * z)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
-    return expansion.series.evaluate(u, lambda c: c.evaluate(w))
+    return series.evaluate(u, lambda c: c.evaluate(w))
 
 
 def jacobi_identity_residual(tau: complex) -> float:
@@ -274,12 +280,8 @@ def check_modular_transform(
     r = _rel(lhs, rhs)
     items.append(ReportItem(f"{kind.value} S-law", "pass" if r < tol else "fail", residual=r))
 
-    ok = all(i.status == "pass" for i in items)
-    return VerificationReport(
-        verdict="pass" if ok else "fail",
-        ok=ok,
-        items=items,
-        meta={"kind": kind.value, "z": str(z), "tau": str(tau), "tol": tol},
+    return VerificationReport.from_items(
+        items, {"kind": kind.value, "z": str(z), "tau": str(tau), "tol": tol}
     )
 
 
@@ -305,11 +307,7 @@ def check_lattice_transform(
     lhs = theta_eval(kind, z + a + b * tau, tau)
     rhs = factor * theta_eval(kind, z, tau)
     r = _rel(lhs, rhs)
-    ok = r < tol
-    item = ReportItem(f"{kind.value} lattice ({a},{b})", "pass" if ok else "fail", residual=r)
-    return VerificationReport(
-        verdict="pass" if ok else "fail",
-        ok=ok,
-        items=[item],
-        meta={"kind": kind.value, "a": a, "b": b, "z": str(z), "tau": str(tau), "tol": tol},
+    item = ReportItem(f"{kind.value} lattice ({a},{b})", "pass" if r < tol else "fail", residual=r)
+    return VerificationReport.from_items(
+        [item], {"kind": kind.value, "a": a, "b": b, "z": str(z), "tau": str(tau), "tol": tol}
     )

@@ -83,7 +83,7 @@ def test_criterion_3_graded_dimensions():
 
 def test_criterion_4_theta_self_consistency():
     forms_ok = all(
-        theta_series(kind, 12).series == theta_sum_series(kind, 12).series
+        theta_series(kind, 12) == theta_sum_series(kind, 12)
         for kind in ThetaKind
     )
     jacobi_ok = all(

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import e8theta
 from e8theta.cli import run
@@ -94,6 +96,19 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
     assert invoke(capsys, "index", "check", "--fixture", "s2", "--tol", "5")[0] == 2
     assert invoke(capsys, "index", "transform", "--fixture", "s2", "--order", "3")[0] == 2
     assert invoke(capsys, "theta", "check", "--order", "0")[0] == 2
+    assert invoke(capsys, "theta", "expand", "--sum-form")[0] == 2
+    # a tolerance or a count no check can use is a usage error, not a verdict
+    for argv in (
+        ("theta", "check", "--tol", "nan"),
+        ("theta", "check", "--tol", "-1"),
+        ("theta", "check", "--tol", "0"),
+        ("theta", "check", "--tol", "inf"),
+        ("index", "transform", "--fixture", "cp1_spinc", "--tol", "nan"),
+        ("index", "transform", "--fixture", "cp1_spinc", "--tol", "-1"),
+        ("e8", "identity", "--random", "-3"),
+        ("e8", "identity", "--random", "2.5"),
+    ):
+        assert invoke(capsys, *argv)[0] == 2, argv
     for command in (("index", "check"), ("classify",)):
         code, _, err = invoke(capsys, *command, "--fixture", str(tmp_path))
         assert code == 2
@@ -171,3 +186,24 @@ def test_json_meta_has_tolerance(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["tol"] == 1e-9
+
+
+def test_readme_commands_run(capsys):
+    """Each `e8theta ...` line of README's "Command line" block exits 0 and
+    prints the quoted output its comment promises, if any."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    ran = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if not argv:
+            continue
+        assert argv[0] == "e8theta", line
+        code, out, err = invoke(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        promised = re.search(r'"([^"]*)"', comment)
+        if promised:
+            assert promised.group(1) in out, (line, out)
+        ran += 1
+    assert ran >= 9

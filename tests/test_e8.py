@@ -16,7 +16,7 @@ from e8theta.e8 import (
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import U_PER_Q
-from e8theta.theta import ThetaKind, theta_series
+from e8theta.theta import ThetaKind, theta_product
 
 
 def test_shell_zero_is_origin():
@@ -108,7 +108,7 @@ def test_identity_beta_zero_reduces_to_three_products():
     half = GaussianRational(Fraction(1, 2))
     manual = None
     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        p = theta_series(kind, order + 1).scaled(0) ** 8
+        p = theta_product([(kind, 0)], order + 1) ** 8
         manual = p if manual is None else manual + p
     assert rhs.first_difference(manual.scale(half), through=U_PER_Q * order) is None
     report = check_identity_116((0,) * 8, order)

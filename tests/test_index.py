@@ -393,9 +393,9 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         return wrapped
 
     for module, name in (
-        (e8theta.index, "theta_series"),
+        (e8theta.index, "theta_product"),
         (e8theta.index, "phi_series"),
-        (e8theta.e8, "theta_series"),
+        (e8theta.e8, "theta_product"),
     ):
         label = f"{module.__name__}.{name}"
         monkeypatch.setattr(module, name, recorder(label, getattr(module, name)))
@@ -403,8 +403,8 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         index_series(cp2, flavor, 3)
     check_identity_116((1, 0, -1, 2, 0, 0, 1, 1), 3)
     assert {label for label, _ in requested} == {
-        "e8theta.index.theta_series",
+        "e8theta.index.theta_product",
         "e8theta.index.phi_series",
-        "e8theta.e8.theta_series",
+        "e8theta.e8.theta_product",
     }
     assert max(order for _, order in requested) == 3, sorted(set(requested))

@@ -14,6 +14,7 @@ from e8theta.theta import (
     theta_eval,
     theta_prime_zero,
     theta_prime_zero_series,
+    theta_product,
     theta_series,
     theta_sum_series,
     z_derivative_at_zero,
@@ -28,14 +29,14 @@ def L(coeffs):
 
 def test_leading_terms_match_sin_cos_prefactors():
     odd = theta_series(ThetaKind.THETA, 2)
-    assert odd.series.base_exponent == 3  # q^(1/8)
-    assert odd.series.coefficient(3) == L({1: (0, -1), -1: (0, 1)})  # -i(w - w^-1)
+    assert odd.base_exponent == 3  # q^(1/8)
+    assert odd.coefficient(3) == L({1: (0, -1), -1: (0, 1)})  # -i(w - w^-1)
     even = theta_series(ThetaKind.THETA1, 2)
-    assert even.series.coefficient(3) == L({1: 1, -1: 1})  # w + w^-1
+    assert even.coefficient(3) == L({1: 1, -1: 1})  # w + w^-1
 
 
 def test_theta3_terms_through_q_9_2():
-    s = theta_series(ThetaKind.THETA3, 5).series
+    s = theta_series(ThetaKind.THETA3, 5)
     assert s.coefficient(0) == L({0: 1})
     assert s.coefficient(12) == L({2: 1, -2: 1})
     assert s.coefficient(48) == L({4: 1, -4: 1})
@@ -48,21 +49,21 @@ def test_theta3_terms_through_q_9_2():
 @pytest.mark.parametrize("kind", list(ThetaKind))
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 8, 12])
 def test_product_equals_sum_form(kind, order):
-    assert theta_series(kind, order).series == theta_sum_series(kind, order).series
+    assert theta_series(kind, order) == theta_sum_series(kind, order)
 
 
 @pytest.mark.parametrize("kind", list(ThetaKind))
 def test_parity(kind, order=6):
-    exp = theta_series(kind, order)
-    flipped = exp.scaled(-1)
+    series = theta_series(kind, order)
+    flipped = theta_product([(kind, -1)], order)
     if kind is ThetaKind.THETA:
-        assert flipped.first_difference(-exp.series) is None
+        assert flipped.first_difference(-series) is None
     else:
-        assert flipped.first_difference(exp.series) is None
+        assert flipped.first_difference(series) is None
 
 
 def test_theta_gap_returns_laurent_zero():
-    series = theta_series(ThetaKind.THETA2, 3).series
+    series = theta_series(ThetaKind.THETA2, 3)
     assert 1 not in series.coeffs
     c = series.coefficient(1)
     assert isinstance(c, LaurentPolynomial)
@@ -72,7 +73,7 @@ def test_theta_gap_returns_laurent_zero():
 
 
 def test_theta_vanishes_at_zero():
-    assert theta_series(ThetaKind.THETA, 4).scaled(0).is_zero()
+    assert theta_product([(ThetaKind.THETA, 0)], 4).is_zero()
     for tau in SAMPLE_TAUS:
         assert theta_eval(ThetaKind.THETA, 0, tau) == 0
 
@@ -181,5 +182,5 @@ def test_eval_rejects_lower_half_plane():
 
 
 def test_display_has_fractional_exponents():
-    text = format_series(theta_series(ThetaKind.THETA, 1).series, fractional=True)
+    text = format_series(theta_series(ThetaKind.THETA, 1), fractional=True)
     assert "q^(1/8)" in text
