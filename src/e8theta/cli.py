@@ -174,7 +174,7 @@ def _cmd_theta_check(args) -> int:
     items = []
     for tau in _JACOBI_TAUS:
         r = jacobi_identity_residual(tau)
-        ok = r < max(args.tol, 1e-10)
+        ok = r < args.tol
         items.append(
             ReportItem(f"Jacobi identity at tau={tau}", "pass" if ok else "fail", residual=r)
         )

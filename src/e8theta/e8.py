@@ -1,21 +1,28 @@
-"""E8 root lattice: shell enumeration, lattice theta function, basic character.
+"""E8 root lattice: lattice theta function, basic character, shell enumeration.
 
 Lattice model: standard coordinates, the union of the integer vectors and
 the all-half-integer vectors whose coordinate sum is even.  A point gamma
 is stored through its doubled coordinates d_l = 2*gamma_l, so membership
 reads: all d_l share one parity and sum(d_l) = 0 mod 4.  Roots have
 |gamma|^2 = 2; the half-norm m = |gamma|^2 / 2 = sum(d_l^2) / 8 indexes
-shells.
+shells, and shell m holds 240 * sigma_3(m) points (m >= 1).
 
-Enumeration stops at half-norm MAX_HALF_NORM = 10, so theta_e8,
-check_identity_116 and basic_character take orders up to 10.  Through
-half-norm m there are 1 + 240 * sum_{n<=m} sigma_3(n) points: 794,161 for
-m = 10, 1,113,841 for m = 11.
+The lattice theta function is a dynamic program over the eight doubled
+coordinates: it counts points by (half-norm, w-exponent) without listing
+them, so its cost grows polynomially in the order.  Explicit enumeration
+(enumerate_shells) serves only the 240 roots and the tests, where it is
+the brute-force oracle for that count.
+
+Both stop at half-norm MAX_HALF_NORM = 10, so theta_e8,
+check_identity_116, basic_character and enumerate_shells take orders up to
+10.  For a generic beta every point of a shell can have its own w-exponent,
+and the dynamic program then keeps about as many states as the
+enumeration has vectors: 794,161 through half-norm 10.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +34,6 @@ from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_product
 
 MAX_HALF_NORM = 10
-
-_KNOWN_SHELL_COUNTS = (1, 240, 2160, 6720)
 
 LatticeVector = tuple[int, int, int, int, int, int, int, int]
 
@@ -69,10 +74,7 @@ def enumerate_shells(max_half_norm: int) -> ShellTable:
     The bound must lie in 0..MAX_HALF_NORM; anything else raises ValueError
     before any vector is enumerated.
     """
-    if not 0 <= max_half_norm <= MAX_HALF_NORM:
-        raise ValueError(
-            f"E8 order (half-norm bound) must lie in 0..{MAX_HALF_NORM}, got {max_half_norm}"
-        )
+    _check_half_norm(max_half_norm)
     norm_sq = 8 * max_half_norm
     r = int(norm_sq**0.5)
     evens = tuple(v for v in range(-r - (r % 2), r + 2, 2) if v * v <= norm_sq)
@@ -92,14 +94,23 @@ def enumerate_shells(max_half_norm: int) -> ShellTable:
     for m in shells:
         shells[m].sort()
 
-    table = ShellTable(max_half_norm, shells)
-    for m, expected in enumerate(_KNOWN_SHELL_COUNTS[: max_half_norm + 1]):
-        got = len(shells[m])
-        if got != expected:
-            raise AssertionError(
-                f"shell {m} has {got} vectors, expected {expected}: enumeration bug"
-            )
-    return table
+    for m, vectors in shells.items():
+        _check_shell_count(m, len(vectors))
+    return ShellTable(max_half_norm, shells)
+
+
+def _check_half_norm(max_half_norm: int) -> None:
+    if not 0 <= max_half_norm <= MAX_HALF_NORM:
+        raise ValueError(
+            f"E8 order (half-norm bound) must lie in 0..{MAX_HALF_NORM}, got {max_half_norm}"
+        )
+
+
+def _check_shell_count(m: int, got: int) -> None:
+    """Shell m must hold 240 * sigma_3(m) points (1 for m = 0)."""
+    expected = 240 * sum(d**3 for d in range(1, m + 1) if m % d == 0) if m else 1
+    if got != expected:
+        raise AssertionError(f"shell {m} has {got} vectors, expected {expected}: counting bug")
 
 
 @lru_cache(maxsize=8)
@@ -119,21 +130,45 @@ def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     z_l = beta_l * t and w = e^(pi i t); the parity constraint makes every
     w-exponent 2<gamma,beta> = sum(d_l beta_l) an integer.  beta = 0 gives
     the scalar shell-count series.
+
+    Computed by a dynamic program over the eight doubled coordinates, once
+    per parity class, whose states (sum d_l^2, sum d_l mod 4, sum d_l beta_l)
+    count the coordinate prefixes reaching them; no lattice vector is
+    listed.  Membership (sum d_l = 0 mod 4) is applied to the final states.
     """
     beta = _validate_beta(beta)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    table = _cached_shells(order)
+    _check_half_norm(order)
+    norm_sq = 8 * order
+    r = math.isqrt(norm_sq)
+    shells: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for parity in (0, 1):
+        values = sorted((v for v in range(-r, r + 1) if v % 2 == parity), key=abs)
+        states = {(0, 0, 0): 1}
+        for b in beta:
+            steps = [(v * v, v, v * b) for v in values]
+            reached: dict[tuple[int, int, int], int] = {}
+            for (n, s, e), count in states.items():
+                room = norm_sq - n
+                for v2, v, vb in steps:
+                    if v2 > room:
+                        break
+                    key = (n + v2, (s + v) % 4, e + vb)
+                    reached[key] = reached.get(key, 0) + count
+            states = reached
+        for (n, s, e), count in states.items():
+            if s:
+                continue
+            if n % 8 != 0:  # impossible for even-sum vectors of either parity class
+                raise AssertionError(f"a point of squared length {n}/4 is off the even lattice")
+            shell = shells[n // 8]
+            shell[e] = shell.get(e, 0) + count
+    for m, shell in enumerate(shells):
+        _check_shell_count(m, sum(shell.values()))
     validity = U_PER_Q * order + U_PER_Q - 1
-    coeffs: dict[int, LaurentPolynomial] = {}
-    for m in range(order + 1):
-        counts: dict[int, int] = {}
-        for d in table.shells.get(m, []):
-            e = sum(map(operator.mul, d, beta))
-            counts[e] = counts.get(e, 0) + 1
-        coeffs[U_PER_Q * m] = LaurentPolynomial(
-            "w", {e: GaussianRational(c) for e, c in counts.items()}
-        )
+    coeffs = {
+        U_PER_Q * m: LaurentPolynomial("w", {e: GaussianRational(c) for e, c in shell.items()})
+        for m, shell in enumerate(shells)
+    }
     return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w"))
 
 
@@ -162,8 +197,9 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
 def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
     """Lattice sum versus half-sum of four theta products, exactly.
 
-    The two sides are computed by unrelated routes (shell enumeration vs
-    product expansions), so agreement through q^order is a real check.
+    The two sides are computed by unrelated routes (a count of lattice
+    points vs product expansions), so agreement through q^order is a real
+    check.
     The basis is pinned to the standard coordinates documented in the
     module docstring; a mismatch is reported, never silently re-based.
     """

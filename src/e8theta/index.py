@@ -43,6 +43,10 @@ from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
+# largest order index_series expands to: cp2 (k = 2, three points) takes
+# about 7 s at order 30 on a 2-vCPU host
+MAX_INDEX_ORDER = 30
+
 
 @dataclass(frozen=True)
 class AnomalyResult:
@@ -155,9 +159,13 @@ def point_contribution(
 
 
 def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) -> IndexSeries:
-    """Sum of the fixed-point contributions, with structural assertions."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    """Sum of the fixed-point contributions, with structural assertions.
+
+    The order must lie in 0..MAX_INDEX_ORDER; anything else raises
+    ValueError before any block is expanded.
+    """
+    if not 0 <= order <= MAX_INDEX_ORDER:
+        raise ValueError(f"index order must lie in 0..{MAX_INDEX_ORDER}, got {order}")
     total = None
     for p in fixture.points:
         contrib = point_contribution(p, fixture.k, flavor, order)

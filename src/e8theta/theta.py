@@ -55,11 +55,15 @@ def _w(coeffs: dict[int, GaussianRational]) -> LaurentPolynomial:
     return LaurentPolynomial("w", coeffs)
 
 
-@lru_cache(maxsize=None)
+# largest order theta_series expands to: about 2 s per kind on a 2-vCPU host
+MAX_THETA_ORDER = 200
+
+
+@lru_cache(maxsize=64)
 def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
-    """Exact product-form expansion through q^order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    """Exact product-form expansion through q^order, 0 <= order <= MAX_THETA_ORDER."""
+    if not 0 <= order <= MAX_THETA_ORDER:
+        raise ValueError(f"theta order must lie in 0..{MAX_THETA_ORDER}, got {order}")
     m0 = base_exponent(kind)
     validity = U_PER_Q * order + m0
     sign, half = _PRODUCT_SHAPE[kind]

@@ -113,6 +113,19 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         code, _, err = invoke(capsys, *command, "--fixture", str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
+    # every --order is bounded: above the bound (or below 0) the command
+    # exits 2 with one line naming the bound
+    for command, bound in (
+        (("index", "expand", "--fixture", "s2"), 30),
+        (("index", "check", "--fixture", "s2"), 30),
+        (("classify", "--fixture", "s2"), 30),
+        (("theta", "expand"), 200),
+    ):
+        for order in (bound + 1, 100000, -1):
+            code, _, err = invoke(capsys, *command, "--order", str(order))
+            assert code == 2, (command, order)
+            assert err.startswith("error:") and f"0..{bound}" in err, err
+            assert len(err.strip().splitlines()) == 1
     # a summand on a zero of theta(alpha t), an overflowing evaluation, or a
     # point that is not finite
     for point in (
@@ -186,6 +199,21 @@ def test_json_meta_has_tolerance(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["tol"] == 1e-9
+
+
+def test_theta_check_applies_the_stated_tolerance_to_every_item(capsys):
+    code, out, _ = invoke(capsys, "--format", "json", "theta", "check", "--tol", "1e-20")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["meta"]["tol"] == 1e-20
+    assert len(payload["items"]) == 21
+    for item in payload["items"]:
+        expected = "pass" if item["residual"] < 1e-20 else "fail"
+        assert item["status"] == expected, item
+    # the Jacobi residuals are ~1e-15, so none passes a tolerance of 1e-20
+    jacobi = [i for i in payload["items"] if i["name"].startswith("Jacobi identity")]
+    assert len(jacobi) == 5
+    assert all(i["status"] == "fail" for i in jacobi)
 
 
 def test_readme_commands_run(capsys):

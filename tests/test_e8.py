@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -44,13 +45,24 @@ def test_enumeration_is_deterministic_and_sorted():
 
 
 def test_half_norm_bound_checked_before_enumeration(monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("enumeration started for an out-of-range order")
+    def no_work(*args):
+        raise AssertionError("work started for an out-of-range order")
 
-    monkeypatch.setattr(e8theta.e8, "_scan_parity", no_scan)
+    monkeypatch.setattr(e8theta.e8, "_scan_parity", no_work)
+    monkeypatch.setattr(e8theta.e8, "_check_shell_count", no_work)
     for bound in (11, -1):
         with pytest.raises(ValueError, match=r"0\.\.10"):
             enumerate_shells(bound)
+    with pytest.raises(ValueError, match=r"0\.\.10"):
+        theta_e8((1, 0, 0, 0, 0, 0, 0, 0), 11)
+
+
+def test_shell_count_check_rejects_a_wrong_count():
+    e8theta.e8._check_shell_count(0, 1)
+    e8theta.e8._check_shell_count(4, 240 * 73)
+    for m, got in ((0, 0), (1, 239), (4, 240 * 72)):
+        with pytest.raises(AssertionError, match="counting bug"):
+            e8theta.e8._check_shell_count(m, got)
 
 
 def test_roots_have_norm_two():
@@ -60,13 +72,57 @@ def test_roots_have_norm_two():
 
 
 def test_theta_e8_scalar_series():
-    s = theta_e8((0,) * 8, 3)
-    assert [s.q_coefficient(i).constant_value().as_integer() for i in range(4)] == [
-        1,
-        240,
-        2160,
-        6720,
-    ]
+    # beta = 0: the q^m coefficient is 240 * sigma_3(m)
+    s = theta_e8((0,) * 8, 10)
+    counts = [s.q_coefficient(m).constant_value().as_integer() for m in range(11)]
+    sigma3 = [sum(d**3 for d in range(1, m + 1) if m % d == 0) for m in range(1, 11)]
+    assert counts[:4] == [1, 240, 2160, 6720]
+    assert counts == [1] + [240 * s3 for s3 in sigma3]
+
+
+def _lattice_sum_from_shells(beta, table):
+    """The lattice sum binned directly from enumerated vectors: the DP's oracle."""
+    coeffs = {}
+    for m, vectors in table.shells.items():
+        counts = {}
+        for d in vectors:
+            e = sum(map(operator.mul, d, beta))
+            counts[e] = counts.get(e, 0) + 1
+        coeffs[U_PER_Q * m] = LaurentPolynomial(
+            "w", {e: GaussianRational(n) for e, n in counts.items()}
+        )
+    return coeffs
+
+
+def test_theta_e8_equals_enumerated_lattice_sum(rng):
+    # shells are complete, so the order-5 table restricted to half-norm <= n
+    # is enumerate_shells(n)
+    table = enumerate_shells(5)
+    betas = [(0,) * 8, (3, 0, 0, 0, 0, 0, 0, 0), (1, -3, 2, 0, 1, 0, -1, 3)]
+    betas += [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(20)]
+    for beta in betas:
+        oracle = _lattice_sum_from_shells(beta, table)
+        for n in range(6):
+            s = theta_e8(beta, n)
+            assert s.order == U_PER_Q * n + U_PER_Q - 1
+            expected = {u: c for u, c in oracle.items() if u <= U_PER_Q * n}
+            assert s.coeffs == expected, (beta, n)
+
+
+def test_theta_e8_does_not_enumerate(monkeypatch):
+    calls = []
+
+    def recorder(name, fn):
+        def record(*args):
+            calls.append((name, args))
+            return fn(*args)
+
+        return record
+
+    for name in ("enumerate_shells", "_cached_shells", "_scan_parity"):
+        monkeypatch.setattr(e8theta.e8, name, recorder(name, getattr(e8theta.e8, name)))
+    theta_e8((1, -2, 0, 3, 1, 0, 0, -1), 4)
+    assert calls == []
 
 
 def test_theta_e8_first_coordinate_multiset():

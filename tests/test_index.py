@@ -408,3 +408,19 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         "e8theta.e8.theta_product",
     }
     assert max(order for _, order in requested) == 3, sorted(set(requested))
+
+
+def test_index_order_bound_checked_before_any_block(monkeypatch):
+    import e8theta.index
+    from e8theta.index import MAX_INDEX_ORDER
+
+    def no_work(*args):
+        raise AssertionError("a block was expanded for an out-of-range order")
+
+    monkeypatch.setattr(e8theta.index, "point_contribution", no_work)
+    s2 = fixture(1, ((1,), 0), ((-1,), 0))
+    for order in (MAX_INDEX_ORDER + 1, -1):
+        with pytest.raises(ValueError, match=rf"0\.\.{MAX_INDEX_ORDER}"):
+            index_series(s2, IndexFlavor.I_SERIES, order)
+        with pytest.raises(ValueError, match=rf"0\.\.{MAX_INDEX_ORDER}"):
+            check_rigidity(s2, IndexFlavor.J_SERIES, order)

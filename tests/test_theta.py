@@ -184,3 +184,12 @@ def test_eval_rejects_lower_half_plane():
 def test_display_has_fractional_exponents():
     text = format_series(theta_series(ThetaKind.THETA, 1), fractional=True)
     assert "q^(1/8)" in text
+
+
+def test_theta_series_order_and_cache_are_bounded():
+    from e8theta.theta import MAX_THETA_ORDER
+
+    for order in (MAX_THETA_ORDER + 1, -1):
+        with pytest.raises(ValueError, match=rf"0\.\.{MAX_THETA_ORDER}"):
+            theta_series(ThetaKind.THETA3, order)
+    assert theta_series.cache_info().maxsize is not None
