@@ -9,8 +9,10 @@ point yields the equivariant character as a Laurent polynomial in w.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+
 from .e8 import e8_roots
-from .gaussian import GaussianRational
 from .laurent import LaurentPolynomial
 
 _ATOMS = ("L", "Lbar", "L2", "Lbar2", "TCX", "W")
@@ -127,40 +129,24 @@ class BundleExpr:
         into rotation planes with weights alpha_j; W restricts to the torus
         character 8 + sum over roots of w^(2<root, beta>).
         """
-        atom_chars: dict[str, LaurentPolynomial] = {}
-
-        def atom_char(name: str) -> LaurentPolynomial:
-            if name not in atom_chars:
-                if name == "L":
-                    p = LaurentPolynomial.monomial("w", GaussianRational(1), 2 * c)
-                elif name == "Lbar":
-                    p = LaurentPolynomial.monomial("w", GaussianRational(1), -2 * c)
-                elif name == "L2":
-                    p = LaurentPolynomial.monomial("w", GaussianRational(1), 4 * c)
-                elif name == "Lbar2":
-                    p = LaurentPolynomial.monomial("w", GaussianRational(1), -4 * c)
-                elif name == "TCX":
-                    coeffs: dict[int, int] = {}
-                    for a in alpha:
-                        for e in (2 * a, -2 * a):
-                            coeffs[e] = coeffs.get(e, 0) + 1
-                    p = LaurentPolynomial("w", {e: GaussianRational(n) for e, n in coeffs.items()})
-                elif name == "W":
-                    coeffs = {0: 8}
-                    for d in e8_roots():
-                        e = sum(dl * bl for dl, bl in zip(d, beta))
-                        coeffs[e] = coeffs.get(e, 0) + 1
-                    p = LaurentPolynomial("w", {e: GaussianRational(n) for e, n in coeffs.items()})
-                else:
-                    raise ValueError(f"unknown bundle atom {name!r}")
-                atom_chars[name] = p
-            return atom_chars[name]
+        exponents = {
+            "L": [2 * c],
+            "Lbar": [-2 * c],
+            "L2": [4 * c],
+            "Lbar2": [-4 * c],
+            "TCX": [s * a for a in alpha for s in (2, -2)],
+        }
+        if any("W" in mono for mono in self.terms):  # 240 dot products: only when used
+            exponents["W"] = [0] * 8 + [sum(map(operator.mul, d, beta)) for d in e8_roots()]
+        chars = {name: LaurentPolynomial("w", Counter(es)) for name, es in exponents.items()}
 
         total = LaurentPolynomial.zero("w")
         for mono, n in self.terms.items():
-            term = LaurentPolynomial.constant("w", GaussianRational(n))
+            term = LaurentPolynomial.constant("w", n)
             for name in mono:
-                term = term * atom_char(name)
+                if name not in chars:
+                    raise ValueError(f"unknown bundle atom {name!r}")
+                term = term * chars[name]
             total = total + term
         return total
 

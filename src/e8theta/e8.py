@@ -165,10 +165,7 @@ def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     for m, shell in enumerate(shells):
         _check_shell_count(m, sum(shell.values()))
     validity = U_PER_Q * order + U_PER_Q - 1
-    coeffs = {
-        U_PER_Q * m: LaurentPolynomial("w", {e: GaussianRational(c) for e, c in shell.items()})
-        for m, shell in enumerate(shells)
-    }
+    coeffs = {U_PER_Q * m: LaurentPolynomial("w", shell) for m, shell in enumerate(shells)}
     return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w"))
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .bundles import BundleExpr, order_one_twist
 from .e8 import theta_product_side
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
-from .gaussian import GaussianRational, I as GAUSS_I
+from .gaussian import I as GAUSS_I
 from .laurent import LaurentPolynomial
 from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
@@ -52,7 +52,6 @@ MAX_INDEX_ORDER = 30
 class AnomalyResult:
     """Per-point values of sum(beta^2) + (3 or 1) c^2 - sum(alpha^2)."""
 
-    flavor: IndexFlavor
     per_point: tuple[int, ...]
     consistent: bool
     n: int | None
@@ -65,7 +64,7 @@ def anomaly(fixture: FixedPointFixture, flavor: IndexFlavor) -> AnomalyResult:
         for p in fixture.points
     )
     consistent = len(set(values)) == 1
-    return AnomalyResult(flavor, values, consistent, values[0] if consistent else None)
+    return AnomalyResult(values, consistent, values[0] if consistent else None)
 
 
 @dataclass
@@ -82,10 +81,6 @@ class IndexSeries:
 _EVEN_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
 
 
-def _w_monomials(coeffs: dict[int, int]) -> LaurentPolynomial:
-    return LaurentPolynomial("w", {e: GaussianRational(n) for e, n in coeffs.items()})
-
-
 def _tangent_block(
     alpha: tuple[int, ...], validity: int
 ) -> tuple[LaurentPolynomial, TruncatedSeries]:
@@ -96,13 +91,13 @@ def _tangent_block(
     """
     lead = LaurentPolynomial.one("w")
     for a in alpha:
-        lead = lead * _w_monomials({a: 1, -a: -1})
+        lead = lead * LaurentPolynomial("w", {a: 1, -a: -1})
     s = TruncatedSeries.one(validity, LaurentPolynomial.zero("w"))
     for a in alpha:
         m = 1
         while U_PER_Q * m <= validity:
-            s = s.times_one_plus(_w_monomials({2 * a: -1}), U_PER_Q * m)
-            s = s.times_one_plus(_w_monomials({-2 * a: -1}), U_PER_Q * m)
+            s = s.times_one_plus(LaurentPolynomial("w", {2 * a: -1}), U_PER_Q * m)
+            s = s.times_one_plus(LaurentPolynomial("w", {-2 * a: -1}), U_PER_Q * m)
             m += 1
     return lead, s.invert()
 
@@ -201,10 +196,10 @@ def lefschetz_number(
     sign = 1 if flavor is IndexFlavor.I_SERIES else -1
     spinor: dict[int, int] = {point.c: 1}
     spinor[-point.c] = spinor.get(-point.c, 0) + sign
-    num = _w_monomials(spinor) * expr.char_at(point.alpha, point.c, point.beta)
+    num = LaurentPolynomial("w", spinor) * expr.char_at(point.alpha, point.c, point.beta)
     den = LaurentPolynomial.one("w")
     for a in point.alpha:
-        den = den * _w_monomials({a: 1, -a: -1})
+        den = den * LaurentPolynomial("w", {a: 1, -a: -1})
     return RationalFunction(num, den)
 
 

@@ -1,9 +1,10 @@
 """Laurent polynomials in one variable over the Gaussian rationals.
 
-The exponent map stores no zero coefficients, so equality is a structural
-comparison.  The variable is a free-form tag; mixing tags raises.  Sums and
-products with a scalar (int or Gaussian rational) promote the scalar to a
-constant polynomial.
+The constructor takes an {exponent: int or Gaussian rational} map and
+stores no zero coefficients, so equality is a structural comparison.  The
+variable is a free-form tag; mixing tags raises.  Sums and products with
+a scalar (int or Gaussian rational) promote the scalar to a constant
+polynomial.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, var: str, c) -> "LaurentPolynomial":
         return cls(var, {0: c})
-
-    @classmethod
-    def monomial(cls, var: str, c, e: int) -> "LaurentPolynomial":
-        return cls(var, {e: c})
 
     # structure
 
@@ -102,14 +99,6 @@ class LaurentPolynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if not isinstance(other, (LaurentPolynomial, *_SCALARS)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         r = LaurentPolynomial.__new__(LaurentPolynomial)
         r.var = self.var
@@ -137,18 +126,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers live in the fraction field")
-        result = LaurentPolynomial.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def scale(self, c) -> "LaurentPolynomial":
         if not isinstance(c, GaussianRational):
             c = GaussianRational(c)
@@ -166,7 +143,7 @@ class LaurentPolynomial:
                 "only monomials are invertible in the Laurent ring"
             )
         (e, c), = self.coeffs.items()
-        return LaurentPolynomial.monomial(self.var, ONE / c, -e)
+        return LaurentPolynomial(self.var, {-e: ONE / c})
 
     # substitutions
 
@@ -183,9 +160,6 @@ class LaurentPolynomial:
         r = LaurentPolynomial.__new__(LaurentPolynomial)
         r.var, r.coeffs = self.var, out
         return r
-
-    def invert_variable(self) -> "LaurentPolynomial":
-        return self.substitute_power(-1)
 
     def shift(self, k: int) -> "LaurentPolynomial":
         r = LaurentPolynomial.__new__(LaurentPolynomial)

@@ -6,13 +6,16 @@ exponent), and shares no factor with the polynomial part of the numerator.
 Unit factors w^k are pushed into the numerator, so is_constant() detects a
 genuine scalar and not merely a monomial quotient.
 
-Arithmetic with a Laurent polynomial or a scalar acts on the numerator or
-denominator directly and normalises once; scalar products skip the gcd.
+The class holds the reduced sum of the fixed-point terms of an index
+series and does only what that needs: normalise on construction, add and
+multiply (a Laurent polynomial or scalar operand acts on the numerator
+and normalises once), negate, compare, evaluate (numerically, or exactly
+at w = 1) and substitute w -> 1/w.
 """
 
 from __future__ import annotations
 
-from .errors import NotInvertibleError, RingMismatchError
+from .errors import RingMismatchError
 from .gaussian import GaussianRational
 from .laurent import _SCALARS, LaurentPolynomial, laurent_exact_div, laurent_gcd
 
@@ -55,10 +58,6 @@ class RationalFunction:
         return cls(p, LaurentPolynomial.one(p.var))
 
     @classmethod
-    def constant(cls, var: str, c) -> "RationalFunction":
-        return cls.from_laurent(LaurentPolynomial.constant(var, c))
-
-    @classmethod
     def zero(cls, var: str) -> "RationalFunction":
         return cls.from_laurent(LaurentPolynomial.zero(var))
 
@@ -98,14 +97,6 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if not isinstance(other, (RationalFunction, *_PROMOTED)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         r = RationalFunction.__new__(RationalFunction)
         r.num, r.den = -self.num, self.den
@@ -115,48 +106,15 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             self._check(other)
             return RationalFunction(self.num * other.num, self.den * other.den)
-        if isinstance(other, LaurentPolynomial):
+        if isinstance(other, _PROMOTED):
             return RationalFunction(self.num * other, self.den)
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, RationalFunction):
-            return self * other.invert()
-        if isinstance(other, _PROMOTED):
-            return RationalFunction(self.num, self.den * other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.invert() ** (-n)
-        result = RationalFunction.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def invert(self) -> "RationalFunction":
-        if self.is_zero():
-            raise NotInvertibleError("zero has no inverse")
-        return RationalFunction(self.den, self.num)
-
-    def scale(self, c) -> "RationalFunction":
-        r = RationalFunction.__new__(RationalFunction)
-        r.num, r.den = self.num.scale(c), self.den
-        if r.num.is_zero():
-            r.den = LaurentPolynomial.one(self.var)
-        return r
-
     def substitute_inverse(self) -> "RationalFunction":
         """The image under variable -> 1/variable, re-canonicalized."""
-        return RationalFunction(self.num.invert_variable(), self.den.invert_variable())
+        return RationalFunction(self.num.substitute_power(-1), self.den.substitute_power(-1))
 
     def evaluate(self, value: complex) -> complex:
         return self.num.evaluate(value) / self.den.evaluate(value)

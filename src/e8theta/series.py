@@ -97,11 +97,6 @@ class TruncatedSeries:
                 out[e] = s
         return TruncatedSeries(out, order, zero)
 
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self):
         return TruncatedSeries({e: -c for e, c in self.coeffs.items()}, self.order, self.zero)
 
@@ -259,16 +254,16 @@ def phi_series(order: int) -> TruncatedSeries:
     return s
 
 
-def _format_exponent(e: int, var: str) -> str:
+def _format_exponent(e: int) -> str:
     f = Fraction(e, U_PER_Q)
     if f == 1:
-        return var
+        return "q"
     if f.denominator == 1:
-        return f"{var}^{f.numerator}"
-    return f"{var}^({f.numerator}/{f.denominator})"
+        return f"q^{f.numerator}"
+    return f"q^({f.numerator}/{f.denominator})"
 
 
-def format_series(series: TruncatedSeries, fractional: bool = False, var: str = "q") -> str:
+def format_series(series: TruncatedSeries, fractional: bool = False) -> str:
     """Render a series ordered by ascending q-exponent with exact coefficients.
 
     Without `fractional`, any stored exponent off the whole-power lattice
@@ -278,7 +273,7 @@ def format_series(series: TruncatedSeries, fractional: bool = False, var: str = 
         bad = [e for e in series.coeffs if e % U_PER_Q != 0]
         if bad:
             raise ExponentLatticeError(
-                f"exponent u^{min(bad)} is not a whole power of {var}; "
+                f"exponent u^{min(bad)} is not a whole power of q; "
                 "request fractional display"
             )
     parts = []
@@ -289,7 +284,7 @@ def format_series(series: TruncatedSeries, fractional: bool = False, var: str = 
         if e == 0:
             parts.append(f"({cs})" if needs_parens and not cs.startswith("(") else cs)
             continue
-        ve = _format_exponent(e, var)
+        ve = _format_exponent(e)
         if cs == "1":
             parts.append(ve)
         elif cs == "-1":
@@ -304,5 +299,5 @@ def format_series(series: TruncatedSeries, fractional: bool = False, var: str = 
         body = parts[0]
         for p in parts[1:]:
             body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    tail = _format_exponent(series.order + 1, var) if fractional else f"q^{(series.order // U_PER_Q) + 1}"
+    tail = _format_exponent(series.order + 1) if fractional else f"q^{(series.order // U_PER_Q) + 1}"
     return f"{body} + O({tail})"

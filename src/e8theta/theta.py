@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .gaussian import GaussianRational, I, MINUS_I, ONE
+from .gaussian import GaussianRational, I, MINUS_I
 from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q, phi_series
@@ -51,10 +51,6 @@ def base_exponent(kind: ThetaKind) -> int:
     return 3 if kind in (ThetaKind.THETA, ThetaKind.THETA1) else 0
 
 
-def _w(coeffs: dict[int, GaussianRational]) -> LaurentPolynomial:
-    return LaurentPolynomial("w", coeffs)
-
-
 # largest order theta_series expands to: about 2 s per kind on a 2-vCPU host
 MAX_THETA_ORDER = 200
 
@@ -67,11 +63,10 @@ def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
     m0 = base_exponent(kind)
     validity = U_PER_Q * order + m0
     sign, half = _PRODUCT_SHAPE[kind]
-    s_one = GaussianRational(sign)
     if kind is ThetaKind.THETA:
-        lead = _w({1: MINUS_I, -1: I})
+        lead = LaurentPolynomial("w", {1: MINUS_I, -1: I})
     elif kind is ThetaKind.THETA1:
-        lead = _w({1: ONE, -1: ONE})
+        lead = LaurentPolynomial("w", {1: 1, -1: 1})
     else:
         lead = LaurentPolynomial.one("w")
     s = TruncatedSeries({m0: lead}, validity, LaurentPolynomial.zero("w"))
@@ -85,8 +80,8 @@ def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
         if e_int <= validity:
             s = s.times_one_plus(minus_one, e_int)
         if e_w <= validity:
-            s = s.times_one_plus(_w({2: s_one}), e_w)
-            s = s.times_one_plus(_w({-2: s_one}), e_w)
+            s = s.times_one_plus(LaurentPolynomial("w", {2: sign}), e_w)
+            s = s.times_one_plus(LaurentPolynomial("w", {-2: sign}), e_w)
         j += 1
     return s
 
@@ -128,17 +123,17 @@ def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:
             e = 3 * (2 * n + 1) ** 2
             if kind is ThetaKind.THETA:
                 c = MINUS_I if n % 2 == 0 else I
-                poly = _w({2 * n + 1: c, -(2 * n + 1): -c})
+                poly = LaurentPolynomial("w", {2 * n + 1: c, -(2 * n + 1): -c})
             else:
-                poly = _w({2 * n + 1: ONE, -(2 * n + 1): ONE})
+                poly = LaurentPolynomial("w", {2 * n + 1: 1, -(2 * n + 1): 1})
             coeffs[e] = coeffs.get(e, LaurentPolynomial.zero("w")) + poly
             n += 1
     else:
         coeffs[0] = LaurentPolynomial.one("w")
         n = 1
         while 12 * n * n <= validity:
-            c = ONE if (kind is ThetaKind.THETA3 or n % 2 == 0) else -ONE
-            coeffs[12 * n * n] = _w({2 * n: c, -2 * n: c})
+            c = 1 if (kind is ThetaKind.THETA3 or n % 2 == 0) else -1
+            coeffs[12 * n * n] = LaurentPolynomial("w", {2 * n: c, -2 * n: c})
             n += 1
     return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w"))
 
@@ -161,13 +156,13 @@ def z_derivative_at_zero(series: TruncatedSeries) -> TruncatedSeries:
 # numeric evaluation
 
 
-def _auto_factors(tau: complex, z: complex = 0j, tol: float = 1e-14) -> int:
-    """Number of product factors keeping the truncation error below ~tol."""
+def _auto_factors(tau: complex, z: complex = 0j) -> int:
+    """Number of product factors keeping the truncation error below ~1e-14."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     log_q = -2 * math.pi * tau.imag
     amp = 4 * math.pi * abs(z.imag)  # |w^(+/-2)| growth of the z-dependent factors
-    n = int((math.log(tol) - amp - math.log(10)) / log_q) + 1
+    n = int((math.log(1e-14) - amp - math.log(10)) / log_q) + 1
     return max(8, min(n, 4000))
 
 

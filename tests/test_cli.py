@@ -107,6 +107,7 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ("index", "transform", "--fixture", "cp1_spinc", "--tol", "-1"),
         ("e8", "identity", "--random", "-3"),
         ("e8", "identity", "--random", "2.5"),
+        ("e8", "identity", "--random", "1001"),
     ):
         assert invoke(capsys, *argv)[0] == 2, argv
     for command in (("index", "check"), ("classify",)):

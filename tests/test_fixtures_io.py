@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e8theta.errors import FixtureFormatError
 from e8theta.fixtures import (
@@ -105,3 +106,51 @@ def test_bundled_cp2_matches_documented_weights():
     assert [list(p.alpha) for p in fx.points] == [[1, 2], [-1, 1], [-2, -1]]
     assert [p.c for p in fx.points] == [3, 0, -3]
     assert all(p.c == sum(p.alpha) for p in fx.points)
+
+
+# a dropped field, or a value of the wrong type or shape for some field
+_DROP = object()
+_ODD = (_DROP, None, True, -1, 0, 2.5, "x", "K", [], [0], [1] * 8, {})
+_ROOT_KEYS = ("label", "k", "flavor", "points", "extra")
+_POINT_KEYS = ("alpha", "c", "beta", "gamma")
+
+
+@st.composite
+def _fixture_documents(draw):
+    """A well-formed fixture document, half the time with one field
+    dropped or set to an odd value."""
+    k = draw(st.integers(1, 3))
+    weight = st.integers(-3, 3)
+    point = st.fixed_dictionaries(
+        {"alpha": st.lists(weight.filter(bool), min_size=k, max_size=k)},
+        optional={"c": weight, "beta": st.lists(weight, min_size=8, max_size=8)},
+    )
+    doc = draw(
+        st.fixed_dictionaries(
+            {"k": st.just(k), "points": st.lists(point, min_size=1, max_size=3)},
+            optional={"label": st.text(max_size=5), "flavor": st.sampled_from(["I", "J"])},
+        )
+    )
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([doc, *doc["points"]]))
+        key = draw(st.sampled_from(_ROOT_KEYS if target is doc else _POINT_KEYS))
+        value = draw(st.sampled_from(_ODD))
+        if value is _DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=_fixture_documents() | st.sampled_from(_ODD[1:]))
+def test_fuzzed_fixture_loads_or_raises_format_error(data, tmp_path_factory):
+    """A fixture document either loads or raises FixtureFormatError, and
+    whatever loads survives a save/load round trip unchanged."""
+    try:
+        fixture, flavor = fixture_from_dict(data)
+    except FixtureFormatError:
+        return
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    save_fixture(fixture, flavor, path)
+    assert load_fixture(path) == (fixture, flavor)

@@ -108,6 +108,6 @@ def test_scalar_promotion():
     assert p * 2 == 2 * p == L({1: 4, -1: 6})
     assert p * I == I * p == LaurentPolynomial("w", {1: GaussianRational(0, 2), -1: GaussianRational(0, 3)})
     assert p + 1 == 1 + p == L({1: 2, 0: 1, -1: 3})
-    assert p - ONE == L({1: 2, 0: -1, -1: 3})
-    assert ONE - p == L({1: -2, 0: 1, -1: -3})
+    assert p + (-ONE) == L({1: 2, 0: -1, -1: 3})
+    assert ONE + (-p) == L({1: -2, 0: 1, -1: -3})
     assert (p * 0).is_zero()

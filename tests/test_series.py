@@ -54,12 +54,14 @@ def test_mixed_coefficient_product_promotes():
     scalar = phi_series(2)
     laurent = TruncatedSeries({0: W({1: 1, -1: -1}), 24: W({2: 3, 0: -1})}, 71, W({}))
     ratfunc = TruncatedSeries(
-        {0: RationalFunction(W({0: 1}), W({1: 1, 0: -2})), 30: RationalFunction.constant("w", 5)},
+        {0: RationalFunction(W({0: 1}), W({1: 1, 0: -2})), 30: RationalFunction.from_laurent(W({0: 5}))},
         71,
         RationalFunction.zero("w"),
     )
     lifted = (
-        scalar.map_coefficients(lambda c: RationalFunction.constant("w", c))
+        scalar.map_coefficients(
+            lambda c: RationalFunction.from_laurent(LaurentPolynomial.constant("w", c))
+        )
         * laurent.map_coefficients(RationalFunction.from_laurent)
         * ratfunc
     )
