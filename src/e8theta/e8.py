@@ -9,15 +9,15 @@ shells, and shell m holds 240 * sigma_3(m) points (m >= 1).
 
 The lattice theta function is a dynamic program over the eight doubled
 coordinates: it counts points by (half-norm, w-exponent) without listing
-them, so its cost grows polynomially in the order.  Explicit enumeration
-(enumerate_shells) serves only the 240 roots and the tests, where it is
-the brute-force oracle for that count.
-
-Both stop at half-norm MAX_HALF_NORM = 10, so theta_e8,
-check_identity_116, basic_character and enumerate_shells take orders up to
-10.  For a generic beta every point of a shell can have its own w-exponent,
-and the dynamic program then keeps about as many states as the
-enumeration has vectors: 794,161 through half-norm 10.
+them, so its cost grows polynomially in the order.  It serves theta_e8,
+check_identity_116 and basic_character, which take orders 0..MAX_HALF_NORM
+= 10, and the lattice block of the index series, which takes the index
+bound 0..30.  Explicit enumeration (enumerate_shells, also bounded by
+MAX_HALF_NORM) serves only the 240 roots and the tests, where it is the
+brute-force oracle for that count.  For a generic beta every point of a
+shell can have its own w-exponent, and the dynamic program then keeps
+about as many states as the enumeration has vectors: 794,161 through
+half-norm 10.
 """
 
 from __future__ import annotations
@@ -124,20 +124,28 @@ def e8_roots() -> list[LatticeVector]:
 
 
 def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
-    """Lattice theta series specialized along beta.
+    """Lattice theta series specialized along beta, for orders 0..MAX_HALF_NORM.
 
     Sum over points gamma of q^(|gamma|^2/2) * w^(2<gamma,beta>) where
     z_l = beta_l * t and w = e^(pi i t); the parity constraint makes every
     w-exponent 2<gamma,beta> = sum(d_l beta_l) an integer.  beta = 0 gives
     the scalar shell-count series.
-
-    Computed by a dynamic program over the eight doubled coordinates, once
-    per parity class, whose states (sum d_l^2, sum d_l mod 4, sum d_l beta_l)
-    count the coordinate prefixes reaching them; no lattice vector is
-    listed.  Membership (sum d_l = 0 mod 4) is applied to the final states.
     """
     beta = _validate_beta(beta)
     _check_half_norm(order)
+    return _lattice_series(beta, order)
+
+
+def _lattice_series(beta: tuple[int, ...], order: int) -> TruncatedSeries:
+    """The lattice theta series along an 8-entry beta, through q^order.
+
+    A dynamic program over the eight doubled coordinates, once per parity
+    class, whose states (sum d_l^2, sum d_l mod 4, sum d_l beta_l) count the
+    coordinate prefixes reaching them; no lattice vector is listed.
+    Membership (sum d_l = 0 mod 4) is applied to the final states.  The
+    caller bounds the order: theta_e8 by MAX_HALF_NORM, the index lattice
+    block by its own MAX_INDEX_ORDER.
+    """
     norm_sq = 8 * order
     r = math.isqrt(norm_sq)
     shells: list[dict[int, int]] = [{} for _ in range(order + 1)]

@@ -2,16 +2,16 @@
 
 Per fixed point the series is a product of three blocks, all exact on the
 u = q^(1/24) lattice with Laurent-polynomial coefficients in w = e^(pi i t),
-divided at the end by the tangent lead below, once per coefficient, which
-gives rational-function coefficients:
+divided by the tangent lead below, which gives rational-function
+coefficients:
 
 * tangent block: over the rotation weights alpha_j, the quotient
   theta'(0,tau) / (2 pi i theta(alpha_j t, tau)), implemented as the
   identity  phi(q)^2 / ((w^a - w^-a) prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m));
   the 2 pi i cancels symbolically.  The q-product has constant term 1, so
-  it inverts over Laurent polynomials; only the lead prod_j (w^a - w^-a)
-  needs the fraction field.  The identity is asserted against a numeric
-  evaluation once per process before first use.
+  it inverts over Laurent polynomials; only the lead
+  D_p = prod_j (w^a - w^-a) needs the fraction field.  The identity is
+  asserted against a numeric evaluation once per process before first use.
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
   single quotient i * theta(c t) / (theta_1 theta_2 theta_3)(0).  The i
@@ -19,13 +19,21 @@ gives rational-function coefficients:
   index; in particular the order-zero coefficient is the honest Lefschetz
   number of the (1 - Lbar)-twisted operator.
 * lattice block: the full sum of the four 8-fold theta products at
-  z_l = beta_l t (twice the specialized lattice theta function, i.e.
-  twice `e8.theta_product_side`).
+  z_l = beta_l t, i.e. twice the specialized lattice theta function, taken
+  from the lattice-point count `e8._lattice_series`.
+
+index_series builds phi^(2k) / (theta_1 theta_2 theta_3)(0) once per
+fixture and the lattice block once per distinct beta.  Each point adds its
+tangent q-series times its line-bundle numerator, scaled by D / D_p with
+D = lcm_p D_p; the sum over the points with one beta is multiplied once by
+that beta's lattice block times the shared factor, and each q^n
+coefficient of the total is normalised once, over D.  point_contribution
+divides one summand by its own D_p: the tests' second route.
 
 Every block expands through q^order and no further: validity propagation
-then leaves each point's product valid through exactly u^(24 order).  Only
-whole powers of q survive per point; both that and the reality of all
-summed coefficients are asserted on construction.
+then leaves the product valid through exactly u^(24 order).  Only whole
+powers of q survive the sum over the points; both that and the reality of
+all summed coefficients are asserted on construction.
 """
 
 from __future__ import annotations
@@ -34,17 +42,17 @@ import cmath
 from dataclasses import dataclass
 
 from .bundles import BundleExpr, order_one_twist
-from .e8 import theta_product_side
+from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from .gaussian import I as GAUSS_I
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, laurent_exact_div, laurent_gcd
 from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 # largest order index_series expands to: cp2 (k = 2, three points) takes
-# about 7 s at order 30 on a 2-vCPU host
+# about 2 s at order 30 on a 2-vCPU host
 MAX_INDEX_ORDER = 30
 
 
@@ -102,17 +110,28 @@ def _tangent_block(
     return lead, s.invert()
 
 
-def _over_lead(series: TruncatedSeries, lead: LaurentPolynomial) -> TruncatedSeries:
-    """Divide a Laurent-valued series by the tangent lead, one coefficient at a time."""
-    return series.map_coefficients(lambda c: RationalFunction(c, lead))
+def _over_lead(series: TruncatedSeries, lead: LaurentPolynomial, order: int) -> TruncatedSeries:
+    """The series through q^order, each coefficient divided by a tangent lead."""
+    target = U_PER_Q * order
+    if series.order < target:
+        raise AssertionError(f"validity shortfall: {series.order} < {target}")
+    return series.truncate(target).map_coefficients(lambda c: RationalFunction(c, lead))
 
 
-def _line_block(flavor: IndexFlavor, c: int, order: int) -> TruncatedSeries:
+def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int):
+    """A point's tangent lead, and its tangent q-series times its line numerator."""
+    lead, tangent = _tangent_block(point.alpha, U_PER_Q * order)
     if flavor is IndexFlavor.I_SERIES:
-        num = theta_product([(kind, c) for kind in _EVEN_KINDS], order)
+        line = theta_product([(kind, point.c) for kind in _EVEN_KINDS], order)
     else:
-        num = theta_product([(ThetaKind.THETA, c)], order).scale(GAUSS_I)
-    return num * theta_product([(kind, 0) for kind in _EVEN_KINDS], order).invert()
+        line = theta_product([(ThetaKind.THETA, point.c)], order).scale(GAUSS_I)
+    return lead, tangent * line
+
+
+def _shared_block(k: int, order: int) -> TruncatedSeries:
+    """phi^(2k) / (theta_1 theta_2 theta_3)(0), the factor every point shares."""
+    den = theta_product([(kind, 0) for kind in _EVEN_KINDS], order)
+    return phi_series(order) ** (2 * k) * den.invert()
 
 
 _factor_identity_checked = False
@@ -125,7 +144,7 @@ def _assert_quotient_identity():
         return
     order = 6
     lead, tangent = _tangent_block((1,), U_PER_Q * order)
-    quotient = _over_lead(phi_series(order) ** 2 * tangent, lead)
+    quotient = _over_lead(phi_series(order) ** 2 * tangent, lead, order)
     t, tau = 0.23, 1.3j
     w = cmath.exp(1j * cmath.pi * t)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
@@ -141,16 +160,11 @@ def _assert_quotient_identity():
 def point_contribution(
     point: FixedPoint, k: int, flavor: IndexFlavor, order: int
 ) -> TruncatedSeries:
-    """Exact series of one fixed point's summand, through q^order."""
+    """Exact series of one fixed point's summand over its own lead, through q^order."""
     _assert_quotient_identity()
-    target = U_PER_Q * order
-    lead, tangent = _tangent_block(point.alpha, target)
-    out = phi_series(order) ** (2 * k) * tangent
-    out = out * _line_block(flavor, point.c, order)
-    out = out * theta_product_side(point.beta, order).scale(2)
-    if out.order < target:
-        raise AssertionError(f"validity shortfall: {out.order} < {target}")
-    return _over_lead(out.truncate(target), lead)
+    lead, own = _point_block(point, flavor, order)
+    out = own * (_lattice_series(point.beta, order).scale(2) * _shared_block(k, order))
+    return _over_lead(out, lead, order)
 
 
 def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) -> IndexSeries:
@@ -161,10 +175,21 @@ def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) ->
     """
     if not 0 <= order <= MAX_INDEX_ORDER:
         raise ValueError(f"index order must lie in 0..{MAX_INDEX_ORDER}, got {order}")
-    total = None
-    for p in fixture.points:
-        contrib = point_contribution(p, fixture.k, flavor, order)
-        total = contrib if total is None else total + contrib
+    _assert_quotient_identity()
+    blocks = [_point_block(p, flavor, order) for p in fixture.points]
+    den = blocks[0][0]
+    for lead, _ in blocks[1:]:
+        den = den * laurent_exact_div(lead, laurent_gcd(den, lead))
+    by_beta: dict[tuple[int, ...], TruncatedSeries] = {}
+    for p, (lead, own) in zip(fixture.points, blocks):
+        own = own.scale(laurent_exact_div(den, lead))
+        by_beta[p.beta] = own + by_beta[p.beta] if p.beta in by_beta else own
+    shared = _shared_block(fixture.k, order)
+    numer = None
+    for beta, part in by_beta.items():
+        term = part * (_lattice_series(beta, order).scale(2) * shared)
+        numer = term if numer is None else numer + term
+    total = _over_lead(numer, den, order)
     if not total.whole_q_powers():
         bad = min(e for e in total.coeffs if e % U_PER_Q)
         raise AssertionError(f"fractional q-power u^{bad} survived point summation")

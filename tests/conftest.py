@@ -82,6 +82,27 @@ def random_fixture(rng: random.Random, max_k=3, max_points=3, spread=2):
     return FixedPointFixture(k=k, points=tuple(pts), label="randomized")
 
 
+def sphere_product_fixture(rng: random.Random, max_k=2, spread=2):
+    """Fixed-point data of a product of k rotated 2-spheres: 2^k points.
+
+    The point at the poles eps in {+1, -1}^k turns with the weights
+    eps_j a_j, and its c and beta depend linearly on eps, so neighbouring
+    points share tangent factors and the lcm of their leads is not their
+    product.
+    """
+    k = rng.randint(1, max_k)
+    a = [rng.choice([x for x in range(-spread, spread + 1) if x]) for _ in range(k)]
+    m = [rng.randint(-spread, spread) for _ in range(k)]
+    b = [[rng.randint(-1, 1) for _ in range(8)] for _ in range(k)]
+    pts = []
+    for eps in itertools.product((1, -1), repeat=k):
+        alpha = tuple(e * x for e, x in zip(eps, a))
+        c = sum(e * x for e, x in zip(eps, m))
+        beta = tuple(sum(e * row[l] for e, row in zip(eps, b)) for l in range(8))
+        pts.append(FixedPoint(alpha, c, beta))
+    return FixedPointFixture(k=k, points=tuple(pts), label="sphere product")
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

@@ -1,6 +1,7 @@
-"""`tools/bench_pair.py` pairs parent and change runs by seed."""
+"""`tools/bench_pair.py` pairs parent and change runs by seed, from sibling trees."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +37,37 @@ def test_every_pair_counts_when_all_runs_report():
             for side in ("parent", "change")]
     summary = bench_pair.workload_summary(runs, METRICS)["wall_s"]
     assert (summary["change_wins"], summary["pairs"]) == (4, 4)
+
+
+def test_parent_and_change_unpack_side_by_side(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "kept.py").write_text("edited\n")
+    (repo / "gone.py").unlink()
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "result.json").write_text("{}\n")
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    trees = bench_pair.prepare_trees("HEAD", runs)
+    assert trees["parent"].parent == trees["change"].parent == runs
+    assert (trees["parent"] / "kept.py").read_text() == "committed\n"
+    assert (trees["parent"] / "gone.py").exists()
+    assert (trees["change"] / "kept.py").read_text() == "edited\n"
+    assert (trees["change"] / "pkg" / "new.py").read_text() == "untracked\n"
+    assert not (trees["change"] / "gone.py").exists()
+    assert not (trees["change"] / "out").exists()

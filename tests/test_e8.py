@@ -188,6 +188,20 @@ def test_identity_randomized(rng):
         assert report.ok, f"beta={beta}\n{report.summary()}"
 
 
+@pytest.mark.parametrize("beta,order", [
+    ((0,) * 8, 12),
+    ((0,) * 8, 30),
+    ((1, -1, 0, 0, 0, 0, 0, 0), 12),
+])
+def test_lattice_sum_equals_theta_products_past_the_e8_bound(beta, order):
+    # the index lattice block runs the lattice-sum DP up to the index bound,
+    # 30, past the 0..10 that theta_e8 and check_identity_116 accept
+    lhs = e8theta.e8._lattice_series(beta, order)
+    rhs = theta_product_side(beta, order)
+    assert lhs.first_difference(rhs, through=U_PER_Q * order) is None
+    assert not lhs.q_coefficient(order).is_zero()
+
+
 def test_identity_check_can_fail():
     # corrupt one side by shifting beta between the two routes
     lhs = theta_e8((1, 0, 0, 0, 0, 0, 0, 0), 2)

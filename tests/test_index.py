@@ -1,23 +1,32 @@
 """Exact checks of the index-series machinery.
 
 The heavy oracle here expands the twisting tower directly with geometric
-series (no theta functions anywhere): per fixed point,
+series (no theta quotients anywhere): per fixed point,
 
     [w^c (1 +/- w^(-2c)) / prod_j (w^(a_j) - w^(-a_j))]
         * ch(tower at the point) * (lattice theta series along beta)
 
 with the tower character assembled from its defining product over
-exterior/symmetric powers.  Agreement with the production series, which
+exterior/symmetric powers, and the lattice theta series taken from the
+theta-product side of identity 116, not from the lattice-point count that
+the production series uses.  Agreement with the production series, which
 comes from theta quotients, validates both routes at every order.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_fixture
+from conftest import random_fixture, sphere_product_fixture
 
 from e8theta.bundles import BundleExpr
-from e8theta.e8 import theta_e8
-from e8theta.fixtures import FixedPoint, FixedPointFixture, IndexFlavor
+from e8theta.e8 import theta_product_side
+from e8theta.fixtures import (
+    BUNDLED_FIXTURES,
+    FixedPoint,
+    FixedPointFixture,
+    IndexFlavor,
+    resolve_fixture,
+)
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
 from e8theta.ratfunc import RationalFunction
@@ -100,7 +109,7 @@ def _tower_series(point: FixedPoint, k: int, flavor: IndexFlavor, order: int) ->
 
 def oracle_contribution(point, k, flavor, order):
     tower = _tower_series(point, k, flavor, order)
-    lattice = theta_e8(point.beta, order + 1)
+    lattice = theta_product_side(point.beta, order + 1)
     spinor = W({point.c: 1}) + W({-point.c: 1 if flavor is IndexFlavor.I_SERIES else -1})
     tangent = LaurentPolynomial.one("w")
     for a in point.alpha:
@@ -417,10 +426,49 @@ def test_index_order_bound_checked_before_any_block(monkeypatch):
     def no_work(*args):
         raise AssertionError("a block was expanded for an out-of-range order")
 
-    monkeypatch.setattr(e8theta.index, "point_contribution", no_work)
+    # the per-point, shared and lattice blocks, under the names index_series
+    # looks up
+    for name in ("_point_block", "_shared_block", "_lattice_series"):
+        monkeypatch.setattr(e8theta.index, name, no_work)
     s2 = fixture(1, ((1,), 0), ((-1,), 0))
     for order in (MAX_INDEX_ORDER + 1, -1):
         with pytest.raises(ValueError, match=rf"0\.\.{MAX_INDEX_ORDER}"):
             index_series(s2, IndexFlavor.I_SERIES, order)
         with pytest.raises(ValueError, match=rf"0\.\.{MAX_INDEX_ORDER}"):
             check_rigidity(s2, IndexFlavor.J_SERIES, order)
+
+
+# the fixture-wide route (one quotient over lcm of the tangent leads) against
+# the per-point route (each summand over its own lead)
+
+
+def _summed_point_contributions(fx, flavor, order):
+    total = None
+    for p in fx.points:
+        contrib = point_contribution(p, fx.k, flavor, order)
+        total = contrib if total is None else total + contrib
+    return total
+
+
+@pytest.mark.parametrize("name", BUNDLED_FIXTURES)
+def test_index_series_equals_summed_point_contributions(name):
+    fx, _ = resolve_fixture(name)
+    for flavor in IndexFlavor:
+        for order in range(5):
+            expected = _summed_point_contributions(fx, flavor, order)
+            assert index_series(fx, flavor, order).series == expected, (flavor, order)
+
+
+@st.composite
+def _fixtures(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return sphere_product_fixture(rng)
+    return random_fixture(rng)
+
+
+@given(_fixtures(), st.sampled_from(list(IndexFlavor)), st.integers(0, 2))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, flavor, order):
+    expected = _summed_point_contributions(fx, flavor, order)
+    assert index_series(fx, flavor, order).series == expected

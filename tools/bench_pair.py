@@ -7,9 +7,12 @@ For every workload in BENCHMARK.json and each of the PAIRS = 10 pairs i,
 on the parent tree and once on the change, the side that goes first
 alternating from pair to pair; T is BENCHMARK.json's `run_seconds`.  Ten
 pairs is the fewest a claimed gain is judged on, and a no-regression
-report has to cover every workload, so neither is an option.  The parent is `git archive` of the
---parent revision, unpacked into a temporary directory; the change is the
-working tree this script lives in.
+report has to cover every workload, so neither is an option.  Both sides
+run from sibling directories of one temporary directory, so that neither
+path length nor file system separates them: the parent is `git archive` of
+the --parent revision, the change a copy of the files of the working tree
+this script lives in that git tracks or would track (`git ls-files
+--cached --others --exclude-standard`), uncommitted edits included.
 
 The JSON written to --out holds, per workload and end-to-end metric, the
 median and quartiles of each side and the number of same-seed pairs the
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,25 @@ def export_tree(rev: str, dest: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into `dest`."""
+    dest.mkdir()
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for rel in listed.split("\0"):
+        src = ROOT / rel
+        if rel and src.is_file():  # a tracked file deleted in the working tree is left out
+            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / rel)
+
+
+def prepare_trees(rev: str, tmp: Path) -> dict[str, Path]:
+    """The parent (`rev`) and change trees, unpacked side by side under `tmp`."""
+    trees = {"parent": tmp / "parent", "change": tmp / "change"}
+    export_tree(rev, trees["parent"])
+    copy_worktree(trees["change"])
+    return trees
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -119,8 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     change_label = f"working tree at {change_commit}" + (" (uncommitted edits)" if dirty else "")
 
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
-        export_tree(parent_commit, trees["parent"])
+        trees = prepare_trees(parent_commit, Path(tmp))
 
         report: dict = {
             "command": "python3 perfbench/run.py --workload W --seed S --seconds "
