@@ -16,7 +16,6 @@ from .errors import (
     ExponentLatticeError,
     FixtureFormatError,
     NotInvertibleError,
-    RingMismatchError,
 )
 from .fixtures import (
     FixedPoint,

@@ -138,11 +138,11 @@ class BundleExpr:
         }
         if any("W" in mono for mono in self.terms):  # 240 dot products: only when used
             exponents["W"] = [0] * 8 + [sum(map(operator.mul, d, beta)) for d in e8_roots()]
-        chars = {name: LaurentPolynomial("w", Counter(es)) for name, es in exponents.items()}
+        chars = {name: LaurentPolynomial(Counter(es)) for name, es in exponents.items()}
 
-        total = LaurentPolynomial.zero("w")
+        total = LaurentPolynomial.zero()
         for mono, n in self.terms.items():
-            term = LaurentPolynomial.constant("w", n)
+            term = LaurentPolynomial.constant(n)
             for name in mono:
                 if name not in chars:
                     raise ValueError(f"unknown bundle atom {name!r}")

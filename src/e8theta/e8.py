@@ -173,8 +173,8 @@ def _lattice_series(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     for m, shell in enumerate(shells):
         _check_shell_count(m, sum(shell.values()))
     validity = U_PER_Q * order + U_PER_Q - 1
-    coeffs = {U_PER_Q * m: LaurentPolynomial("w", shell) for m, shell in enumerate(shells)}
-    return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w"))
+    coeffs = {U_PER_Q * m: LaurentPolynomial(shell) for m, shell in enumerate(shells)}
+    return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero())
 
 
 def _validate_beta(beta) -> tuple[int, ...]:

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class RingMismatchError(TypeError):
-    """Raised when polynomials or rational functions in different variables are combined."""
-
-
 class NotInvertibleError(ArithmeticError):
     """Raised when an element has no inverse in its ring."""
 

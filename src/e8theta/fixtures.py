@@ -12,7 +12,8 @@ File schema::
      "points": [{"alpha": [int, ...], "c": int, "beta": [int x 8]}]}
 
 Unknown fields are rejected; "beta" defaults to zeros and "c" to 0 (the
-spin case); "flavor" defaults to "I".
+spin case); "flavor" defaults to "I".  Each beta entry lies in
+-MAX_BETA..MAX_BETA.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ class FixedPointFixture:
                 )
 
 
+# largest |beta_l| a fixture file may give: the lattice block's cost grows
+# with the number of distinct w-exponents beta.d, and a two-point k = 1
+# fixture with beta = (1, 10, ..., 10^7) took 456 MiB at order 10; with
+# every |beta_l| <= 30 order 30 stays under 4 s and 30 MiB
+MAX_BETA = 30
+
+
 def _require(cond: bool, field_name: str, message: str):
     if not cond:
         raise FixtureFormatError(f"field {field_name!r}: {message}")
@@ -107,6 +115,11 @@ def fixture_from_dict(data: dict) -> tuple[FixedPointFixture, IndexFlavor]:
             and all(isinstance(b, int) and not isinstance(b, bool) for b in beta),
             f"{where}.beta",
             "must be a list of 8 integers",
+        )
+        _require(
+            all(abs(b) <= MAX_BETA for b in beta),
+            f"{where}.beta",
+            f"entries must lie in -{MAX_BETA}..{MAX_BETA}",
         )
         points.append(FixedPoint(tuple(alpha), c, tuple(beta)))
 

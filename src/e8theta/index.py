@@ -97,15 +97,15 @@ def _tangent_block(
     Returns the lead prod_j (w^a - w^-a) and the inverse, over Laurent
     polynomials, of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m).
     """
-    lead = LaurentPolynomial.one("w")
+    lead = LaurentPolynomial.one()
     for a in alpha:
-        lead = lead * LaurentPolynomial("w", {a: 1, -a: -1})
-    s = TruncatedSeries.one(validity, LaurentPolynomial.zero("w"))
+        lead = lead * LaurentPolynomial({a: 1, -a: -1})
+    s = TruncatedSeries.one(validity, LaurentPolynomial.zero())
     for a in alpha:
         m = 1
         while U_PER_Q * m <= validity:
-            s = s.times_one_plus(LaurentPolynomial("w", {2 * a: -1}), U_PER_Q * m)
-            s = s.times_one_plus(LaurentPolynomial("w", {-2 * a: -1}), U_PER_Q * m)
+            s = s.times_one_plus(LaurentPolynomial({2 * a: -1}), U_PER_Q * m)
+            s = s.times_one_plus(LaurentPolynomial({-2 * a: -1}), U_PER_Q * m)
             m += 1
     return lead, s.invert()
 
@@ -221,10 +221,10 @@ def lefschetz_number(
     sign = 1 if flavor is IndexFlavor.I_SERIES else -1
     spinor: dict[int, int] = {point.c: 1}
     spinor[-point.c] = spinor.get(-point.c, 0) + sign
-    num = LaurentPolynomial("w", spinor) * expr.char_at(point.alpha, point.c, point.beta)
-    den = LaurentPolynomial.one("w")
+    num = LaurentPolynomial(spinor) * expr.char_at(point.alpha, point.c, point.beta)
+    den = LaurentPolynomial.one()
     for a in point.alpha:
-        den = den * LaurentPolynomial("w", {a: 1, -a: -1})
+        den = den * LaurentPolynomial({a: 1, -a: -1})
     return RationalFunction(num, den)
 
 
@@ -281,7 +281,7 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
 def _sum_lefschetz(
     fixture: FixedPointFixture, expr: BundleExpr, flavor: IndexFlavor
 ) -> RationalFunction:
-    total = RationalFunction.zero("w")
+    total = RationalFunction.zero()
     for p in fixture.points:
         total = total + lefschetz_number(p, fixture.k, expr, flavor)
     return total
@@ -442,20 +442,29 @@ def check_transform_laws(
         raise ValueError("lattice shifts use even integers a, b")
     an = anomaly(fixture, flavor)
     weight = fixture.k + (4 if flavor is IndexFlavor.I_SERIES else 3)
+    standard = "lattice law (standard exponent)"
+    printed = "lattice law (printed exponent)"
+
+    def laws(n: int):
+        """Rows (law, column of the transformed value, multiplier) for anomaly n."""
+        return (
+            ("T-law", 1, 1),
+            ("S-law", 2, tau**weight * cmath.exp(1j * cmath.pi * n * t * t / tau)),
+            (standard, 3, cmath.exp(-1j * cmath.pi * n * (a * a * tau + 2 * a * t))),
+            (printed, 3, cmath.exp(-1j * cmath.pi * n * (b * b * tau + 2 * b * tau))),
+        )
+
     items = []
-    std_ok = True
-    printed_ok = True
+    failed = set()
 
-    def factors(n: int):
-        f_s = tau**weight * cmath.exp(1j * cmath.pi * n * t * t / tau)
-        f_std = cmath.exp(-1j * cmath.pi * n * (a * a * tau + 2 * a * t))
-        f_printed = cmath.exp(-1j * cmath.pi * n * (b * b * tau + 2 * b * tau))
-        return f_s, f_std, f_printed
-
-    def emit(label: str, lhs, rhs, law: str, scale: float = 1.0) -> float:
-        r = abs(lhs - rhs) / max(1.0, abs(rhs), scale)
-        items.append(ReportItem(f"{label} {law}", "pass" if r < tol else "fail", residual=r))
-        return r
+    def check(label: str, values, rows, summands=()) -> None:
+        for law, col, f in rows:
+            rhs = f * values[0]
+            scale = max((abs(v[col]) for v in summands), default=1.0)
+            r = abs(values[col] - rhs) / max(1.0, abs(rhs), scale)
+            items.append(ReportItem(f"{label} {law}", "pass" if r < tol else "fail", residual=r))
+            if not r < tol:
+                failed.add(law)
 
     # a summand on a zero of theta(alpha t), or an argument far enough off
     # the real axis, makes the numeric evaluation fail: that is bad input
@@ -465,53 +474,25 @@ def check_transform_laws(
             tuple(point_value(p, fixture.k, flavor, *ta) for ta in arguments)
             for p in fixture.points
         ]
-        point_factors = [factors(n) for n in an.per_point]
-        total_factors = factors(an.n) if an.consistent else None
+        for idx, (values, n) in enumerate(zip(per_point, an.per_point)):
+            check(f"point {idx}", values, laws(n))
+        if an.consistent and len(fixture.points) > 1:
+            # the sum can cancel to zero while its summands are exponentially
+            # large; the attainable precision scales with the largest summand
+            total = [sum(vs) for vs in zip(*per_point)]
+            check("total", total, laws(an.n), per_point)
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(
             f"index series cannot be evaluated at t={t}, tau={tau}: {exc}"
         ) from exc
 
-    for idx, (base, v_t, v_s, v_l) in enumerate(per_point):
-        f_s, f_std, f_printed = point_factors[idx]
-        emit(f"point {idx}", v_t, base, "T-law")
-        emit(f"point {idx}", v_s, f_s * base, "S-law")
-        r_std = emit(f"point {idx}", v_l, f_std * base, "lattice law (standard exponent)")
-        r_printed = emit(f"point {idx}", v_l, f_printed * base, "lattice law (printed exponent)")
-        std_ok = std_ok and r_std < tol
-        printed_ok = printed_ok and r_printed < tol
-    if an.consistent and len(fixture.points) > 1:
-        # the sum can cancel to zero while its summands are exponentially
-        # large; the attainable precision scales with the largest summand
-        f_s, f_std, f_printed = total_factors
-        base, v_t, v_s, v_l = (sum(vs) for vs in zip(*per_point))
-        for law, lhs, rhs, col in (
-            ("T-law", v_t, base, 1),
-            ("S-law", v_s, f_s * base, 2),
-            ("lattice law (standard exponent)", v_l, f_std * base, 3),
-            ("lattice law (printed exponent)", v_l, f_printed * base, 3),
-        ):
-            scale = max(abs(vals[col]) for vals in per_point)
-            r = emit("total", lhs, rhs, law, scale=scale)
-            if law.endswith("(standard exponent)"):
-                std_ok = std_ok and r < tol
-            elif law.endswith("(printed exponent)"):
-                printed_ok = printed_ok and r < tol
-
-    resolved = (
-        "both"
-        if std_ok and printed_ok
-        else "standard"
-        if std_ok
-        else "printed"
-        if printed_ok
-        else "neither"
-    )
-    lattice_pass = std_ok or printed_ok
-    t_s_pass = all(
-        i.status == "pass" for i in items if "T-law" in i.name or "S-law" in i.name
-    )
-    ok = t_s_pass and lattice_pass
+    resolved = {
+        (True, True): "both",
+        (True, False): "standard",
+        (False, True): "printed",
+        (False, False): "neither",
+    }[standard not in failed, printed not in failed]
+    ok = not failed & {"T-law", "S-law"} and not {standard, printed} <= failed
     return VerificationReport(
         verdict="pass" if ok else "fail",
         ok=ok,

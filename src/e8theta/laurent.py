@@ -1,25 +1,24 @@
 """Laurent polynomials in one variable over the Gaussian rationals.
 
-The constructor takes an {exponent: int or Gaussian rational} map and
-stores no zero coefficients, so equality is a structural comparison.  The
-variable is a free-form tag; mixing tags raises.  Sums and products with
-a scalar (int or Gaussian rational) promote the scalar to a constant
-polynomial.
+The variable is always w = e^(pi i t), the torus variable of the circle
+action, so no value carries a variable tag.  The constructor takes an
+{exponent: int or Gaussian rational} map and stores no zero coefficients,
+so equality is a structural comparison.  Sums and products with a scalar
+(int or Gaussian rational) promote the scalar to a constant polynomial.
 """
 
 from __future__ import annotations
 
-from .errors import NotInvertibleError, RingMismatchError
+from .errors import NotInvertibleError
 from .gaussian import ONE, ZERO, GaussianRational
 
 _SCALARS = (GaussianRational, int)
 
 
 class LaurentPolynomial:
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, var: str, coeffs: dict[int, GaussianRational] | None = None):
-        self.var = var
+    def __init__(self, coeffs: dict[int, GaussianRational] | None = None):
         clean: dict[int, GaussianRational] = {}
         if coeffs:
             for e, c in coeffs.items():
@@ -32,16 +31,16 @@ class LaurentPolynomial:
     # construction helpers
 
     @classmethod
-    def zero(cls, var: str) -> "LaurentPolynomial":
-        return cls(var)
+    def zero(cls) -> "LaurentPolynomial":
+        return cls()
 
     @classmethod
-    def one(cls, var: str) -> "LaurentPolynomial":
-        return cls(var, {0: ONE})
+    def one(cls) -> "LaurentPolynomial":
+        return cls({0: ONE})
 
     @classmethod
-    def constant(cls, var: str, c) -> "LaurentPolynomial":
-        return cls(var, {0: c})
+    def constant(cls, c) -> "LaurentPolynomial":
+        return cls({0: c})
 
     # structure
 
@@ -72,20 +71,13 @@ class LaurentPolynomial:
     def leading_coefficient(self) -> GaussianRational:
         return self.coeffs[self.degree()]
 
-    def _check_var(self, other: "LaurentPolynomial"):
-        if self.var != other.var:
-            raise RingMismatchError(
-                f"variable mismatch: {self.var!r} vs {other.var!r}"
-            )
-
     # arithmetic
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             if not isinstance(other, _SCALARS):
                 return NotImplemented
-            other = LaurentPolynomial.constant(self.var, other)
-        self._check_var(other)
+            other = LaurentPolynomial.constant(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e, ZERO) + c
@@ -94,14 +86,13 @@ class LaurentPolynomial:
             else:
                 out[e] = s
         r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.var, r.coeffs = self.var, out
+        r.coeffs = out
         return r
 
     __radd__ = __add__
 
     def __neg__(self):
         r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.var = self.var
         r.coeffs = {e: -c for e, c in self.coeffs.items()}
         return r
 
@@ -110,7 +101,6 @@ class LaurentPolynomial:
             if not isinstance(other, _SCALARS):
                 return NotImplemented
             return self.scale(other)
-        self._check_var(other)
         out: dict[int, GaussianRational] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -121,7 +111,7 @@ class LaurentPolynomial:
                 else:
                     out[e] = s
         r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.var, r.coeffs = self.var, out
+        r.coeffs = out
         return r
 
     __rmul__ = __mul__
@@ -130,9 +120,8 @@ class LaurentPolynomial:
         if not isinstance(c, GaussianRational):
             c = GaussianRational(c)
         if c.is_zero():
-            return LaurentPolynomial.zero(self.var)
+            return LaurentPolynomial.zero()
         r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.var = self.var
         r.coeffs = {e: v * c for e, v in self.coeffs.items()}
         return r
 
@@ -143,7 +132,7 @@ class LaurentPolynomial:
                 "only monomials are invertible in the Laurent ring"
             )
         (e, c), = self.coeffs.items()
-        return LaurentPolynomial(self.var, {-e: ONE / c})
+        return LaurentPolynomial({-e: ONE / c})
 
     # substitutions
 
@@ -158,12 +147,11 @@ class LaurentPolynomial:
             else:
                 out[k] = s
         r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.var, r.coeffs = self.var, out
+        r.coeffs = out
         return r
 
     def shift(self, k: int) -> "LaurentPolynomial":
         r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.var = self.var
         r.coeffs = {e + k: c for e, c in self.coeffs.items()}
         return r
 
@@ -189,10 +177,10 @@ class LaurentPolynomial:
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted((e, c.re, c.im) for e, c in self.coeffs.items()))))
+        return hash(tuple(sorted((e, c.re, c.im) for e, c in self.coeffs.items())))
 
     def __str__(self):
         if not self.coeffs:
@@ -204,7 +192,7 @@ class LaurentPolynomial:
             if e == 0:
                 parts.append(cs)
             else:
-                ve = self.var if e == 1 else f"{self.var}^{e}"
+                ve = "w" if e == 1 else f"w^{e}"
                 if cs == "1":
                     parts.append(ve)
                 elif cs == "-1":
@@ -260,17 +248,14 @@ def laurent_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial
     The result is an ordinary polynomial (valuation 0) whose leading
     coefficient is 1; gcd(0, q) is the monic polynomial part of q.
     """
-    if p.var != q.var:
-        raise RingMismatchError(f"variable mismatch: {p.var!r} vs {q.var!r}")
-    var = p.var
     if p.is_zero() and q.is_zero():
-        return LaurentPolynomial.zero(var)
+        return LaurentPolynomial.zero()
     a = _to_dense(p) if not p.is_zero() else []
     b = _to_dense(q) if not q.is_zero() else []
     while b:
         a, b = b, _dense_divmod(a, b)[1]
     lc = a[-1]
-    return LaurentPolynomial(var, {i: c / lc for i, c in enumerate(a)})
+    return LaurentPolynomial({i: c / lc for i, c in enumerate(a)})
 
 
 def laurent_exact_div(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial:
@@ -278,10 +263,8 @@ def laurent_exact_div(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPoly
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
-        return LaurentPolynomial.zero(p.var)
-    if p.var != d.var:
-        raise RingMismatchError(f"variable mismatch: {p.var!r} vs {d.var!r}")
+        return LaurentPolynomial.zero()
     quotient, remainder = _dense_divmod(_to_dense(p), _to_dense(d))
     if remainder:
         raise ValueError("not an exact division")
-    return LaurentPolynomial(p.var, quotient).shift(p.valuation() - d.valuation())
+    return LaurentPolynomial(quotient).shift(p.valuation() - d.valuation())

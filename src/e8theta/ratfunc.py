@@ -1,4 +1,7 @@
-"""Fraction field of the Laurent polynomial ring in the index variable.
+"""Fraction field of the Laurent polynomial ring in w.
+
+w is the one variable of the package (see laurent.py); neither numerator
+nor denominator carries a variable tag.
 
 Canonical form: the denominator is an ordinary polynomial with nonzero
 constant term and leading coefficient 1 (monomial order: descending
@@ -15,7 +18,6 @@ at w = 1) and substitute w -> 1/w.
 
 from __future__ import annotations
 
-from .errors import RingMismatchError
 from .gaussian import GaussianRational
 from .laurent import _SCALARS, LaurentPolynomial, laurent_exact_div, laurent_gcd
 
@@ -26,14 +28,11 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial):
-        if num.var != den.var:
-            raise RingMismatchError(f"variable mismatch: {num.var!r} vs {den.var!r}")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        var = num.var
         if num.is_zero():
-            self.num = LaurentPolynomial.zero(var)
-            self.den = LaurentPolynomial.one(var)
+            self.num = LaurentPolynomial.zero()
+            self.den = LaurentPolynomial.one()
             return
         # strip denominator units into the numerator
         vd = den.valuation()
@@ -55,19 +54,19 @@ class RationalFunction:
 
     @classmethod
     def from_laurent(cls, p: LaurentPolynomial) -> "RationalFunction":
-        return cls(p, LaurentPolynomial.one(p.var))
+        return cls(p, LaurentPolynomial.one())
 
     @classmethod
-    def zero(cls, var: str) -> "RationalFunction":
-        return cls.from_laurent(LaurentPolynomial.zero(var))
+    def zero(cls) -> "RationalFunction":
+        return cls.from_laurent(LaurentPolynomial.zero())
 
     @classmethod
     def one(cls, var: str) -> "RationalFunction":
-        return cls.from_laurent(LaurentPolynomial.one(var))
-
-    @property
-    def var(self) -> str:
-        return self.num.var
+        """The constant 1.  var must name w, the one variable; the argument
+        stays because perfbench's oracles spell the variable out."""
+        if var != "w":
+            raise ValueError(f"the only variable is 'w', not {var!r}")
+        return cls.from_laurent(LaurentPolynomial.one())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -81,13 +80,8 @@ class RationalFunction:
             raise ValueError(f"not a constant: {self}")
         return self.num.constant_value()
 
-    def _check(self, other: "RationalFunction"):
-        if self.var != other.var:
-            raise RingMismatchError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
     def __add__(self, other):
         if isinstance(other, RationalFunction):
-            self._check(other)
             return RationalFunction(
                 self.num * other.den + other.num * self.den, self.den * other.den
             )
@@ -104,7 +98,6 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
-            self._check(other)
             return RationalFunction(self.num * other.num, self.den * other.den)
         if isinstance(other, _PROMOTED):
             return RationalFunction(self.num * other, self.den)

@@ -64,13 +64,13 @@ def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
     validity = U_PER_Q * order + m0
     sign, half = _PRODUCT_SHAPE[kind]
     if kind is ThetaKind.THETA:
-        lead = LaurentPolynomial("w", {1: MINUS_I, -1: I})
+        lead = LaurentPolynomial({1: MINUS_I, -1: I})
     elif kind is ThetaKind.THETA1:
-        lead = LaurentPolynomial("w", {1: 1, -1: 1})
+        lead = LaurentPolynomial({1: 1, -1: 1})
     else:
-        lead = LaurentPolynomial.one("w")
-    s = TruncatedSeries({m0: lead}, validity, LaurentPolynomial.zero("w"))
-    minus_one = -LaurentPolynomial.one("w")
+        lead = LaurentPolynomial.one()
+    s = TruncatedSeries({m0: lead}, validity, LaurentPolynomial.zero())
+    minus_one = -LaurentPolynomial.one()
     j = 1
     while True:
         e_int = U_PER_Q * j
@@ -80,8 +80,8 @@ def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
         if e_int <= validity:
             s = s.times_one_plus(minus_one, e_int)
         if e_w <= validity:
-            s = s.times_one_plus(LaurentPolynomial("w", {2: sign}), e_w)
-            s = s.times_one_plus(LaurentPolynomial("w", {-2: sign}), e_w)
+            s = s.times_one_plus(LaurentPolynomial({2: sign}), e_w)
+            s = s.times_one_plus(LaurentPolynomial({-2: sign}), e_w)
         j += 1
     return s
 
@@ -123,19 +123,19 @@ def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:
             e = 3 * (2 * n + 1) ** 2
             if kind is ThetaKind.THETA:
                 c = MINUS_I if n % 2 == 0 else I
-                poly = LaurentPolynomial("w", {2 * n + 1: c, -(2 * n + 1): -c})
+                poly = LaurentPolynomial({2 * n + 1: c, -(2 * n + 1): -c})
             else:
-                poly = LaurentPolynomial("w", {2 * n + 1: 1, -(2 * n + 1): 1})
-            coeffs[e] = coeffs.get(e, LaurentPolynomial.zero("w")) + poly
+                poly = LaurentPolynomial({2 * n + 1: 1, -(2 * n + 1): 1})
+            coeffs[e] = coeffs.get(e, LaurentPolynomial.zero()) + poly
             n += 1
     else:
-        coeffs[0] = LaurentPolynomial.one("w")
+        coeffs[0] = LaurentPolynomial.one()
         n = 1
         while 12 * n * n <= validity:
             c = 1 if (kind is ThetaKind.THETA3 or n % 2 == 0) else -1
-            coeffs[12 * n * n] = LaurentPolynomial("w", {2 * n: c, -2 * n: c})
+            coeffs[12 * n * n] = LaurentPolynomial({2 * n: c, -2 * n: c})
             n += 1
-    return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero("w"))
+    return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero())
 
 
 def theta_prime_zero_series(order: int) -> TruncatedSeries:

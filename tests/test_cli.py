@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,6 +7,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 import e8theta
 from e8theta.cli import run
@@ -114,6 +118,13 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         code, _, err = invoke(capsys, *command, "--fixture", str(tmp_path))
         assert code == 2
         assert err.startswith("error:")
+    # a fixture beta entry past the bound is an input error naming the field
+    wide = tmp_path / "wide_beta.json"
+    wide.write_text('{"k": 1, "points": [{"alpha": [1], "beta": [31, 0, 0, 0, 0, 0, 0, 0]}]}')
+    code, _, err = invoke(capsys, "index", "expand", "--fixture", str(wide))
+    assert code == 2
+    assert err.startswith("error:") and "points[0].beta" in err
+    assert len(err.strip().splitlines()) == 1
     # every --order is bounded: above the bound (or below 0) the command
     # exits 2 with one line naming the bound
     for command, bound in (
@@ -236,3 +247,81 @@ def test_readme_commands_run(capsys):
             assert promised.group(1) in out, (line, out)
         ran += 1
     assert ran >= 9
+
+
+# each subcommand with the options it takes; "nope" and no subcommand at
+# all are usage errors
+_SUBCOMMANDS = {
+    ("theta", "expand"): ("--kind", "--order"),
+    ("theta", "check"): ("--tol",),
+    ("e8", "theta"): ("--beta", "--order"),
+    ("e8", "dims"): ("--order",),
+    ("e8", "identity"): ("--beta", "--order", "--random", "--seed"),
+    ("index", "expand"): ("--fixture", "--flavor", "--order"),
+    ("index", "check"): ("--fixture", "--flavor", "--order"),
+    ("index", "transform"): ("--fixture", "--flavor", "--tol", "--t", "--tau", "--a", "--b"),
+    ("classify",): ("--fixture", "--flavor", "--order"),
+    ("nope",): (),
+    (): (),
+}
+_BAD_VALUES = (
+    "nan", "inf", "1e308j", "x", "", "-1", "31", "201", "1001",
+    "1,2,3,4,5,6,7,8,9", "missing_file.json",
+)
+_GOOD_VALUES = {
+    "--format": ("text", "json"),
+    "--kind": ("theta", "theta3"),
+    "--order": ("0", "5"),
+    "--tol": ("1e-9",),
+    "--beta": ("1,0,0,0,0,0,0,0",),
+    "--random": ("3",),
+    "--seed": ("7",),
+    "--fixture": ("s2", "cp2", "cp1_spinc", "single_point"),
+    "--flavor": ("I", "J"),
+    "--t": ("0.3+0.1j",),
+    "--tau": ("1.1j",),
+    "--a": ("2",),
+    "--b": ("0",),
+}
+# bad values that some command would accept and run at a cost: `theta
+# expand` takes --order up to 200 and `e8 identity` --random up to 1000
+_COSTLY = {"--order": {"31"}, "--random": {"31", "201"}}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with mostly its own options, each given a good or a bad
+    value; now and then a global option, a foreign option or a dangling one."""
+
+    def option(name):
+        values = _GOOD_VALUES[name]
+        if draw(st.integers(0, 3)) == 3:
+            values = tuple(v for v in _BAD_VALUES if v not in _COSTLY.get(name, ()))
+        return [name, draw(st.sampled_from(values))]
+
+    every = sorted(_GOOD_VALUES)
+    command = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    own = _SUBCOMMANDS[command]
+    argv = option("--format") if draw(st.booleans()) else []
+    argv += command
+    if "--fixture" in own and draw(st.integers(0, 3)):
+        argv += option("--fixture")
+    for name in draw(st.lists(st.sampled_from(own or every), max_size=3)):
+        argv += option(name)
+    if draw(st.integers(0, 4)) == 4:
+        argv += option(draw(st.sampled_from(every)))
+    if draw(st.integers(0, 4)) == 4:
+        argv.append(draw(st.sampled_from(every)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_with_a_code_never_a_traceback(argv):
+    """Any argv ends in 0, 1 or 2 without raising, and a 2 says why on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert "error:" in err.getvalue(), argv

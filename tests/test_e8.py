@@ -89,7 +89,7 @@ def _lattice_sum_from_shells(beta, table):
             e = sum(map(operator.mul, d, beta))
             counts[e] = counts.get(e, 0) + 1
         coeffs[U_PER_Q * m] = LaurentPolynomial(
-            "w", {e: GaussianRational(n) for e, n in counts.items()}
+            {e: GaussianRational(n) for e, n in counts.items()}
         )
     return coeffs
 
@@ -134,7 +134,7 @@ def test_theta_e8_first_coordinate_multiset():
     assert counts == expected
     q1 = theta_e8((1, 0, 0, 0, 0, 0, 0, 0), 1).q_coefficient(1)
     assert q1 == LaurentPolynomial(
-        "w", {e: GaussianRational(n) for e, n in expected.items()}
+        {e: GaussianRational(n) for e, n in expected.items()}
     )
     assert q1.sum_of_coefficients().as_integer() == 240
 
@@ -233,7 +233,7 @@ def test_character_q1_coefficient_shape(rng):
     for d in e8_roots():
         e = sum(dl * bl for dl, bl in zip(d, beta))
         expected[e] = expected.get(e, 0) + 1
-    assert q1 == LaurentPolynomial("w", {e: GaussianRational(n) for e, n in expected.items()})
+    assert q1 == LaurentPolynomial({e: GaussianRational(n) for e, n in expected.items()})
 
 
 def test_graded_dims_independent_of_beta(rng):

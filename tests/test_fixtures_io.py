@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from e8theta.errors import FixtureFormatError
 from e8theta.fixtures import (
     BUNDLED_FIXTURES,
+    MAX_BETA,
     FixedPoint,
     FixedPointFixture,
     IndexFlavor,
@@ -81,6 +82,18 @@ def test_malformed_fixtures_name_the_field(data, needle):
     with pytest.raises(FixtureFormatError) as err:
         fixture_from_dict(data)
     assert needle in str(err.value)
+
+
+def test_beta_entries_are_bounded():
+    """|beta_l| <= MAX_BETA loads; one entry past it is rejected by name."""
+    assert MAX_BETA == 30
+    edge = [MAX_BETA, -MAX_BETA, 0, 0, 0, 0, 0, 0]
+    fixture, _ = fixture_from_dict({"k": 1, "points": [{"alpha": [1], "beta": edge}]})
+    assert fixture.points[0].beta == tuple(edge)
+    for entry in (MAX_BETA + 1, -MAX_BETA - 1):
+        wide = {"alpha": [-1], "beta": [0] * 7 + [entry]}
+        with pytest.raises(FixtureFormatError, match=r"points\[1\]\.beta"):
+            fixture_from_dict({"k": 1, "points": [{"alpha": [1]}, wide]})
 
 
 def test_invalid_json_reported(tmp_path):

@@ -45,7 +45,7 @@ Z8 = (0,) * 8
 
 
 def W(coeffs):
-    return LaurentPolynomial("w", {e: GaussianRational(c) for e, c in coeffs.items()})
+    return LaurentPolynomial({e: GaussianRational(c) for e, c in coeffs.items()})
 
 
 def fixture(k, *points, label="test"):
@@ -65,10 +65,10 @@ SINGLE = fixture(1, ((1,), 0, Z8))
 def _tower_series(point: FixedPoint, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     """Character of the twisting tower at one point, by geometric expansion."""
     validity = U_PER_Q * (order + 1)
-    num = TruncatedSeries.one(validity, LaurentPolynomial.zero("w"))
-    den = TruncatedSeries.one(validity, LaurentPolynomial.zero("w"))
+    num = TruncatedSeries.one(validity, LaurentPolynomial.zero())
+    den = TruncatedSeries.one(validity, LaurentPolynomial.zero())
     c2, c2m = W({2 * point.c: 1}), W({-2 * point.c: 1})
-    one = LaurentPolynomial.one("w")
+    one = LaurentPolynomial.one()
 
     m = 1
     while U_PER_Q * m <= validity:
@@ -111,7 +111,7 @@ def oracle_contribution(point, k, flavor, order):
     tower = _tower_series(point, k, flavor, order)
     lattice = theta_product_side(point.beta, order + 1)
     spinor = W({point.c: 1}) + W({-point.c: 1 if flavor is IndexFlavor.I_SERIES else -1})
-    tangent = LaurentPolynomial.one("w")
+    tangent = LaurentPolynomial.one()
     for a in point.alpha:
         tangent = tangent * W({a: 1, -a: -1})
     prefactor = RationalFunction(spinor, tangent)
@@ -177,7 +177,7 @@ def test_vanishing_series_returns_rational_function_zero():
     c = index_series(S2, IndexFlavor.I_SERIES, 3).q_coefficient(2)
     assert isinstance(c, RationalFunction)
     assert c.is_zero() and c.is_constant()
-    assert c == RationalFunction.zero("w")
+    assert c == RationalFunction.zero()
     assert c.evaluate(0.3 + 0.4j) == 0
 
 

@@ -9,7 +9,7 @@ from e8theta.ratfunc import RationalFunction
 
 
 def L(coeffs):
-    return LaurentPolynomial("w", {e: GaussianRational(c) for e, c in coeffs.items()})
+    return LaurentPolynomial({e: GaussianRational(c) for e, c in coeffs.items()})
 
 
 def RF(num, den):
@@ -40,6 +40,13 @@ def test_is_constant_strict():
     assert not RF({3: 1}, {0: 1}).is_constant()
     assert RF({0: 0}, {5: 1, 0: 1}).is_zero()
     assert RF({0: 0}, {5: 1, 0: 1}).is_constant()
+
+
+def test_one_names_the_only_variable():
+    assert RationalFunction.one("w") == L({0: 1})
+    assert RationalFunction.zero().is_zero()
+    with pytest.raises(ValueError):
+        RationalFunction.one("x")
 
 
 def test_field_axioms_randomized():

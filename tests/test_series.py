@@ -8,7 +8,6 @@ from conftest import naive_euler_phi, naive_partition_power
 from e8theta.errors import (
     BeyondTruncationError,
     ExponentLatticeError,
-    RingMismatchError,
 )
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
@@ -46,8 +45,8 @@ def test_mul_binomials():
     assert prod.coefficient(2) == GaussianRational(-1)
 
 
-def W(coeffs, var="w"):
-    return LaurentPolynomial(var, {e: GaussianRational(c) for e, c in coeffs.items()})
+def W(coeffs):
+    return LaurentPolynomial({e: GaussianRational(c) for e, c in coeffs.items()})
 
 
 def test_mixed_coefficient_product_promotes():
@@ -56,11 +55,11 @@ def test_mixed_coefficient_product_promotes():
     ratfunc = TruncatedSeries(
         {0: RationalFunction(W({0: 1}), W({1: 1, 0: -2})), 30: RationalFunction.from_laurent(W({0: 5}))},
         71,
-        RationalFunction.zero("w"),
+        RationalFunction.zero(),
     )
     lifted = (
         scalar.map_coefficients(
-            lambda c: RationalFunction.from_laurent(LaurentPolynomial.constant("w", c))
+            lambda c: RationalFunction.from_laurent(LaurentPolynomial.constant(c))
         )
         * laurent.map_coefficients(RationalFunction.from_laurent)
         * ratfunc
@@ -74,15 +73,6 @@ def test_mixed_coefficient_product_promotes():
     assert isinstance(total.zero, LaurentPolynomial)
     assert total.coefficient(48) == W({0: -1})  # phi's q^2 term, lifted
     assert total == laurent + scalar
-
-
-def test_variable_mismatch_raises_through_series():
-    a = TruncatedSeries.one(10, W({}))
-    b = TruncatedSeries.one(10, W({}, var="x"))
-    with pytest.raises(RingMismatchError):
-        a + b
-    with pytest.raises(RingMismatchError):
-        a * b
 
 
 def test_phi_coefficients_match_naive_product():
@@ -191,5 +181,5 @@ def test_scale_coerces_scalars():
     s = phi_series(3)
     doubled = s.scale(2)
     assert doubled.q_coefficient(1) == GaussianRational(-2)
-    lw = TruncatedSeries.one(5, LaurentPolynomial.zero("w")).scale(GaussianRational(3))
-    assert lw.coefficient(0) == LaurentPolynomial.constant("w", GaussianRational(3))
+    lw = TruncatedSeries.one(5, LaurentPolynomial.zero()).scale(GaussianRational(3))
+    assert lw.coefficient(0) == LaurentPolynomial.constant(GaussianRational(3))

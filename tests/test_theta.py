@@ -24,7 +24,7 @@ SAMPLE_TAUS = [1.3j, 0.8j, 0.2 + 1.1j, -0.4 + 0.9j, 2.0j]
 
 
 def L(coeffs):
-    return LaurentPolynomial("w", {e: GaussianRational(*c) if isinstance(c, tuple) else GaussianRational(c) for e, c in coeffs.items()})
+    return LaurentPolynomial({e: GaussianRational(*c) if isinstance(c, tuple) else GaussianRational(c) for e, c in coeffs.items()})
 
 
 def test_leading_terms_match_sin_cos_prefactors():
@@ -68,7 +68,7 @@ def test_theta_gap_returns_laurent_zero():
     c = series.coefficient(1)
     assert isinstance(c, LaurentPolynomial)
     assert c.is_zero() and c.is_constant()
-    assert c == LaurentPolynomial.zero("w")
+    assert c == LaurentPolynomial.zero()
     assert c.evaluate(0.3 + 0.4j) == 0
 
 
