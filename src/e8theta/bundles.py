@@ -40,30 +40,6 @@ class BundleExpr:
         return cls({(name,): 1})
 
     @classmethod
-    def L(cls):
-        return cls.atom("L")
-
-    @classmethod
-    def Lbar(cls):
-        return cls.atom("Lbar")
-
-    @classmethod
-    def L2(cls):
-        return cls.atom("L2")
-
-    @classmethod
-    def Lbar2(cls):
-        return cls.atom("Lbar2")
-
-    @classmethod
-    def tangent(cls):
-        return cls.atom("TCX")
-
-    @classmethod
-    def adjoint(cls):
-        return cls.atom("W")
-
-    @classmethod
     def line_reduced(cls) -> "BundleExpr":
         """L + Lbar - 2: the rank-reduced complexified line bundle."""
         return cls({("L",): 1, ("Lbar",): 1, (): -2})
@@ -140,9 +116,9 @@ class BundleExpr:
             exponents["W"] = [0] * 8 + [sum(map(operator.mul, d, beta)) for d in e8_roots()]
         chars = {name: LaurentPolynomial(Counter(es)) for name, es in exponents.items()}
 
-        total = LaurentPolynomial.zero()
+        total = LaurentPolynomial()
         for mono, n in self.terms.items():
-            term = LaurentPolynomial.constant(n)
+            term = LaurentPolynomial({0: n})
             for name in mono:
                 if name not in chars:
                     raise ValueError(f"unknown bundle atom {name!r}")
@@ -157,14 +133,15 @@ def order_one_twist(flavor_is_even_tower: bool, k: int) -> BundleExpr:
     Even tower (paired with 1 + Lbar):  W + TCX - (L^2 + Lbar^2) + (L + Lbar) - 8 - 2k.
     Odd tower  (paired with 1 - Lbar):  W + TCX - (L + Lbar) - 2k - 6.
     """
-    base = BundleExpr.adjoint() + BundleExpr.tangent()
+    atom = BundleExpr.atom
+    base = atom("W") + atom("TCX")
     if flavor_is_even_tower:
         return (
             base
-            - BundleExpr.L2()
-            - BundleExpr.Lbar2()
-            + BundleExpr.L()
-            + BundleExpr.Lbar()
+            - atom("L2")
+            - atom("Lbar2")
+            + atom("L")
+            + atom("Lbar")
             - BundleExpr.const(8 + 2 * k)
         )
-    return base - BundleExpr.L() - BundleExpr.Lbar() - BundleExpr.const(2 * k + 6)
+    return base - atom("L") - atom("Lbar") - BundleExpr.const(2 * k + 6)

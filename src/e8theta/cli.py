@@ -16,7 +16,7 @@ import time
 
 from .e8 import basic_character, check_identity_116, theta_e8
 from .errors import FixtureFormatError
-from .fixtures import IndexFlavor, resolve_fixture
+from .fixtures import MAX_BETA, IndexFlavor, resolve_fixture
 from .index import (
     check_transform_laws,
     classify,
@@ -62,7 +62,17 @@ def _parse_beta(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"beta must be comma-separated integers: {exc}")
     if len(beta) != 8:
         raise argparse.ArgumentTypeError(f"beta needs 8 entries, got {len(beta)}")
+    if any(abs(b) > MAX_BETA for b in beta):
+        raise argparse.ArgumentTypeError(
+            f"beta entries must lie in -{MAX_BETA}..{MAX_BETA}, got {text!r}"
+        )
     return beta
+
+
+def _parse_fixture(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must name a fixture file or a bundled fixture, got ''")
+    return text
 
 
 def _parse_complex(text: str) -> complex:
@@ -135,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = index_sub.add_parser(name, help=helptext)
         p.set_defaults(handler=handler)
-        p.add_argument("--fixture", required=True, help="path or bundled name (s2, cp2, ...)")
+        p.add_argument(
+            "--fixture", type=_parse_fixture, required=True, help="path or bundled name (s2, cp2, ...)"
+        )
         p.add_argument("--flavor", choices=["I", "J"], default=None, help="override the fixture's flavor")
         if name == "transform":
             p.add_argument("--tol", type=_parse_tol, default=1e-8)
@@ -148,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="theorem branch prediction versus observed behavior")
     p.set_defaults(handler=_cmd_classify)
-    p.add_argument("--fixture", required=True)
+    p.add_argument("--fixture", type=_parse_fixture, required=True)
     p.add_argument("--flavor", choices=["I", "J"], default=None)
     p.add_argument("--order", type=int, default=5)
 

@@ -172,8 +172,11 @@ def bundled_fixture_path(name: str) -> Path:
 
 
 def resolve_fixture(path_or_name: str) -> tuple[FixedPointFixture, IndexFlavor]:
-    """Load from an existing path, else fall back to the bundled fixtures."""
+    """Load from an existing path, else fall back to the bundled fixtures.
+
+    The empty string names no path (Path("") would be the directory ".").
+    """
     p = Path(path_or_name)
-    if p.exists():
+    if path_or_name and p.exists():
         return load_fixture(p)
     return load_fixture(bundled_fixture_path(path_or_name))

@@ -89,25 +89,30 @@ class IndexSeries:
 _EVEN_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
 
 
+def _tangent_lead(alpha: tuple[int, ...]) -> LaurentPolynomial:
+    """prod_j (w^(alpha_j) - w^(-alpha_j)), the tangent factor's q^0 part."""
+    lead = LaurentPolynomial({0: 1})
+    for a in alpha:
+        lead = lead * LaurentPolynomial({a: 1, -a: -1})
+    return lead
+
+
 def _tangent_block(
     alpha: tuple[int, ...], validity: int
 ) -> tuple[LaurentPolynomial, TruncatedSeries]:
     """Split the tangent denominator into its lead and its q-product.
 
-    Returns the lead prod_j (w^a - w^-a) and the inverse, over Laurent
-    polynomials, of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m).
+    Returns the lead and the inverse, over Laurent polynomials, of
+    prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m).
     """
-    lead = LaurentPolynomial.one()
-    for a in alpha:
-        lead = lead * LaurentPolynomial({a: 1, -a: -1})
-    s = TruncatedSeries.one(validity, LaurentPolynomial.zero())
+    s = TruncatedSeries.one(validity, LaurentPolynomial())
     for a in alpha:
         m = 1
         while U_PER_Q * m <= validity:
             s = s.times_one_plus(LaurentPolynomial({2 * a: -1}), U_PER_Q * m)
             s = s.times_one_plus(LaurentPolynomial({-2 * a: -1}), U_PER_Q * m)
             m += 1
-    return lead, s.invert()
+    return _tangent_lead(alpha), s.invert()
 
 
 def _over_lead(series: TruncatedSeries, lead: LaurentPolynomial, order: int) -> TruncatedSeries:
@@ -222,10 +227,7 @@ def lefschetz_number(
     spinor: dict[int, int] = {point.c: 1}
     spinor[-point.c] = spinor.get(-point.c, 0) + sign
     num = LaurentPolynomial(spinor) * expr.char_at(point.alpha, point.c, point.beta)
-    den = LaurentPolynomial.one()
-    for a in point.alpha:
-        den = den * LaurentPolynomial({a: 1, -a: -1})
-    return RationalFunction(num, den)
+    return RationalFunction(num, _tangent_lead(point.alpha))
 
 
 def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> VerificationReport:
@@ -262,12 +264,8 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
     )
 
     square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
-    expanded = (
-        BundleExpr.L2()
-        + BundleExpr.Lbar2()
-        - 4 * (BundleExpr.L() + BundleExpr.Lbar())
-        + BundleExpr.const(6)
-    )
+    atom = BundleExpr.atom
+    expanded = atom("L2") + atom("Lbar2") - 4 * (atom("L") + atom("Lbar")) + BundleExpr.const(6)
     ok2 = _sum_lefschetz(fixture, square, flavor) == _sum_lefschetz(fixture, expanded, flavor)
     items.append(
         ReportItem("squared reduced line bundle expands in the atoms", "pass" if ok2 else "fail")

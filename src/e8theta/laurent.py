@@ -1,9 +1,10 @@
 """Laurent polynomials in one variable over the Gaussian rationals.
 
 The variable is always w = e^(pi i t), the torus variable of the circle
-action, so no value carries a variable tag.  The constructor takes an
-{exponent: int or Gaussian rational} map and stores no zero coefficients,
-so equality is a structural comparison.  Sums and products with a scalar
+action, so no value carries a variable tag.  The constructor is the one
+way to build a value: it takes an {exponent: int or Gaussian rational}
+map (none for zero, {0: 1} for one) and stores no zero coefficients, so
+equality is a structural comparison.  Sums and products with a scalar
 (int or Gaussian rational) promote the scalar to a constant polynomial.
 """
 
@@ -27,20 +28,6 @@ class LaurentPolynomial:
                 if not c.is_zero():
                     clean[int(e)] = c
         self.coeffs = clean
-
-    # construction helpers
-
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: ONE})
-
-    @classmethod
-    def constant(cls, c) -> "LaurentPolynomial":
-        return cls({0: c})
 
     # structure
 
@@ -77,7 +64,7 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             if not isinstance(other, _SCALARS):
                 return NotImplemented
-            other = LaurentPolynomial.constant(other)
+            other = LaurentPolynomial({0: other})
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e, ZERO) + c
@@ -120,7 +107,7 @@ class LaurentPolynomial:
         if not isinstance(c, GaussianRational):
             c = GaussianRational(c)
         if c.is_zero():
-            return LaurentPolynomial.zero()
+            return LaurentPolynomial()
         r = LaurentPolynomial.__new__(LaurentPolynomial)
         r.coeffs = {e: v * c for e, v in self.coeffs.items()}
         return r
@@ -165,13 +152,6 @@ class LaurentPolynomial:
         total = ZERO
         for c in self.coeffs.values():
             total = total + c
-        return total
-
-    def exponent_weighted_sum(self) -> GaussianRational:
-        """Exact value of (v d/dv) applied to self, at variable = 1."""
-        total = ZERO
-        for e, c in self.coeffs.items():
-            total = total + c * e
         return total
 
     def __eq__(self, other):
@@ -249,7 +229,7 @@ def laurent_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial
     coefficient is 1; gcd(0, q) is the monic polynomial part of q.
     """
     if p.is_zero() and q.is_zero():
-        return LaurentPolynomial.zero()
+        return LaurentPolynomial()
     a = _to_dense(p) if not p.is_zero() else []
     b = _to_dense(q) if not q.is_zero() else []
     while b:
@@ -263,7 +243,7 @@ def laurent_exact_div(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPoly
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
-        return LaurentPolynomial.zero()
+        return LaurentPolynomial()
     quotient, remainder = _dense_divmod(_to_dense(p), _to_dense(d))
     if remainder:
         raise ValueError("not an exact division")

@@ -213,11 +213,10 @@ class TruncatedSeries:
             {e: fn(c) for e, c in self.coeffs.items()}, self.order, fn(self.zero)
         )
 
-    def first_difference(self, other: "TruncatedSeries", through: int | None = None):
-        """Lowest exponent where the two series differ, or None."""
+    def first_difference(self, other: "TruncatedSeries"):
+        """Lowest exponent where the two series differ within both validity
+        orders, or None."""
         bound = min(self.order, other.order)
-        if through is not None:
-            bound = min(bound, through)
         for e in sorted(set(self.coeffs) | set(other.coeffs)):
             if e > bound:
                 continue

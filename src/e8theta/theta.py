@@ -11,9 +11,9 @@ half-angle factors are Laurent monomials: 2*sin(pi*z) = -i*(w - w^-1) and
 
 (in the classical 1..4 numbering these are theta_1, theta_2, theta_4 and
 theta_3 respectively).  Expansions live on the u = q^(1/24) lattice with
-Laurent-polynomial coefficients in w.  The product form is the production
-route; the equivalent sum forms (triple product) are built independently
-and serve only as the test oracle for it.
+Laurent-polynomial coefficients in w.  The product form is the only
+route here; the tests build the equivalent sum forms (triple product)
+independently, in tests/conftest.py, as its oracle.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .gaussian import GaussianRational, I, MINUS_I
+from .gaussian import I, MINUS_I
 from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
-from .series import TruncatedSeries, U_PER_Q, phi_series
+from .series import TruncatedSeries, U_PER_Q
 
 
 class ThetaKind(enum.Enum):
@@ -68,9 +67,9 @@ def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
     elif kind is ThetaKind.THETA1:
         lead = LaurentPolynomial({1: 1, -1: 1})
     else:
-        lead = LaurentPolynomial.one()
-    s = TruncatedSeries({m0: lead}, validity, LaurentPolynomial.zero())
-    minus_one = -LaurentPolynomial.one()
+        lead = LaurentPolynomial({0: 1})
+    s = TruncatedSeries({m0: lead}, validity, LaurentPolynomial())
+    minus_one = LaurentPolynomial({0: -1})
     j = 1
     while True:
         e_int = U_PER_Q * j
@@ -102,55 +101,6 @@ def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> Truncated
     if prod is None:
         raise ValueError("theta_product needs at least one factor")
     return prod
-
-
-def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:
-    """Sum-form (triple product) expansion: the independent test oracle.
-
-    theta   = -i * sum_n (-1)^n q^((2n+1)^2/8) w^(2n+1)
-    theta_1 =      sum_n        q^((2n+1)^2/8) w^(2n+1)
-    theta_2 =      sum_n (-1)^n q^(n^2/2)      w^(2n)
-    theta_3 =      sum_n        q^(n^2/2)      w^(2n)
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    m0 = base_exponent(kind)
-    validity = U_PER_Q * order + m0
-    coeffs: dict[int, LaurentPolynomial] = {}
-    if kind in (ThetaKind.THETA, ThetaKind.THETA1):
-        n = 0
-        while 3 * (2 * n + 1) ** 2 <= validity:
-            e = 3 * (2 * n + 1) ** 2
-            if kind is ThetaKind.THETA:
-                c = MINUS_I if n % 2 == 0 else I
-                poly = LaurentPolynomial({2 * n + 1: c, -(2 * n + 1): -c})
-            else:
-                poly = LaurentPolynomial({2 * n + 1: 1, -(2 * n + 1): 1})
-            coeffs[e] = coeffs.get(e, LaurentPolynomial.zero()) + poly
-            n += 1
-    else:
-        coeffs[0] = LaurentPolynomial.one()
-        n = 1
-        while 12 * n * n <= validity:
-            c = 1 if (kind is ThetaKind.THETA3 or n % 2 == 0) else -1
-            coeffs[12 * n * n] = LaurentPolynomial({2 * n: c, -2 * n: c})
-            n += 1
-    return TruncatedSeries(coeffs, validity, LaurentPolynomial.zero())
-
-
-def theta_prime_zero_series(order: int) -> TruncatedSeries:
-    """Exact series of theta'(0, tau) / (2*pi) = q^(1/8) * phi(q)^3."""
-    return (phi_series(order) ** 3).shift(3)
-
-
-def z_derivative_at_zero(series: TruncatedSeries) -> TruncatedSeries:
-    """Term-by-term d/dz at z = 0, divided by 2*pi.
-
-    d/dz acts on w^e as pi*i*e*w^e, so each coefficient becomes
-    (i/2) * sum_e e*c_e evaluated at w = 1.
-    """
-    half_i = GaussianRational(0, Fraction(1, 2))
-    return series.map_coefficients(lambda c: half_i * c.exponent_weighted_sum())
 
 
 # numeric evaluation
@@ -207,13 +157,6 @@ def theta_prime_zero(tau: complex) -> complex:
     for j in range(1, n + 1):
         value *= (1 - q**j) ** 3
     return value
-
-
-def evaluate_expansion(series: TruncatedSeries, z: complex, tau: complex) -> complex:
-    """Specialize the exact expansion at w = e^(pi i z), u = e^(2 pi i tau / 24)."""
-    w = cmath.exp(1j * cmath.pi * z)
-    u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
-    return series.evaluate(u, lambda c: c.evaluate(w))
 
 
 def jacobi_identity_residual(tau: complex) -> float:

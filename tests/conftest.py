@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,10 @@ from fractions import Fraction
 import pytest
 
 from e8theta.fixtures import FixedPoint, FixedPointFixture
+from e8theta.gaussian import ZERO, GaussianRational, I, MINUS_I
+from e8theta.laurent import LaurentPolynomial
+from e8theta.series import TruncatedSeries, U_PER_Q, phi_series
+from e8theta.theta import ThetaKind, base_exponent
 
 
 def naive_q_product(factors, order):
@@ -69,6 +74,70 @@ def brute_force_e8_shell(m):
             if sum(x * x for x in vec) == target and sum(vec) % 4 == 0:
                 out.add(vec)
     return sorted(out)
+
+
+def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:
+    """Sum-form (triple product) expansion: the oracle for the product form.
+
+    theta   = -i * sum_n (-1)^n q^((2n+1)^2/8) w^(2n+1)
+    theta_1 =      sum_n        q^((2n+1)^2/8) w^(2n+1)
+    theta_2 =      sum_n (-1)^n q^(n^2/2)      w^(2n)
+    theta_3 =      sum_n        q^(n^2/2)      w^(2n)
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    m0 = base_exponent(kind)
+    validity = U_PER_Q * order + m0
+    coeffs: dict[int, LaurentPolynomial] = {}
+    if kind in (ThetaKind.THETA, ThetaKind.THETA1):
+        n = 0
+        while 3 * (2 * n + 1) ** 2 <= validity:
+            e = 3 * (2 * n + 1) ** 2
+            if kind is ThetaKind.THETA:
+                c = MINUS_I if n % 2 == 0 else I
+                poly = LaurentPolynomial({2 * n + 1: c, -(2 * n + 1): -c})
+            else:
+                poly = LaurentPolynomial({2 * n + 1: 1, -(2 * n + 1): 1})
+            coeffs[e] = coeffs.get(e, LaurentPolynomial()) + poly
+            n += 1
+    else:
+        coeffs[0] = LaurentPolynomial({0: 1})
+        n = 1
+        while 12 * n * n <= validity:
+            c = 1 if (kind is ThetaKind.THETA3 or n % 2 == 0) else -1
+            coeffs[12 * n * n] = LaurentPolynomial({2 * n: c, -2 * n: c})
+            n += 1
+    return TruncatedSeries(coeffs, validity, LaurentPolynomial())
+
+
+def theta_prime_zero_series(order: int) -> TruncatedSeries:
+    """Exact series of theta'(0, tau) / (2*pi) = q^(1/8) * phi(q)^3."""
+    return (phi_series(order) ** 3).shift(3)
+
+
+def exponent_weighted_sum(p: LaurentPolynomial) -> GaussianRational:
+    """Exact value of (w d/dw) p at w = 1."""
+    total = ZERO
+    for e, c in p.coeffs.items():
+        total = total + c * e
+    return total
+
+
+def z_derivative_at_zero(series: TruncatedSeries) -> TruncatedSeries:
+    """Term-by-term d/dz at z = 0, divided by 2*pi.
+
+    d/dz acts on w^e as pi*i*e*w^e, so each coefficient becomes
+    (i/2) * sum_e e*c_e evaluated at w = 1.
+    """
+    half_i = GaussianRational(0, Fraction(1, 2))
+    return series.map_coefficients(lambda c: half_i * exponent_weighted_sum(c))
+
+
+def evaluate_expansion(series: TruncatedSeries, z: complex, tau: complex) -> complex:
+    """Specialize an exact expansion at w = e^(pi i z), u = e^(2 pi i tau / 24)."""
+    w = cmath.exp(1j * cmath.pi * z)
+    u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
+    return series.evaluate(u, lambda c: c.evaluate(w))
 
 
 def random_fixture(rng: random.Random, max_k=3, max_points=3, spread=2):

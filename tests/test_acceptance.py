@@ -10,7 +10,7 @@ what the series actually does, and the discrepancy is documented there.
 import random
 import time
 
-from conftest import random_fixture
+from conftest import random_fixture, theta_sum_series
 
 from e8theta.e8 import basic_character, check_identity_116, enumerate_shells, theta_product_side
 from e8theta.fixtures import FixedPoint, FixedPointFixture, IndexFlavor, resolve_fixture
@@ -28,7 +28,6 @@ from e8theta.theta import (
     check_modular_transform,
     jacobi_identity_residual,
     theta_series,
-    theta_sum_series,
 )
 
 _TIMES: dict[str, float] = {}

@@ -154,6 +154,27 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_empty_fixture_is_a_usage_error_naming_the_option(capsys):
+    for command in (("index", "expand"), ("index", "check"), ("index", "transform"), ("classify",)):
+        code, _, err = invoke(capsys, *command, "--fixture", "")
+        assert code == 2, command
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--fixture" in errors[0], err
+        assert "Is a directory" not in err
+
+
+def test_beta_entries_are_bounded(capsys):
+    """--beta takes the fixture files' bound: -30..30 runs, 31 exits 2."""
+    for beta in ("30,-30,0,0,0,0,0,0", "-30,0,0,0,0,0,0,30"):
+        assert invoke(capsys, "e8", "theta", f"--beta={beta}", "--order", "1")[0] == 0
+    for command in (("e8", "theta"), ("e8", "identity")):
+        for beta in ("0,0,0,0,0,0,0,31", "-31,0,0,0,0,0,0,0", "10000000,0,0,0,0,0,0,0"):
+            code, _, err = invoke(capsys, *command, f"--beta={beta}", "--order", "1")
+            assert code == 2, (command, beta)
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "--beta" in errors[0] and "-30..30" in errors[0], err
+
+
 def test_module_entry_point_runs():
     src = os.path.dirname(os.path.dirname(e8theta.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -266,7 +287,7 @@ _SUBCOMMANDS = {
 }
 _BAD_VALUES = (
     "nan", "inf", "1e308j", "x", "", "-1", "31", "201", "1001",
-    "1,2,3,4,5,6,7,8,9", "missing_file.json",
+    "1,2,3,4,5,6,7,8,9", "0,0,0,0,0,0,0,31", "missing_file.json",
 )
 _GOOD_VALUES = {
     "--format": ("text", "json"),

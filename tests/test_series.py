@@ -59,7 +59,7 @@ def test_mixed_coefficient_product_promotes():
     )
     lifted = (
         scalar.map_coefficients(
-            lambda c: RationalFunction.from_laurent(LaurentPolynomial.constant(c))
+            lambda c: RationalFunction.from_laurent(LaurentPolynomial({0: c}))
         )
         * laurent.map_coefficients(RationalFunction.from_laurent)
         * ratfunc
@@ -181,5 +181,5 @@ def test_scale_coerces_scalars():
     s = phi_series(3)
     doubled = s.scale(2)
     assert doubled.q_coefficient(1) == GaussianRational(-2)
-    lw = TruncatedSeries.one(5, LaurentPolynomial.zero()).scale(GaussianRational(3))
-    assert lw.coefficient(0) == LaurentPolynomial.constant(GaussianRational(3))
+    lw = TruncatedSeries.one(5, LaurentPolynomial()).scale(GaussianRational(3))
+    assert lw.coefficient(0) == LaurentPolynomial({0: GaussianRational(3)})

@@ -1,0 +1,82 @@
+"""The package ships no name that only tests use, and one import path per name.
+
+Every module-level function and class in src/e8theta must be referenced
+somewhere in src/e8theta or perfbench outside its own definition: test-only
+oracles belong in tests/.  The package root binds nothing but dunders, so
+each name is imported from its module only.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "e8theta"
+
+# public API kept for users, with no caller in the package or the benchmark
+EXCEPTIONS = {"save_fixture"}
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _references(tree, skip):
+    """Identifiers a tree uses: names, attributes, imported names, and the
+    words of string constants that are not docstrings (the benchmark names
+    some targets in strings).  Nodes inside `skip` do not count."""
+    skipped = {id(n) for s in skip for n in ast.walk(s)}
+    skipped |= {id(d) for d in _docstrings(tree)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"\w+", node.value))
+    return found
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_module_level_name_has_a_caller_outside_tests():
+    # the root's re-exports would be a second import path, not a caller
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: _parse(p) for p in sources + sorted((ROOT / "perfbench").glob("*.py"))}
+    refs = {p: _references(tree, []) for p, tree in trees.items()}
+    unused = []
+    for path in sources:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in EXCEPTIONS:
+                continue
+            if any(node.name in r for p, r in refs.items() if p != path):
+                continue
+            if node.name not in _references(trees[path], [node]):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, "names only tests use (move them to tests/): " + ", ".join(unused)
+
+
+def test_package_root_binds_only_dunders():
+    tree = _parse(PACKAGE / "__init__.py")
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert all(name.startswith("__") and name.endswith("__") for name in bound), sorted(bound)

@@ -2,6 +2,13 @@ import cmath
 
 import pytest
 
+from conftest import (
+    evaluate_expansion,
+    theta_prime_zero_series,
+    theta_sum_series,
+    z_derivative_at_zero,
+)
+
 from e8theta.gaussian import GaussianRational, ONE
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import U_PER_Q, format_series
@@ -9,15 +16,11 @@ from e8theta.theta import (
     ThetaKind,
     check_lattice_transform,
     check_modular_transform,
-    evaluate_expansion,
     jacobi_identity_residual,
     theta_eval,
     theta_prime_zero,
-    theta_prime_zero_series,
     theta_product,
     theta_series,
-    theta_sum_series,
-    z_derivative_at_zero,
 )
 
 SAMPLE_TAUS = [1.3j, 0.8j, 0.2 + 1.1j, -0.4 + 0.9j, 2.0j]
@@ -68,7 +71,7 @@ def test_theta_gap_returns_laurent_zero():
     c = series.coefficient(1)
     assert isinstance(c, LaurentPolynomial)
     assert c.is_zero() and c.is_constant()
-    assert c == LaurentPolynomial.zero()
+    assert c == LaurentPolynomial()
     assert c.evaluate(0.3 + 0.4j) == 0
 
 
