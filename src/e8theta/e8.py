@@ -247,7 +247,7 @@ def basic_character(beta: tuple[int, ...], order: int) -> BasicCharacter:
     1, 248, 4124, 34752, ...
     """
     beta = _validate_beta(beta)
-    series = phi_series(order).invert() ** 8 * theta_e8(beta, order)
+    series = phi_series(order) ** -8 * theta_e8(beta, order)
     dims = []
     for i in range(order + 1):
         value = series.q_coefficient(i).sum_of_coefficients()

@@ -8,8 +8,8 @@ coefficients:
 * tangent block: over the rotation weights alpha_j, the quotient
   theta'(0,tau) / (2 pi i theta(alpha_j t, tau)), implemented as the
   identity  phi(q)^2 / ((w^a - w^-a) prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m));
-  the 2 pi i cancels symbolically.  The q-product has constant term 1, so
-  it inverts over Laurent polynomials; only the lead
+  the 2 pi i cancels symbolically.  The q-product's inverse is built as a
+  product of factors 1 + y^(2^j), y = w^(+-2a) q^m; only the lead
   D_p = prod_j (w^a - w^-a) needs the fraction field.  The identity is
   asserted against a numeric evaluation once per process before first use.
 * line-bundle block: for the even tower ("I") the product of the ratios
@@ -18,17 +18,17 @@ coefficients:
   normalizes the odd tower so that every summed coefficient is a real
   index; in particular the order-zero coefficient is the honest Lefschetz
   number of the (1 - Lbar)-twisted operator.
-* lattice block: the full sum of the four 8-fold theta products at
-  z_l = beta_l t, i.e. twice the specialized lattice theta function, taken
-  from the lattice-point count `e8._lattice_series`.
+* lattice block: the lattice theta function at z_l = beta_l t
+  (`e8._lattice_series`), half the sum of the four 8-fold theta products.
 
-index_series builds phi^(2k) / (theta_1 theta_2 theta_3)(0) once per
-fixture and the lattice block once per distinct beta.  Each point adds its
-tangent q-series times its line-bundle numerator, scaled by D / D_p with
-D = lcm_p D_p; the sum over the points with one beta is multiplied once by
-that beta's lattice block times the shared factor, and each q^n
-coefficient of the total is normalised once, over D.  point_contribution
-divides one summand by its own D_p: the tests' second route.
+By Jacobi's identity (theta_1 theta_2 theta_3)(0) = 2 q^(1/8) phi^3, the
+sum's 2, the phi^(2k) and the theta_i(0) make the shared factor
+phi^(2k-3) q^(-1/8).  index_series builds it once per fixture and the
+lattice block once per distinct beta.  Each point adds its tangent q-series
+times its line-bundle numerator, scaled by D / D_p with D = lcm_p D_p; the
+sum over the points with one beta is multiplied once by that beta's lattice
+block times the shared factor.  The only division is of each q^n coefficient
+of the total by D (in point_contribution, of one summand by its own D_p).
 
 Every block expands through q^order and no further: validity propagation
 then leaves the product valid through exactly u^(24 order).  Only whole
@@ -52,7 +52,7 @@ from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 # largest order index_series expands to: cp2 (k = 2, three points) takes
-# about 2 s at order 30 on a 2-vCPU host
+# about 1.5 s at order 30 on a 2-vCPU host
 MAX_INDEX_ORDER = 30
 
 
@@ -102,17 +102,16 @@ def _tangent_block(
 ) -> tuple[LaurentPolynomial, TruncatedSeries]:
     """Split the tangent denominator into its lead and its q-product.
 
-    Returns the lead and the inverse, over Laurent polynomials, of
-    prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m).
+    Returns the lead and the inverse of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m),
+    as 1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... with y = w^(+-2a) q^m.
     """
     s = TruncatedSeries.one(validity, LaurentPolynomial())
     for a in alpha:
-        m = 1
-        while U_PER_Q * m <= validity:
-            s = s.times_one_plus(LaurentPolynomial({2 * a: -1}), U_PER_Q * m)
-            s = s.times_one_plus(LaurentPolynomial({-2 * a: -1}), U_PER_Q * m)
-            m += 1
-    return _tangent_lead(alpha), s.invert()
+        for x in (2 * a, -2 * a):
+            for e in range(U_PER_Q, validity + 1, U_PER_Q):
+                for j in range((validity // e).bit_length()):
+                    s = s.times_one_plus(LaurentPolynomial({x << j: 1}), e << j)
+    return _tangent_lead(alpha), s
 
 
 def _over_lead(series: TruncatedSeries, lead: LaurentPolynomial, order: int) -> TruncatedSeries:
@@ -134,9 +133,8 @@ def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int):
 
 
 def _shared_block(k: int, order: int) -> TruncatedSeries:
-    """phi^(2k) / (theta_1 theta_2 theta_3)(0), the factor every point shares."""
-    den = theta_product([(kind, 0) for kind in _EVEN_KINDS], order)
-    return phi_series(order) ** (2 * k) * den.invert()
+    """2 phi^(2k) / (theta_1 theta_2 theta_3)(0) = phi^(2k-3) q^(-1/8), by Jacobi."""
+    return (phi_series(order) ** (2 * k - 3)).shift(-3)
 
 
 _factor_identity_checked = False
@@ -168,7 +166,7 @@ def point_contribution(
     """Exact series of one fixed point's summand over its own lead, through q^order."""
     _assert_quotient_identity()
     lead, own = _point_block(point, flavor, order)
-    out = own * (_lattice_series(point.beta, order).scale(2) * _shared_block(k, order))
+    out = own * (_lattice_series(point.beta, order) * _shared_block(k, order))
     return _over_lead(out, lead, order)
 
 
@@ -192,7 +190,7 @@ def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) ->
     shared = _shared_block(fixture.k, order)
     numer = None
     for beta, part in by_beta.items():
-        term = part * (_lattice_series(beta, order).scale(2) * shared)
+        term = part * (_lattice_series(beta, order) * shared)
         numer = term if numer is None else numer + term
     total = _over_lead(numer, den, order)
     if not total.whole_q_powers():
@@ -466,8 +464,8 @@ def check_transform_laws(
 
     # a summand on a zero of theta(alpha t), or an argument far enough off
     # the real axis, makes the numeric evaluation fail: that is bad input
-    arguments = ((t, tau), (t, tau + 1), (t / tau, -1 / tau), (t + a * tau + b, tau))
     try:
+        arguments = ((t, tau), (t, tau + 1), (t / tau, -1 / tau), (t + a * tau + b, tau))
         per_point = [
             tuple(point_value(p, fixture.k, flavor, *ta) for ta in arguments)
             for p in fixture.points

@@ -122,8 +122,9 @@ class TruncatedSeries:
         return TruncatedSeries(out, order, zero)
 
     def __pow__(self, n: int):
+        """self^n by repeated squaring; a negative n inverts first (see invert)."""
         if n < 0:
-            raise ValueError("use invert() for negative powers")
+            return self.invert() ** -n
         if n == 0:
             return TruncatedSeries.one(self.order, self.zero)
         result = None
@@ -189,7 +190,8 @@ class TruncatedSeries:
     def times_one_plus(self, coeff, exponent: int) -> "TruncatedSeries":
         """Multiply by (1 + coeff * u^exponent) without changing validity.
 
-        Intended for expanding infinite products: factors whose exponent
+        Intended for expanding infinite products, inverses among them as
+        1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)...: factors whose exponent
         exceeds the validity order do not alter any stored coefficient.
         """
         if exponent <= 0:

@@ -114,6 +114,13 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ("e8", "identity", "--random", "1001"),
     ):
         assert invoke(capsys, *argv)[0] == 2, argv
+    # a lattice shift too large for a float is bad input, not a traceback
+    for option in ("--a", "--b"):
+        code, _, err = invoke(
+            capsys, "index", "transform", "--fixture", "s2", option, str(2 * 10**400)
+        )
+        assert code == 2, option
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
     for command in (("index", "check"), ("classify",)):
         code, _, err = invoke(capsys, *command, "--fixture", str(tmp_path))
         assert code == 2
@@ -287,7 +294,7 @@ _SUBCOMMANDS = {
 }
 _BAD_VALUES = (
     "nan", "inf", "1e308j", "x", "", "-1", "31", "201", "1001",
-    "1,2,3,4,5,6,7,8,9", "0,0,0,0,0,0,0,31", "missing_file.json",
+    "1,2,3,4,5,6,7,8,9", "0,0,0,0,0,0,0,31", "missing_file.json", str(2 * 10**400),
 )
 _GOOD_VALUES = {
     "--format": ("text", "json"),

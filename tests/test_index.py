@@ -30,8 +30,11 @@ from e8theta.fixtures import (
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
 from e8theta.ratfunc import RationalFunction
-from e8theta.series import TruncatedSeries, U_PER_Q
+from e8theta.series import TruncatedSeries, U_PER_Q, phi_series
+from e8theta.theta import ThetaKind, theta_product
 from e8theta.index import (
+    _shared_block,
+    _tangent_block,
     anomaly,
     check_rigidity,
     evaluate_at_identity,
@@ -136,6 +139,50 @@ def test_point_series_matches_tower_oracle(point, k, flavor):
     assert got.first_difference(expected) is None, (
         f"{flavor}: mismatch at u^{got.first_difference(expected)}"
     )
+
+
+# the blocks built as products against their build-then-invert forms
+
+
+def _tangent_by_inversion(alpha, validity):
+    """The q-product prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), inverted."""
+    s = TruncatedSeries.one(validity, LaurentPolynomial())
+    for a in alpha:
+        m = 1
+        while U_PER_Q * m <= validity:
+            s = s.times_one_plus(W({2 * a: -1}), U_PER_Q * m)
+            s = s.times_one_plus(W({-2 * a: -1}), U_PER_Q * m)
+            m += 1
+    return s.invert()
+
+
+def test_tangent_inverse_equals_build_then_invert(rng):
+    alphas = []
+    for _ in range(8):
+        a, b = (rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(2))
+        width = rng.randint(1, 3)
+        alphas += [tuple(rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(width))]
+        alphas += [(a, a), (a, -a), (a, -a, b), (b, b, b)]
+    for alpha in alphas:
+        lead = LaurentPolynomial({0: 1})
+        for a in alpha:
+            lead = lead * W({a: 1, -a: -1})
+        for n in range(7):
+            validity = U_PER_Q * n
+            expected = (lead, _tangent_by_inversion(alpha, validity))
+            assert _tangent_block(alpha, validity) == expected, (alpha, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shared_block_is_twice_phi_power_over_theta123_at_zero(k):
+    kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
+    for n in range(7):
+        den = theta_product([(kind, 0) for kind in kinds], n)
+        expected = (phi_series(n) ** (2 * k) * den.invert()).scale(2)
+        got = _shared_block(k, n)
+        assert got.order >= expected.order
+        laurent = got.map_coefficients(lambda c: LaurentPolynomial({0: c}))
+        assert laurent.first_difference(expected) is None, (k, n)
 
 
 # anomaly

@@ -95,11 +95,24 @@ def test_phi_inverse_roundtrip():
 
 
 def test_phi_inverse_eighth_power():
-    inv8 = phi_series(6).invert() ** 8
     expected = naive_partition_power(6, 8)
-    for i in range(7):
-        assert inv8.q_coefficient(i).re == expected[i]
-    assert [inv8.q_coefficient(i).re for i in range(4)] == [1, 8, 44, 192]
+    for inv8 in (phi_series(6).invert() ** 8, phi_series(6) ** -8):
+        for i in range(7):
+            assert inv8.q_coefficient(i).re == expected[i]
+        assert [inv8.q_coefficient(i).re for i in range(4)] == [1, 8, 44, 192]
+
+
+def test_negative_power_inverts_then_powers():
+    # a Laurent-coefficient series with a monomial lead, off the base exponent 0
+    s = TruncatedSeries(
+        {3: LaurentPolynomial({2: GaussianRational(1, 1)}), 27: LaurentPolynomial({-1: 3, 4: 1})},
+        60,
+        LaurentPolynomial(),
+    )
+    for n in range(1, 4):
+        assert s ** -n == s.invert() ** n
+    with pytest.raises(ZeroDivisionError):
+        TruncatedSeries({}, 24) ** -1
 
 
 def test_phi_cubed_leading_terms():

@@ -11,7 +11,7 @@ from conftest import (
 
 from e8theta.gaussian import GaussianRational, ONE
 from e8theta.laurent import LaurentPolynomial
-from e8theta.series import U_PER_Q, format_series
+from e8theta.series import U_PER_Q, format_series, phi_series
 from e8theta.theta import (
     ThetaKind,
     check_lattice_transform,
@@ -105,6 +105,18 @@ def test_numeric_matches_exact_specialization(kind):
 def test_jacobi_identity_residuals():
     for tau in SAMPLE_TAUS:
         assert jacobi_identity_residual(tau) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_jacobi_identity_theta123_at_zero_is_twice_q18_phi_cubed(n):
+    """(theta_1 theta_2 theta_3)(0) = 2 q^(1/8) phi^3 exactly, through q^n."""
+    kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
+    product = theta_product([(kind, 0) for kind in kinds], n)
+    jacobi = (phi_series(n) ** 3).shift(3).scale(2)
+    through = U_PER_Q * n
+    assert product.truncate(through) == jacobi.truncate(through).map_coefficients(
+        lambda c: LaurentPolynomial({0: c})
+    )
 
 
 def test_theta_prime_series_is_q18_phi_cubed():
