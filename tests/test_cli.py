@@ -353,3 +353,26 @@ def test_fuzzed_argv_exits_with_a_code_never_a_traceback(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert "error:" in err.getvalue(), argv
+
+
+def test_each_own_option_takes_each_bad_value():
+    """Deterministic sweep: every own option of every subcommand takes every
+    bad value in turn (the costly ones excepted) while the others keep their
+    first good value; each run ends in 0, 1 or 2, and a 2 says why."""
+    swept = set()
+    for command, own in _SUBCOMMANDS.items():
+        for name in own:
+            for value in _BAD_VALUES:
+                if value in _COSTLY.get(name, ()):
+                    continue
+                argv = list(command)
+                for other in own:
+                    argv += [other, value if other == name else _GOOD_VALUES[other][0]]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(argv)
+                assert code in (0, 1, 2), (argv, code)
+                if code == 2:
+                    assert "error:" in err.getvalue(), argv
+                swept.add((*command, name, value))
+    assert ("index", "transform", "--a", str(2 * 10**400)) in swept

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_fixture, sphere_product_fixture
 
-from e8theta.bundles import BundleExpr
+from e8theta import intseries
+from e8theta.bundles import BundleExpr, order_one_twist
 from e8theta.e8 import theta_product_side
 from e8theta.fixtures import (
     BUNDLED_FIXTURES,
@@ -34,6 +35,7 @@ from e8theta.series import TruncatedSeries, U_PER_Q, phi_series
 from e8theta.theta import ThetaKind, theta_product
 from e8theta.index import (
     _shared_block,
+    _sum_lefschetz,
     _tangent_block,
     anomaly,
     check_rigidity,
@@ -169,7 +171,7 @@ def test_tangent_inverse_equals_build_then_invert(rng):
             lead = lead * W({a: 1, -a: -1})
         for n in range(7):
             validity = U_PER_Q * n
-            expected = (lead, _tangent_by_inversion(alpha, validity))
+            expected = (lead, intseries.from_series(_tangent_by_inversion(alpha, validity)))
             assert _tangent_block(alpha, validity) == expected, (alpha, n)
 
 
@@ -294,6 +296,27 @@ def test_line_square_identity():
         assert lefschetz_number(point, 2, sq, flavor) == lefschetz_number(
             point, 2, expanded, flavor
         )
+
+
+def _pairwise_lefschetz_sum(fx, expr, flavor):
+    """The sum as RationalFunction additions, one normalisation per point."""
+    total = RationalFunction.zero()
+    for p in fx.points:
+        total = total + lefschetz_number(p, fx.k, expr, flavor)
+    return total
+
+
+def test_sum_lefschetz_over_one_denominator_equals_pairwise_sum(rng):
+    fixtures = [resolve_fixture(name)[0] for name in BUNDLED_FIXTURES]
+    fixtures += [random_fixture(rng) for _ in range(6)]
+    fixtures += [sphere_product_fixture(rng) for _ in range(3)]
+    square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
+    for fx in fixtures:
+        for flavor in IndexFlavor:
+            twist = order_one_twist(flavor is IndexFlavor.I_SERIES, fx.k)
+            for expr in (BundleExpr.const(1), twist, square):
+                expected = _pairwise_lefschetz_sum(fx, expr, flavor)
+                assert _sum_lefschetz(fx, expr, flavor) == expected, (fx, flavor, expr)
 
 
 def test_qexpansion_sphere_all_zero():
