@@ -9,15 +9,17 @@ shells, and shell m holds 240 * sigma_3(m) points (m >= 1).
 
 The lattice theta function is a dynamic program over the eight doubled
 coordinates: it counts points by (half-norm, w-exponent) without listing
-them, so its cost grows polynomially in the order.  It serves theta_e8,
-check_identity_116 and basic_character, which take orders 0..MAX_HALF_NORM
-= 10, and the lattice block of the index series, which takes the index
-bound 0..30.  Explicit enumeration (enumerate_shells, also bounded by
-MAX_HALF_NORM) serves only the 240 roots and the tests, where it is the
-brute-force oracle for that count.  For a generic beta every point of a
-shell can have its own w-exponent, and the dynamic program then keeps
-about as many states as the enumeration has vectors: 794,161 through
-half-norm 10.
+them, so its cost grows polynomially in the order.  For a generic beta
+every point of a shell can have its own w-exponent, and the dynamic program
+then keeps about as many states as the enumeration has vectors: 794,161
+through half-norm 10.  It serves theta_e8, check_identity_116 and
+basic_character, which take orders 0..MAX_HALF_NORM = 10, and the lattice
+block of the index series, which takes the index bound 0..30.  The other
+side of identity 116, theta_product_side, adds the four 8-fold theta
+products as integer blocks and halves the sum exactly.  Explicit
+enumeration (enumerate_shells, also bounded by MAX_HALF_NORM) serves only
+the 240 roots and the tests, where it is the brute-force oracle for that
+count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .gaussian import GaussianRational
+from . import intseries
 from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q, phi_series
@@ -187,16 +189,20 @@ def _validate_beta(beta) -> tuple[int, ...]:
 def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     """Half the sum of the four 8-fold theta products at z_l = beta_l t.
 
-    Valid through q^order, i.e. u^(24 order): the theta_2 and theta_3
-    products are valid exactly that far, the other two (which start at
-    q^(1/8)) further.
+    An odd coefficient of the integer sum raises AssertionError.  Valid
+    through q^order, i.e. u^(24 order): the theta_2 and theta_3 products are
+    valid exactly that far, the other two (which start at q^(1/8)) further.
     """
     beta = _validate_beta(beta)
-    total = None
+    total = ({}, U_PER_Q * order)
     for kind in ThetaKind:
-        prod = theta_product([(kind, b) for b in beta], order)
-        total = prod if total is None else total + prod
-    return total.scale(GaussianRational(Fraction(1, 2)))
+        total = intseries.add(total, theta_product([(kind, b) for b in beta], order))
+    coeffs = {}
+    for e, poly in total[0].items():
+        if any(c % 2 for c in poly.values()):
+            raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")
+        coeffs[e] = LaurentPolynomial({w: c // 2 for w, c in poly.items()})
+    return TruncatedSeries(coeffs, total[1], LaurentPolynomial())
 
 
 def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:

@@ -13,8 +13,9 @@ u = q^(1/24) lattice, divided by the tangent lead below:
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
   single quotient i * theta(c t) / (theta_1 theta_2 theta_3)(0).  The i
-  cancels theta's -i, so that every coefficient is a real index; the
-  order-zero one is the Lefschetz number of the (1 - Lbar)-twisted operator.
+  (theta_product takes i*theta) cancels theta's -i, so that every
+  coefficient is a real index; the order-zero one is the Lefschetz number
+  of the (1 - Lbar)-twisted operator.
 * lattice block: the lattice theta function at z_l = beta_l t
   (`e8._lattice_series`), half the sum of the four 8-fold theta products.
 
@@ -44,7 +45,6 @@ from . import intseries
 from .bundles import BundleExpr, order_one_twist
 from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
-from .gaussian import I as GAUSS_I
 from .laurent import LaurentPolynomial, laurent_exact_div, laurent_gcd
 from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
@@ -110,7 +110,7 @@ def _tangent_block(
         for x in (2 * a, -2 * a):
             for e in range(U_PER_Q, validity + 1, U_PER_Q):
                 for j in range((validity // e).bit_length()):
-                    intseries.times_one_plus(coeffs, x << j, e << j, validity)
+                    intseries.times_one_plus(coeffs, 1, x << j, e << j, validity)
     return _tangent_lead(alpha), (coeffs, validity)
 
 
@@ -136,11 +136,8 @@ def _over(block: intseries.Block, den: LaurentPolynomial, order: int) -> Truncat
 def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int):
     """A point's tangent lead, and its tangent q-series times its line numerator."""
     lead, tangent = _tangent_block(point.alpha, U_PER_Q * order)
-    if flavor is IndexFlavor.I_SERIES:
-        kinds, unit = _EVEN_KINDS, 1
-    else:
-        kinds, unit = (ThetaKind.THETA,), GAUSS_I
-    line = intseries.from_series(theta_product([(kind, point.c) for kind in kinds], order), unit)
+    kinds = _EVEN_KINDS if flavor is IndexFlavor.I_SERIES else (ThetaKind.THETA,)
+    line = theta_product([(kind, point.c) for kind in kinds], order)
     return lead, intseries.mul(tangent, line)
 
 

@@ -3,8 +3,9 @@
 A block is a pair ({u-exponent: {w-exponent: int}}, validity) with the
 meaning and the validity rules of `series.TruncatedSeries`; no stored map
 is empty and no stored int is zero, so equal blocks compare equal.  Every
-block the index path multiplies has real integer coefficients, so plain int
-arithmetic replaces the Gaussian-rational one there.  Standard library only.
+block that theta products and the index path multiply has real integer
+coefficients, so plain int arithmetic replaces the Gaussian-rational one
+there.  Standard library only.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 Block = tuple[dict[int, dict[int, int]], int]
 
 
-def from_series(series, unit=1) -> Block:
-    """A Laurent- or scalar-valued TruncatedSeries times unit, as a block.
+def from_series(series, unit=1, power=1) -> Block:
+    """A Laurent- or scalar-valued TruncatedSeries times unit, with w -> w^power.
 
     Raises AssertionError on a coefficient that is not a real integer.
     """
@@ -25,7 +26,8 @@ def from_series(series, unit=1) -> Block:
         for w, v in c.coeffs.items() if hasattr(c, "coeffs") else ((0, c),):
             if v.im != 0 or type(v.re) is not int:
                 raise AssertionError(f"coefficient of u^{e} is not a real integer: {c}")
-            poly[w] = v.re
+            poly[w * power] = poly.get(w * power, 0) + v.re
+        poly = {w: v for w, v in poly.items() if v}  # only power 0 can cancel
         if poly:
             coeffs[e] = poly
     return coeffs, series.order
@@ -68,21 +70,25 @@ def add(a: Block, b: Block) -> Block:
     return out, order
 
 
-def times_one_plus(coeffs: dict[int, dict[int, int]], x: int, e: int, validity: int) -> None:
-    """Multiply the block's map by (1 + w^x u^e) in place, e > 0.
+def times_one_plus(
+    coeffs: dict[int, dict[int, int]], c: int, x: int, e: int, validity: int
+) -> None:
+    """Multiply the block's map by (1 + c w^x u^e) in place, e > 0.
 
     Terms pushed beyond the validity are dropped; the validity stays.
     """
     for u in sorted(coeffs, reverse=True):  # each source is read before it is written
         if u + e <= validity:
-            _add_into(coeffs, u + e, coeffs[u], x)
+            _add_into(coeffs, u + e, coeffs[u], x, c)
 
 
-def _add_into(coeffs: dict[int, dict[int, int]], e: int, poly: dict[int, int], x: int) -> None:
-    """coeffs[e] += w^x * poly, dropping zeros."""
+def _add_into(
+    coeffs: dict[int, dict[int, int]], e: int, poly: dict[int, int], x: int, c: int = 1
+) -> None:
+    """coeffs[e] += c w^x * poly, dropping zeros."""
     acc = coeffs.setdefault(e, {})
-    for w, c in poly.items():
-        s = acc.get(w + x, 0) + c
+    for w, v in poly.items():
+        s = acc.get(w + x, 0) + c * v
         if s:
             acc[w + x] = s
         else:

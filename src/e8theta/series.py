@@ -9,8 +9,8 @@ Coefficients are Gaussian rationals, Laurent polynomials in w or rational
 functions in w.  A series keeps only the zero of its coefficient type; a
 sum or product of series over different types promotes through the
 coefficients' own operators (scalar -> Laurent -> rational function).
-The index path multiplies its integer-valued blocks outside this class
-(intseries.py) and makes a series of rational functions only at the end.
+Theta products and the index path multiply their integer-valued blocks
+outside this class (intseries.py) and make a series only at the end.
 
 Validity propagation is conservative and never overstates what was
 computed: sums are valid to the smaller operand order, and a product of
@@ -162,15 +162,6 @@ class TruncatedSeries:
                 b[r] = -(inv0 * acc)
         out = {e - m0: c for e, c in b.items()}
         return TruncatedSeries(out, self.order - 2 * m0, zero)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise BeyondTruncationError(
-                f"cannot extend validity from u^{self.order} to u^{order}"
-            )
-        return TruncatedSeries(
-            {e: c for e, c in self.coeffs.items() if e <= order}, order, self.zero
-        )
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by u^k (validity shifts along)."""

@@ -9,11 +9,45 @@ from fractions import Fraction
 
 import pytest
 
+from e8theta.errors import BeyondTruncationError
 from e8theta.fixtures import FixedPoint, FixedPointFixture
 from e8theta.gaussian import ZERO, GaussianRational, I, MINUS_I
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import TruncatedSeries, U_PER_Q, phi_series
-from e8theta.theta import ThetaKind, base_exponent
+from e8theta.theta import ThetaKind, base_exponent, theta_series
+
+
+def truncate(series: TruncatedSeries, order: int) -> TruncatedSeries:
+    """The series known through u^order only; extending the validity raises."""
+    if order > series.order:
+        raise BeyondTruncationError(f"cannot extend validity from u^{series.order} to u^{order}")
+    return TruncatedSeries(
+        {e: c for e, c in series.coeffs.items() if e <= order}, order, series.zero
+    )
+
+
+def truncate_block(block, order: int):
+    """An intseries block known through u^order only; extending the validity raises."""
+    if order > block[1]:
+        raise BeyondTruncationError(f"cannot extend validity from u^{block[1]} to u^{order}")
+    return {e: p for e, p in block[0].items() if e <= order}, order
+
+
+def theta_product_qi(factors, order: int) -> TruncatedSeries:
+    """prod theta_kind(m*z) over the (kind, m) pairs, multiplied over Q(i).
+
+    The route theta.theta_product took before it moved to integer blocks:
+    each factor is theta_series(kind, order) with w -> w^m, and the factors
+    multiply as TruncatedSeries, stopping at the first zero.  theta is taken
+    as it is, not as i*theta.
+    """
+    prod = None
+    for kind, m in factors:
+        factor = theta_series(kind, order).map_coefficients(lambda c: c.substitute_power(m))
+        prod = factor if prod is None else prod * factor
+        if prod.is_zero():
+            break
+    return prod
 
 
 def naive_q_product(factors, order):

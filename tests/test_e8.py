@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_e8_shell, naive_partition_power
+from conftest import brute_force_e8_shell, naive_partition_power, theta_product_qi, truncate_block
 
 import e8theta.e8
+from e8theta import intseries
 from e8theta.e8 import (
     basic_character,
     check_identity_116,
@@ -161,14 +162,46 @@ def test_identity_beta_zero_reduces_to_three_products():
     # the odd theta vanishes at z = 0, so only three products survive
     order = 5
     rhs = theta_product_side((0,) * 8, order)
-    half = GaussianRational(Fraction(1, 2))
     manual = None
     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        p = theta_product([(kind, 0)], order + 1) ** 8
-        manual = p if manual is None else manual + p
-    assert rhs.first_difference(manual.scale(half)) is None
+        factor = p = theta_product([(kind, 0)], order + 1)
+        for _ in range(7):
+            p = intseries.mul(p, factor)
+        manual = p if manual is None else intseries.add(manual, p)
+    through = min(rhs.order, manual[1])
+    twice = intseries.from_series(rhs, 2)
+    assert truncate_block(twice, through) == truncate_block(manual, through)
     report = check_identity_116((0,) * 8, order)
     assert report.ok
+
+
+def _qi_half_sum(beta, order):
+    """Half the sum of the four 8-fold products, multiplied over Q(i)."""
+    total = None
+    for kind in ThetaKind:
+        prod = theta_product_qi([(kind, b) for b in beta], order)
+        total = prod if total is None else total + prod
+    return total.scale(GaussianRational(Fraction(1, 2)))
+
+
+def test_product_side_equals_qi_half_sum(rng):
+    for _ in range(8):
+        beta = tuple(rng.randint(-3, 3) for _ in range(8))
+        for order in range(6):
+            assert theta_product_side(beta, order) == _qi_half_sum(beta, order), (beta, order)
+
+
+def test_product_side_raises_on_an_odd_sum(monkeypatch):
+    def one_more_theta1_term(factors, order):
+        coeffs, validity = theta_product(factors, order)
+        if factors[0][0] is ThetaKind.THETA1:
+            e = min(coeffs)
+            coeffs = {**coeffs, e: {**coeffs[e], max(coeffs[e]) + 1: 1}}
+        return coeffs, validity
+
+    monkeypatch.setattr(e8theta.e8, "theta_product", one_more_theta1_term)
+    with pytest.raises(AssertionError, match=r"odd coefficient at u\^24"):
+        theta_product_side((1, 0, 0, 0, 0, 0, 0, 0), 1)
 
 
 @pytest.mark.parametrize("beta,order", [

@@ -49,6 +49,14 @@ def test_from_series_round_trips(rng):
     assert block[0] == {e: {0: c.re} for e, c in phi.coeffs.items()}
 
 
+def test_from_series_power_substitutes_w(rng):
+    for _ in range(200):
+        s = _random_series(rng)
+        m = rng.randint(-3, 3)
+        expected = s.map_coefficients(lambda c: c.substitute_power(m))
+        assert intseries.from_series(s, power=m) == intseries.from_series(expected), m
+
+
 def test_mul_and_add_equal_series_arithmetic(rng):
     for _ in range(300):
         a, b = _random_series(rng), _random_series(rng)
@@ -60,10 +68,10 @@ def test_mul_and_add_equal_series_arithmetic(rng):
 def test_times_one_plus_equals_series_method(rng):
     for _ in range(300):
         s = _random_series(rng)
-        x, e = rng.randint(-8, 8), rng.randint(1, 40)
+        c, x, e = rng.choice((-1, 1)), rng.randint(-8, 8), rng.randint(1, 40)
         coeffs, validity = intseries.from_series(s)
-        intseries.times_one_plus(coeffs, x, e, validity)
-        expected = s.times_one_plus(LaurentPolynomial({x: 1}), e)
+        intseries.times_one_plus(coeffs, c, x, e, validity)
+        expected = s.times_one_plus(LaurentPolynomial({x: c}), e)
         assert (coeffs, validity) == intseries.from_series(expected)
 
 

@@ -5,11 +5,14 @@ import pytest
 from conftest import (
     evaluate_expansion,
     theta_prime_zero_series,
+    theta_product_qi,
     theta_sum_series,
+    truncate_block,
     z_derivative_at_zero,
 )
 
-from e8theta.gaussian import GaussianRational, ONE
+from e8theta import intseries
+from e8theta.gaussian import GaussianRational, I, ONE
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import U_PER_Q, format_series, phi_series
 from e8theta.theta import (
@@ -58,11 +61,43 @@ def test_product_equals_sum_form(kind, order):
 @pytest.mark.parametrize("kind", list(ThetaKind))
 def test_parity(kind, order=6):
     series = theta_series(kind, order)
-    flipped = theta_product([(kind, -1)], order)
+    flipped = theta_product([(kind, -1)], order)  # i*theta for THETA
     if kind is ThetaKind.THETA:
-        assert flipped.first_difference(-series) is None
+        assert flipped == intseries.from_series(series, -I)
     else:
-        assert flipped.first_difference(series) is None
+        assert flipped == intseries.from_series(series)
+
+
+def _unit(factors):
+    """i^(number of THETA factors): theta_product takes i*theta for theta."""
+    unit = ONE
+    for kind, _ in factors:
+        if kind is ThetaKind.THETA:
+            unit = unit * I
+    return unit
+
+
+def _mixed_factor_lists(rng):
+    odd = [(ThetaKind.THETA, 2), (ThetaKind.THETA, -1), (ThetaKind.THETA, 3)]
+    lists = [[(ThetaKind.THETA, 1)], odd, odd + [(ThetaKind.THETA3, 0)]]
+    for _ in range(40):
+        lists.append(
+            [(rng.choice(list(ThetaKind)), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+        )
+    return lists
+
+
+def test_integer_product_equals_qi_product(rng):
+    factor_lists = _mixed_factor_lists(rng)
+    assert any(any(m == 0 for _, m in f) for f in factor_lists)
+    assert any(sum(k is ThetaKind.THETA for k, _ in f) % 2 for f in factor_lists)
+    even = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
+    for c in range(-3, 4):  # the index path's line blocks, I and J
+        factor_lists += [[(kind, c) for kind in even], [(ThetaKind.THETA, c)]]
+    for factors in factor_lists:
+        for order in range(5):
+            expected = intseries.from_series(theta_product_qi(factors, order), _unit(factors))
+            assert theta_product(factors, order) == expected, (factors, order)
 
 
 def test_theta_gap_returns_laurent_zero():
@@ -76,7 +111,7 @@ def test_theta_gap_returns_laurent_zero():
 
 
 def test_theta_vanishes_at_zero():
-    assert theta_product([(ThetaKind.THETA, 0)], 4).is_zero()
+    assert theta_product([(ThetaKind.THETA, 0)], 4) == ({}, U_PER_Q * 4 + 3)
     for tau in SAMPLE_TAUS:
         assert theta_eval(ThetaKind.THETA, 0, tau) == 0
 
@@ -112,11 +147,9 @@ def test_jacobi_identity_theta123_at_zero_is_twice_q18_phi_cubed(n):
     """(theta_1 theta_2 theta_3)(0) = 2 q^(1/8) phi^3 exactly, through q^n."""
     kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
     product = theta_product([(kind, 0) for kind in kinds], n)
-    jacobi = (phi_series(n) ** 3).shift(3).scale(2)
+    jacobi = intseries.from_series((phi_series(n) ** 3).shift(3), 2)
     through = U_PER_Q * n
-    assert product.truncate(through) == jacobi.truncate(through).map_coefficients(
-        lambda c: LaurentPolynomial({0: c})
-    )
+    assert truncate_block(product, through) == truncate_block(jacobi, through)
 
 
 def test_theta_prime_series_is_q18_phi_cubed():
