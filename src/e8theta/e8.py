@@ -12,14 +12,16 @@ coordinates: it counts points by (half-norm, w-exponent) without listing
 them, so its cost grows polynomially in the order.  For a generic beta
 every point of a shell can have its own w-exponent, and the dynamic program
 then keeps about as many states as the enumeration has vectors: 794,161
-through half-norm 10.  It serves theta_e8, check_identity_116 and
-basic_character, which take orders 0..MAX_HALF_NORM = 10, and the lattice
-block of the index series, which takes the index bound 0..30.  The other
-side of identity 116, theta_product_side, adds the four 8-fold theta
-products as integer blocks and halves the sum exactly.  Explicit
-enumeration (enumerate_shells, also bounded by MAX_HALF_NORM) serves only
-the 240 roots and the tests, where it is the brute-force oracle for that
-count.
+through half-norm 10.  Its counts form an `intseries` block over Z[w^+-1].
+It serves theta_e8, check_identity_116 and basic_character, which take
+orders 0..MAX_HALF_NORM = 10, and the lattice block of the index series,
+which takes the index bound 0..30.  The other side of identity 116,
+theta_product_side, adds the four 8-fold theta products as integer blocks
+and halves the sum exactly; basic_character multiplies the lattice block
+by the block of phi^-8.  Each public function makes a TruncatedSeries only
+from its final block (intseries.to_series).  Explicit enumeration
+(enumerate_shells, also bounded by MAX_HALF_NORM) serves only the 240 roots
+and the tests, where it is the brute-force oracle for that count.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intseries
-from .laurent import LaurentPolynomial
 from .report import ReportItem, VerificationReport
-from .series import TruncatedSeries, U_PER_Q, phi_series
+from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_product
 
 MAX_HALF_NORM = 10
@@ -135,18 +136,18 @@ def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     """
     beta = _validate_beta(beta)
     _check_half_norm(order)
-    return _lattice_series(beta, order)
+    return intseries.to_series(_lattice_series(beta, order))
 
 
-def _lattice_series(beta: tuple[int, ...], order: int) -> TruncatedSeries:
-    """The lattice theta series along an 8-entry beta, through q^order.
+def _lattice_series(beta: tuple[int, ...], order: int) -> intseries.Block:
+    """The lattice theta series along an 8-entry beta, through q^order, as a block.
 
     A dynamic program over the eight doubled coordinates, once per parity
     class, whose states (sum d_l^2, sum d_l mod 4, sum d_l beta_l) count the
     coordinate prefixes reaching them; no lattice vector is listed.
     Membership (sum d_l = 0 mod 4) is applied to the final states.  The
-    caller bounds the order: theta_e8 by MAX_HALF_NORM, the index lattice
-    block by its own MAX_INDEX_ORDER.
+    caller bounds the order: theta_e8 and basic_character by MAX_HALF_NORM,
+    the index lattice block by its own MAX_INDEX_ORDER.
     """
     norm_sq = 8 * order
     r = math.isqrt(norm_sq)
@@ -174,9 +175,7 @@ def _lattice_series(beta: tuple[int, ...], order: int) -> TruncatedSeries:
             shell[e] = shell.get(e, 0) + count
     for m, shell in enumerate(shells):
         _check_shell_count(m, sum(shell.values()))
-    validity = U_PER_Q * order + U_PER_Q - 1
-    coeffs = {U_PER_Q * m: LaurentPolynomial(shell) for m, shell in enumerate(shells)}
-    return TruncatedSeries(coeffs, validity, LaurentPolynomial())
+    return {U_PER_Q * m: shell for m, shell in enumerate(shells)}, U_PER_Q * order + U_PER_Q - 1
 
 
 def _validate_beta(beta) -> tuple[int, ...]:
@@ -197,12 +196,12 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     total = ({}, U_PER_Q * order)
     for kind in ThetaKind:
         total = intseries.add(total, theta_product([(kind, b) for b in beta], order))
-    coeffs = {}
     for e, poly in total[0].items():
         if any(c % 2 for c in poly.values()):
             raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")
-        coeffs[e] = LaurentPolynomial({w: c // 2 for w, c in poly.items()})
-    return TruncatedSeries(coeffs, total[1], LaurentPolynomial())
+    return intseries.to_series(
+        ({e: {w: c // 2 for w, c in p.items()} for e, p in total[0].items()}, total[1])
+    )
 
 
 def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
@@ -247,14 +246,16 @@ class BasicCharacter:
 
 
 def basic_character(beta: tuple[int, ...], order: int) -> BasicCharacter:
-    """phi(q)^(-8) times the specialized lattice theta series.
+    """phi(q)^(-8) times the specialized lattice theta series, orders 0..MAX_HALF_NORM.
 
     The q^i coefficient at w = 1 is the dimension of the i-th graded piece:
-    1, 248, 4124, 34752, ...
+    1, 248, 4124, 34752, ...  An order out of range raises ValueError before
+    any block is expanded.
     """
     beta = _validate_beta(beta)
-    lattice = theta_e8(beta, order)  # bounds the order before phi_series expands it
-    series = phi_series(order) ** -8 * lattice
+    _check_half_norm(order)
+    block = intseries.mul(intseries.phi_block(-8, order), _lattice_series(beta, order))
+    series = intseries.to_series(block)
     dims = []
     for i in range(order + 1):
         value = series.q_coefficient(i).sum_of_coefficients()

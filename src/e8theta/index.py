@@ -21,10 +21,13 @@ u = q^(1/24) lattice, divided by the tangent lead below:
 
 By Jacobi's identity (theta_1 theta_2 theta_3)(0) = 2 q^(1/8) phi^3, the
 sum's 2, the phi^(2k) and the theta_i(0) make the shared factor
-phi^(2k-3) q^(-1/8).  Every block is a series over Z[w^+-1] and is
-multiplied as an `intseries` block of plain ints; the conversion raises on
-a coefficient that is not a real integer, so the result is real by
-construction.  index_series builds the shared factor once per fixture and
+phi^(2k-3) q^(-1/8).  Every block is built and multiplied as an
+`intseries` block over Z[w^+-1] with plain ints: the shared factor is
+intseries.phi_block shifted, the lattice block the lattice sum's own block.
+The only Q(i) values are the tangent leads and the cofactors D / D_p; a
+cofactor enters as a one-term block through intseries.from_laurent, which
+raises on a coefficient that is not a real integer, so the result is real
+by construction.  index_series builds the shared factor once per fixture and
 the lattice block once per distinct beta.  Each point adds its tangent
 q-series times its line numerator, scaled by D / D_p with D = lcm_p D_p;
 the points with one beta are summed, then multiplied once by that beta's
@@ -48,7 +51,7 @@ from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from .laurent import LaurentPolynomial, laurent_exact_div, laurent_gcd
 from .ratfunc import RationalFunction
 from .report import ReportItem, VerificationReport
-from .series import TruncatedSeries, U_PER_Q, phi_series
+from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 # largest order index_series expands to: cp2 (k = 2, three points) takes
@@ -109,8 +112,7 @@ def _tangent_block(
     for a in alpha:
         for x in (2 * a, -2 * a):
             for e in range(U_PER_Q, validity + 1, U_PER_Q):
-                for j in range((validity // e).bit_length()):
-                    intseries.times_one_plus(coeffs, 1, x << j, e << j, validity)
+                intseries.times_inverse(coeffs, x, e, validity)
     return _tangent_lead(alpha), (coeffs, validity)
 
 
@@ -141,9 +143,10 @@ def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int):
     return lead, intseries.mul(tangent, line)
 
 
-def _shared_block(k: int, order: int) -> TruncatedSeries:
+def _shared_block(k: int, order: int) -> intseries.Block:
     """2 phi^(2k) / (theta_1 theta_2 theta_3)(0) = phi^(2k-3) q^(-1/8), by Jacobi."""
-    return (phi_series(order) ** (2 * k - 3)).shift(-3)
+    coeffs, validity = intseries.phi_block(2 * k - 3, order)
+    return {e - 3: p for e, p in coeffs.items()}, validity - 3
 
 
 _factor_identity_checked = False
@@ -156,8 +159,7 @@ def _assert_quotient_identity():
         return
     order = 6
     lead, tangent = _tangent_block((1,), U_PER_Q * order)
-    phi2 = intseries.from_series(phi_series(order) ** 2)
-    quotient = _over(intseries.mul(phi2, tangent), lead, order)
+    quotient = _over(intseries.mul(intseries.phi_block(2, order), tangent), lead, order)
     t, tau = 0.23, 1.3j
     w = cmath.exp(1j * cmath.pi * t)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
@@ -176,13 +178,12 @@ def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     den, cofactors = _lcm([lead for lead, _ in blocks])
     by_beta = {}
     for p, (_, own), cofactor in zip(points, blocks, cofactors):
-        scale = intseries.from_series(TruncatedSeries.one(own[1], LaurentPolynomial()), cofactor)
-        own = intseries.mul(own, scale)
+        own = intseries.mul(own, intseries.from_laurent(cofactor, own[1]))
         by_beta[p.beta] = intseries.add(own, by_beta.get(p.beta, ({}, own[1])))
-    shared = intseries.from_series(_shared_block(k, order))
+    shared = _shared_block(k, order)
     numer = ({}, U_PER_Q * order)
     for beta, part in by_beta.items():
-        lattice = intseries.from_series(_lattice_series(beta, order))
+        lattice = _lattice_series(beta, order)
         numer = intseries.add(numer, intseries.mul(part, intseries.mul(lattice, shared)))
     return _over(numer, den, order)
 

@@ -1,36 +1,67 @@
-"""Integer blocks of the index series: truncated series over Z[w^+-1].
+"""Integer blocks: truncated series over Z[w^+-1], the one series that is built.
 
 A block is a pair ({u-exponent: {w-exponent: int}}, validity) with the
 meaning and the validity rules of `series.TruncatedSeries`; no stored map
 is empty and no stored int is zero, so equal blocks compare equal.  Every
-block that theta products and the index path multiply has real integer
-coefficients, so plain int arithmetic replaces the Gaussian-rational one
-there.  Standard library only.
+series the package computes (theta products, the E8 lattice sum, powers
+of phi, the index blocks) has real integer coefficients, so it is built and
+multiplied here with plain ints.  A TruncatedSeries is made only at the
+public boundary, by to_series (or, over a denominator, by index._over); the
+one way in is from_laurent, for the index path's Laurent cofactors.
+Standard library only.
 """
 
 from __future__ import annotations
 
+from .laurent import LaurentPolynomial
+from .series import TruncatedSeries, U_PER_Q
+
 Block = tuple[dict[int, dict[int, int]], int]
 
 
-def from_series(series, unit=1, power=1) -> Block:
-    """A Laurent- or scalar-valued TruncatedSeries times unit, with w -> w^power.
+def to_series(block: Block, unit=1) -> TruncatedSeries:
+    """unit times the block, as a Laurent-valued TruncatedSeries."""
+    coeffs, validity = block
+    return TruncatedSeries(
+        {e: LaurentPolynomial({w: unit * c for w, c in p.items()}) for e, p in coeffs.items()},
+        validity,
+        LaurentPolynomial(),
+    )
+
+
+def from_laurent(poly: LaurentPolynomial, validity: int) -> Block:
+    """The constant block poly (at u^0), valid through u^validity.
 
     Raises AssertionError on a coefficient that is not a real integer.
     """
-    coeffs = {}
-    for e, c in series.coeffs.items():
-        if unit != 1:
-            c = c * unit
-        poly = {}
-        for w, v in c.coeffs.items() if hasattr(c, "coeffs") else ((0, c),):
-            if v.im != 0 or type(v.re) is not int:
-                raise AssertionError(f"coefficient of u^{e} is not a real integer: {c}")
-            poly[w * power] = poly.get(w * power, 0) + v.re
-        poly = {w: v for w, v in poly.items() if v}  # only power 0 can cancel
-        if poly:
-            coeffs[e] = poly
-    return coeffs, series.order
+    for v in poly.coeffs.values():
+        if v.im != 0 or type(v.re) is not int:
+            raise AssertionError(f"coefficient is not a real integer: {poly}")
+    return {0: {w: v.re for w, v in poly.coeffs.items()}} if poly.coeffs else {}, validity
+
+
+def substitute(block: Block, m: int) -> Block:
+    """The block with w -> w^m; m = 0 evaluates each coefficient at w = 1."""
+    if m:
+        return {e: {w * m: c for w, c in p.items()} for e, p in block[0].items()}, block[1]
+    values = {e: sum(p.values()) for e, p in block[0].items()}
+    return {e: {0: c} for e, c in values.items() if c}, block[1]
+
+
+def phi_block(n: int, order: int) -> Block:
+    """phi(q)^n = prod_m (1 - q^m)^n through q^order, for any integer n.
+
+    A negative n takes each factor's inverse as 1/(1 - q^m) (times_inverse).
+    """
+    validity = U_PER_Q * order + U_PER_Q - 1
+    coeffs = {0: {0: 1}}
+    for e in range(U_PER_Q, U_PER_Q * order + 1, U_PER_Q):
+        for _ in range(abs(n)):
+            if n > 0:
+                times_one_plus(coeffs, -1, 0, e, validity)
+            else:
+                times_inverse(coeffs, 0, e, validity)
+    return coeffs, validity
 
 
 def _base(block: Block) -> int:
@@ -80,6 +111,17 @@ def times_one_plus(
     for u in sorted(coeffs, reverse=True):  # each source is read before it is written
         if u + e <= validity:
             _add_into(coeffs, u + e, coeffs[u], x, c)
+
+
+def times_inverse(coeffs: dict[int, dict[int, int]], x: int, e: int, validity: int) -> None:
+    """Multiply the block's map by 1/(1 - w^x u^e) in place, e > 0.
+
+    The inverse is expanded as (1 + y)(1 + y^2)(1 + y^4)... with y = w^x u^e;
+    a factor that moves the lowest term past the validity changes nothing.
+    """
+    span = validity - min(coeffs, default=validity)
+    for j in range((span // e).bit_length()):
+        times_one_plus(coeffs, 1, x << j, e << j, validity)
 
 
 def _add_into(

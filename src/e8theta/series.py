@@ -5,17 +5,19 @@ q = u^24, q^(1/2) = u^12, q^(1/8) = u^3.  A series stores the sparse map
 {u-exponent: coefficient} together with an inclusive validity order M:
 coefficients at exponents <= M are exact, nothing is known beyond M.
 
-Coefficients are Gaussian rationals, Laurent polynomials in w or rational
-functions in w.  A series keeps only the zero of its coefficient type; a
-sum or product of series over different types promotes through the
-coefficients' own operators (scalar -> Laurent -> rational function).
-Theta products and the index path multiply their integer-valued blocks
-outside this class (intseries.py) and make a series only at the end.
+This class is the public face of a result, not where it is computed.  The
+package builds and multiplies its series as integer blocks over Z[w^+-1]
+(intseries.py) and makes a TruncatedSeries only at the end: with
+Laurent-polynomial coefficients (intseries.to_series) for theta and E8
+series, with rational-function coefficients (index._over) for an index
+series.  Here a series is read, compared, evaluated and printed; the
+tests' Q(i) oracles also multiply and invert series and multiply them by
+factors (1 + c u^e), and a product of series over different coefficient
+types promotes through the coefficients' own operators.
 
 Validity propagation is conservative and never overstates what was
-computed: sums are valid to the smaller operand order, and a product of
-a (valid to Ma, lowest exponent ma) with b (valid to Mb, lowest mb) is
-valid to min(Ma + mb, Mb + ma).
+computed: a product of a (valid to Ma, lowest exponent ma) with b (valid
+to Mb, lowest mb) is valid to min(Ma + mb, Mb + ma).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BeyondTruncationError, ExponentLatticeError
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ZERO
 
 U_PER_Q = 24
 
@@ -45,10 +47,6 @@ class TruncatedSeries:
             if not c.is_zero():
                 clean[e] = c
         self.coeffs = clean
-
-    @classmethod
-    def one(cls, order: int, zero=ZERO) -> "TruncatedSeries":
-        return cls({0: zero + ONE}, order, zero)
 
     # structure
 
@@ -79,27 +77,6 @@ class TruncatedSeries:
 
     # arithmetic
 
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        zero = self.zero + other.zero
-        # lift our coefficients too when the other operand's type is wider
-        lift = type(zero) is not type(self.zero)
-        out = {e: zero + c if lift else c for e, c in self.coeffs.items() if e <= order}
-        for e, c in other.coeffs.items():
-            if e > order:
-                continue
-            s = out.get(e, zero) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return TruncatedSeries(out, order, zero)
-
-    def __neg__(self):
-        return TruncatedSeries({e: -c for e, c in self.coeffs.items()}, self.order, self.zero)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -120,21 +97,6 @@ class TruncatedSeries:
                 else:
                     out[e] = s
         return TruncatedSeries(out, order, zero)
-
-    def __pow__(self, n: int):
-        """self^n by repeated squaring; a negative n inverts first (see invert)."""
-        if n < 0:
-            return self.invert() ** -n
-        if n == 0:
-            return TruncatedSeries.one(self.order, self.zero)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to truncation.
@@ -163,21 +125,6 @@ class TruncatedSeries:
         out = {e - m0: c for e, c in b.items()}
         return TruncatedSeries(out, self.order - 2 * m0, zero)
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by u^k (validity shifts along)."""
-        return TruncatedSeries(
-            {e + k: c for e, c in self.coeffs.items()}, self.order + k, self.zero
-        )
-
-    def scale(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by c (an int or any coefficient)."""
-        if isinstance(c, int):
-            c = GaussianRational(c)
-        zero = self.zero * c
-        if c.is_zero():
-            return TruncatedSeries({}, self.order, zero)
-        return TruncatedSeries({e: v * c for e, v in self.coeffs.items()}, self.order, zero)
-
     def times_one_plus(self, coeff, exponent: int) -> "TruncatedSeries":
         """Multiply by (1 + coeff * u^exponent) without changing validity.
 
@@ -199,12 +146,6 @@ class TruncatedSeries:
             else:
                 out[k] = s
         return TruncatedSeries(out, self.order, zero)
-
-    def map_coefficients(self, fn: Callable) -> "TruncatedSeries":
-        """Apply fn to every coefficient; fn(zero) becomes the new zero."""
-        return TruncatedSeries(
-            {e: fn(c) for e, c in self.coeffs.items()}, self.order, fn(self.zero)
-        )
 
     def first_difference(self, other: "TruncatedSeries"):
         """Lowest exponent where the two series differ within both validity
@@ -232,18 +173,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"<series[{type(self.zero).__name__}] {format_series(self, fractional=True)}>"
-
-
-def phi_series(order: int) -> TruncatedSeries:
-    """The Euler product (1-q)(1-q^2)... expanded exactly through q^order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    validity = U_PER_Q * order + U_PER_Q - 1
-    s = TruncatedSeries.one(validity)
-    minus_one = -ONE
-    for n in range(1, order + 1):
-        s = s.times_one_plus(minus_one, U_PER_Q * n)
-    return s
 
 
 def _format_exponent(e: int) -> str:

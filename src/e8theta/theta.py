@@ -11,11 +11,13 @@ half-angle factors are Laurent monomials: 2*sin(pi*z) = -i*(w - w^-1) and
 
 (in the classical 1..4 numbering these are theta_1, theta_2, theta_4 and
 theta_3 respectively).  Expansions live on the u = q^(1/24) lattice with
-Laurent-polynomial coefficients in w.  The product form is the only
-route here; the tests build the equivalent sum forms (triple product)
-independently, in tests/conftest.py, as its oracle.  The q-products are
-real, and so is i*theta, so products of theta factors are multiplied over
-Z[w^+-1] as `intseries` blocks (theta_product), with i*theta for theta.
+coefficients in Z[w^+-1]: the q-products are real, and so is i*theta, so
+each kind is built as an `intseries` block (_theta_block, with i*theta for
+theta), and products of theta factors multiply those blocks
+(theta_product).  theta_series is the Laurent view of one block, with
+theta's -i put back.  The product form is the only route here; the tests
+build the equivalent sum forms (triple product) independently, in
+tests/conftest.py, as its oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import math
 from functools import lru_cache
 
 from . import intseries
-from .gaussian import I, MINUS_I
-from .laurent import LaurentPolynomial
+from .gaussian import MINUS_I
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
 
@@ -56,16 +57,16 @@ def base_exponent(kind: ThetaKind) -> int:
 # largest order theta_series expands to: about 0.2 s per kind on a 2-vCPU host
 MAX_THETA_ORDER = 200
 
-# the w-part of the leads of theta and theta_1 over Z; theta_series puts in theta's -i
+# the w-part of the leads of i*theta and theta_1 over Z
 _LEAD = {ThetaKind.THETA: {1: 1, -1: -1}, ThetaKind.THETA1: {1: 1, -1: 1}}
 
 
 @lru_cache(maxsize=64)
-def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
-    """Exact product-form expansion through q^order, 0 <= order <= MAX_THETA_ORDER.
+def _theta_block(kind: ThetaKind, order: int) -> intseries.Block:
+    """i*theta for THETA, theta_kind otherwise, through q^order, as a real block.
 
-    The q-product is built over Z[w^+-1] in place; the lead (with theta's
-    -i) is applied once, at the end.
+    The order must lie in 0..MAX_THETA_ORDER; the q-product is built in place
+    and the lead is applied once, at the end.
     """
     if not 0 <= order <= MAX_THETA_ORDER:
         raise ValueError(f"theta order must lie in 0..{MAX_THETA_ORDER}, got {order}")
@@ -78,10 +79,14 @@ def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
         intseries.times_one_plus(coeffs, -1, 0, e, rel)
         intseries.times_one_plus(coeffs, sign, 2, e_w, rel)
         intseries.times_one_plus(coeffs, sign, -2, e_w, rel)
-    coeffs, validity = intseries.mul(({m0: _LEAD.get(kind, {0: 1})}, rel + m0), (coeffs, rel))
-    unit = MINUS_I if kind is ThetaKind.THETA else 1
-    out = {e: LaurentPolynomial({w: unit * c for w, c in p.items()}) for e, p in coeffs.items()}
-    return TruncatedSeries(out, validity, LaurentPolynomial())
+    return intseries.mul(({m0: _LEAD.get(kind, {0: 1})}, rel + m0), (coeffs, rel))
+
+
+# the cache stays for perfbench/tracer.py, which reads its cache_info
+@lru_cache(maxsize=64)
+def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
+    """Exact product-form expansion through q^order, 0 <= order <= MAX_THETA_ORDER."""
+    return intseries.to_series(_theta_block(kind, order), MINUS_I if kind is ThetaKind.THETA else 1)
 
 
 def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries.Block:
@@ -89,15 +94,13 @@ def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries
     pairs through q^order, as an intseries block over Z[w^+-1].
 
     theta's lead is -i (w - w^-1), so i*theta is real (and an 8-fold product
-    of i*theta is theta's, as i^8 = 1).  Each factor is theta_series(kind,
-    order) with w -> w^m, times i for THETA, through intseries.from_series,
-    which raises on a coefficient that is not a real integer.  The factors
-    multiply in the given order; the product stops at the first zero.
+    of i*theta is theta's, as i^8 = 1).  Each factor is _theta_block(kind,
+    order) with w -> w^m.  The factors multiply in the given order; the
+    product stops at the first zero.
     """
     prod = None
     for kind, m in factors:
-        unit = I if kind is ThetaKind.THETA else 1
-        factor = intseries.from_series(theta_series(kind, order), unit, power=m)
+        factor = intseries.substitute(_theta_block(kind, order), m)
         prod = factor if prod is None else intseries.mul(prod, factor)
         if not prod[0]:
             break

@@ -11,10 +11,55 @@ import pytest
 
 from e8theta.errors import BeyondTruncationError
 from e8theta.fixtures import FixedPoint, FixedPointFixture
-from e8theta.gaussian import ZERO, GaussianRational, I, MINUS_I
+from e8theta.gaussian import ONE, ZERO, GaussianRational, I, MINUS_I
 from e8theta.laurent import LaurentPolynomial
-from e8theta.series import TruncatedSeries, U_PER_Q, phi_series
+from e8theta.series import TruncatedSeries, U_PER_Q
 from e8theta.theta import ThetaKind, base_exponent, theta_series
+
+
+def map_coefficients(series: TruncatedSeries, fn) -> TruncatedSeries:
+    """Apply fn to every coefficient; fn(zero) becomes the new zero."""
+    return TruncatedSeries({e: fn(c) for e, c in series.coeffs.items()}, series.order, fn(series.zero))
+
+
+def shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
+    """Multiply by u^k (validity shifts along)."""
+    return TruncatedSeries({e + k: c for e, c in series.coeffs.items()}, series.order + k, series.zero)
+
+
+def series_sum(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a + b over one coefficient type, valid through the smaller validity."""
+    order = min(a.order, b.order)
+    out = {e: c for e, c in a.coeffs.items() if e <= order}
+    for e, c in b.coeffs.items():
+        if e <= order:
+            out[e] = out.get(e, a.zero) + c
+    return TruncatedSeries(out, order, a.zero)
+
+
+def one_series(order: int, zero=ZERO) -> TruncatedSeries:
+    """The series 1, valid through u^order."""
+    return TruncatedSeries({0: zero + ONE}, order, zero)
+
+
+def power(series: TruncatedSeries, n: int) -> TruncatedSeries:
+    """series^n by repeated multiplication; a negative n inverts first."""
+    base = series.invert() if n < 0 else series
+    result = one_series(base.order, base.zero)
+    for _ in range(abs(n)):
+        result = result * base
+    return result
+
+
+def phi_series(order: int) -> TruncatedSeries:
+    """The Euler product (1-q)(1-q^2)... over Q(i) through q^order: the
+    oracle for the integer phi blocks."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    s = one_series(U_PER_Q * order + U_PER_Q - 1)
+    for n in range(1, order + 1):
+        s = s.times_one_plus(-ONE, U_PER_Q * n)
+    return s
 
 
 def truncate(series: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -24,13 +69,6 @@ def truncate(series: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(
         {e: c for e, c in series.coeffs.items() if e <= order}, order, series.zero
     )
-
-
-def truncate_block(block, order: int):
-    """An intseries block known through u^order only; extending the validity raises."""
-    if order > block[1]:
-        raise BeyondTruncationError(f"cannot extend validity from u^{block[1]} to u^{order}")
-    return {e: p for e, p in block[0].items() if e <= order}, order
 
 
 def theta_product_qi(factors, order: int) -> TruncatedSeries:
@@ -43,7 +81,7 @@ def theta_product_qi(factors, order: int) -> TruncatedSeries:
     """
     prod = None
     for kind, m in factors:
-        factor = theta_series(kind, order).map_coefficients(lambda c: c.substitute_power(m))
+        factor = map_coefficients(theta_series(kind, order), lambda c: c.substitute_power(m))
         prod = factor if prod is None else prod * factor
         if prod.is_zero():
             break
@@ -146,7 +184,7 @@ def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:
 
 def theta_prime_zero_series(order: int) -> TruncatedSeries:
     """Exact series of theta'(0, tau) / (2*pi) = q^(1/8) * phi(q)^3."""
-    return (phi_series(order) ** 3).shift(3)
+    return shift(power(phi_series(order), 3), 3)
 
 
 def exponent_weighted_sum(p: LaurentPolynomial) -> GaussianRational:
@@ -164,7 +202,7 @@ def z_derivative_at_zero(series: TruncatedSeries) -> TruncatedSeries:
     (i/2) * sum_e e*c_e evaluated at w = 1.
     """
     half_i = GaussianRational(0, Fraction(1, 2))
-    return series.map_coefficients(lambda c: half_i * exponent_weighted_sum(c))
+    return map_coefficients(series, lambda c: half_i * exponent_weighted_sum(c))
 
 
 def evaluate_expansion(series: TruncatedSeries, z: complex, tau: complex) -> complex:

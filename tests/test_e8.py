@@ -1,13 +1,23 @@
 import operator
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_force_e8_shell, naive_partition_power, theta_product_qi, truncate_block
+from conftest import (
+    brute_force_e8_shell,
+    map_coefficients,
+    naive_partition_power,
+    series_sum,
+    theta_product_qi,
+    truncate,
+)
 
 import e8theta.e8
 from e8theta import intseries
 from e8theta.e8 import (
+    MAX_HALF_NORM,
     basic_character,
     check_identity_116,
     e8_roots,
@@ -81,10 +91,18 @@ def test_theta_e8_scalar_series():
     assert counts == [1] + [240 * s3 for s3 in sigma3]
 
 
-def _lattice_sum_from_shells(beta, table):
-    """The lattice sum binned directly from enumerated vectors: the DP's oracle."""
+@cache
+def _shells_through_5():
+    return enumerate_shells(5)
+
+
+def _lattice_sum_from_shells(beta, table, n):
+    """The lattice sum through half-norm n, binned directly from enumerated
+    vectors: the DP's oracle."""
     coeffs = {}
     for m, vectors in table.shells.items():
+        if m > n:
+            continue
         counts = {}
         for d in vectors:
             e = sum(map(operator.mul, d, beta))
@@ -95,19 +113,17 @@ def _lattice_sum_from_shells(beta, table):
     return coeffs
 
 
-def test_theta_e8_equals_enumerated_lattice_sum(rng):
+@given(st.tuples(*[st.integers(-3, 3)] * 8), st.integers(0, 5))
+@example((0,) * 8, 5)
+@example((3, 0, 0, 0, 0, 0, 0, 0), 5)
+@example((1, -3, 2, 0, 1, 0, -1, 3), 5)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_theta_e8_equals_enumerated_lattice_sum(beta, n):
     # shells are complete, so the order-5 table restricted to half-norm <= n
     # is enumerate_shells(n)
-    table = enumerate_shells(5)
-    betas = [(0,) * 8, (3, 0, 0, 0, 0, 0, 0, 0), (1, -3, 2, 0, 1, 0, -1, 3)]
-    betas += [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(20)]
-    for beta in betas:
-        oracle = _lattice_sum_from_shells(beta, table)
-        for n in range(6):
-            s = theta_e8(beta, n)
-            assert s.order == U_PER_Q * n + U_PER_Q - 1
-            expected = {u: c for u, c in oracle.items() if u <= U_PER_Q * n}
-            assert s.coeffs == expected, (beta, n)
+    s = theta_e8(beta, n)
+    assert s.order == U_PER_Q * n + U_PER_Q - 1
+    assert s.coeffs == _lattice_sum_from_shells(beta, _shells_through_5(), n), (beta, n)
 
 
 def test_theta_e8_does_not_enumerate(monkeypatch):
@@ -169,8 +185,8 @@ def test_identity_beta_zero_reduces_to_three_products():
             p = intseries.mul(p, factor)
         manual = p if manual is None else intseries.add(manual, p)
     through = min(rhs.order, manual[1])
-    twice = intseries.from_series(rhs, 2)
-    assert truncate_block(twice, through) == truncate_block(manual, through)
+    twice = map_coefficients(rhs, lambda c: c * 2)
+    assert truncate(twice, through) == truncate(intseries.to_series(manual), through)
     report = check_identity_116((0,) * 8, order)
     assert report.ok
 
@@ -180,8 +196,9 @@ def _qi_half_sum(beta, order):
     total = None
     for kind in ThetaKind:
         prod = theta_product_qi([(kind, b) for b in beta], order)
-        total = prod if total is None else total + prod
-    return total.scale(GaussianRational(Fraction(1, 2)))
+        total = prod if total is None else series_sum(total, prod)
+    half = GaussianRational(Fraction(1, 2))
+    return map_coefficients(total, lambda c: c * half)
 
 
 def test_product_side_equals_qi_half_sum(rng):
@@ -229,7 +246,7 @@ def test_identity_randomized(rng):
 def test_lattice_sum_equals_theta_products_past_the_e8_bound(beta, order):
     # the index lattice block runs the lattice-sum DP up to the index bound,
     # 30, past the 0..10 that theta_e8 and check_identity_116 accept
-    lhs = e8theta.e8._lattice_series(beta, order)
+    lhs = intseries.to_series(e8theta.e8._lattice_series(beta, order))
     rhs = theta_product_side(beta, order)
     assert lhs.first_difference(rhs) is None
     assert not lhs.q_coefficient(order).is_zero()
@@ -241,6 +258,17 @@ def test_identity_check_can_fail():
     rhs = theta_product_side((2, 0, 0, 0, 0, 0, 0, 0), 2)
     e = lhs.first_difference(rhs)
     assert e is not None
+
+
+def test_basic_character_order_checked_before_any_block(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a block was expanded for an out-of-range order")
+
+    monkeypatch.setattr(intseries, "phi_block", no_work)
+    monkeypatch.setattr(e8theta.e8, "_lattice_series", no_work)
+    for order in (MAX_HALF_NORM + 1, -1):
+        with pytest.raises(ValueError, match=rf"0\.\.{MAX_HALF_NORM}"):
+            basic_character((0,) * 8, order)
 
 
 def test_basic_character_graded_dims():

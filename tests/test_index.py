@@ -16,7 +16,16 @@ comes from theta quotients, validates both routes at every order.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_fixture, sphere_product_fixture, truncate, truncate_block
+from conftest import (
+    map_coefficients,
+    one_series,
+    phi_series,
+    power,
+    random_fixture,
+    series_sum,
+    sphere_product_fixture,
+    truncate,
+)
 
 from e8theta import intseries
 from e8theta.bundles import BundleExpr, order_one_twist
@@ -31,7 +40,7 @@ from e8theta.fixtures import (
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
 from e8theta.ratfunc import RationalFunction
-from e8theta.series import TruncatedSeries, U_PER_Q, phi_series
+from e8theta.series import TruncatedSeries, U_PER_Q
 from e8theta.theta import ThetaKind, theta_product
 from e8theta.index import (
     _shared_block,
@@ -70,8 +79,8 @@ SINGLE = fixture(1, ((1,), 0, Z8))
 def _tower_series(point: FixedPoint, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     """Character of the twisting tower at one point, by geometric expansion."""
     validity = U_PER_Q * (order + 1)
-    num = TruncatedSeries.one(validity, LaurentPolynomial())
-    den = TruncatedSeries.one(validity, LaurentPolynomial())
+    num = one_series(validity, LaurentPolynomial())
+    den = one_series(validity, LaurentPolynomial())
     c2, c2m = W({2 * point.c: 1}), W({-2 * point.c: 1})
     one = LaurentPolynomial({0: 1})
 
@@ -120,7 +129,7 @@ def oracle_contribution(point, k, flavor, order):
     for a in point.alpha:
         tangent = tangent * W({a: 1, -a: -1})
     prefactor = RationalFunction(spinor, tangent)
-    return truncate((tower * lattice).scale(prefactor), U_PER_Q * order)
+    return truncate(map_coefficients(tower * lattice, lambda c: c * prefactor), U_PER_Q * order)
 
 
 @pytest.mark.parametrize("flavor", list(IndexFlavor))
@@ -148,7 +157,7 @@ def test_point_series_matches_tower_oracle(point, k, flavor):
 
 def _tangent_by_inversion(alpha, validity):
     """The q-product prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), inverted."""
-    s = TruncatedSeries.one(validity, LaurentPolynomial())
+    s = one_series(validity, LaurentPolynomial())
     for a in alpha:
         m = 1
         while U_PER_Q * m <= validity:
@@ -171,8 +180,9 @@ def test_tangent_inverse_equals_build_then_invert(rng):
             lead = lead * W({a: 1, -a: -1})
         for n in range(7):
             validity = U_PER_Q * n
-            expected = (lead, intseries.from_series(_tangent_by_inversion(alpha, validity)))
-            assert _tangent_block(alpha, validity) == expected, (alpha, n)
+            got_lead, got = _tangent_block(alpha, validity)
+            assert got_lead == lead, alpha
+            assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -184,10 +194,10 @@ def test_shared_block_is_twice_phi_power_over_theta123_at_zero(k):
     kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
     for n in range(7):
         den = theta_product([(kind, 0) for kind in kinds], n)
-        got = intseries.mul(intseries.from_series(_shared_block(k, n)), den)
-        assert got[1] >= U_PER_Q * n
-        expected = intseries.from_series(phi_series(n) ** (2 * k), 2)
-        assert got == truncate_block(expected, got[1]), (k, n)
+        got = intseries.to_series(intseries.mul(_shared_block(k, n), den))
+        assert got.order >= U_PER_Q * n
+        twice = map_coefficients(power(phi_series(n), 2 * k), lambda c: LaurentPolynomial({0: 2 * c}))
+        assert got == truncate(twice, got.order), (k, n)
 
 
 # anomaly
@@ -437,7 +447,8 @@ def test_identity_single_point_reports_pole():
 def test_blocks_expand_through_the_requested_order_only(monkeypatch):
     import e8theta.e8
     import e8theta.index
-    from e8theta.e8 import check_identity_116
+    import e8theta.theta
+    from e8theta.e8 import basic_character, check_identity_116
     from e8theta.fixtures import resolve_fixture
 
     cp2, _ = resolve_fixture("cp2")
@@ -446,27 +457,44 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
 
     def recorder(label, fn):
         def wrapped(*args):
-            requested.append((label, args[-1]))
-            return fn(*args)
+            block = fn(*args)
+            requested.append((label, args[-1], block[1]))
+            return block
 
         return wrapped
 
+    # every block builder, under each name its callers look up
     for module, name in (
+        (e8theta.theta, "_theta_block"),
         (e8theta.index, "theta_product"),
-        (e8theta.index, "phi_series"),
+        (e8theta.index, "_lattice_series"),
+        (intseries, "phi_block"),
         (e8theta.e8, "theta_product"),
+        (e8theta.e8, "_lattice_series"),
     ):
         label = f"{module.__name__}.{name}"
         monkeypatch.setattr(module, name, recorder(label, getattr(module, name)))
     for flavor in (IndexFlavor.I_SERIES, IndexFlavor.J_SERIES):
         index_series(cp2, flavor, 3)
     check_identity_116((1, 0, -1, 2, 0, 0, 1, 1), 3)
-    assert {label for label, _ in requested} == {
+    assert {label for label, _, _ in requested} == {
+        "e8theta.theta._theta_block",
         "e8theta.index.theta_product",
-        "e8theta.index.phi_series",
+        "e8theta.index._lattice_series",
+        "e8theta.intseries.phi_block",
         "e8theta.e8.theta_product",
+        "e8theta.e8._lattice_series",
     }
-    assert max(order for _, order in requested) == 3, sorted(set(requested))
+    character_start = len(requested)
+    basic_character((1, 0, -1, 2, 0, 0, 1, 1), 3)
+    assert {label for label, _, _ in requested[character_start:]} == {
+        "e8theta.intseries.phi_block",
+        "e8theta.e8._lattice_series",
+    }
+    assert max(order for _, order, _ in requested) == 3, sorted(set(requested))
+    # a product of theta factors is valid as far as its factors allow
+    expanded = [v for label, _, v in requested if not label.endswith("theta_product")]
+    assert max(expanded) <= U_PER_Q * 3 + U_PER_Q - 1, sorted(set(requested))
 
 
 def test_index_order_bound_checked_before_any_block(monkeypatch):
@@ -496,7 +524,7 @@ def _summed_point_contributions(fx, flavor, order):
     total = None
     for p in fx.points:
         contrib = point_contribution(p, fx.k, flavor, order)
-        total = contrib if total is None else total + contrib
+        total = contrib if total is None else series_sum(total, contrib)
     return total
 
 
@@ -543,7 +571,7 @@ def test_negating_all_weights_substitutes_w_inverse(fx, order):
     )
     for flavor in IndexFlavor:
         direct = index_series(neg, flavor, order).series
-        flipped = index_series(fx, flavor, order).series.map_coefficients(
-            lambda c: c.substitute_inverse()
+        flipped = map_coefficients(
+            index_series(fx, flavor, order).series, lambda c: c.substitute_inverse()
         )
         assert direct == flipped, flavor

@@ -1,23 +1,34 @@
 """Integer blocks against their TruncatedSeries counterparts.
 
-Each operation on {u: {w: int}} blocks must give exactly the block of the
-same operation on Laurent-valued series, validity order included.
+Each operation on {u: {w: int}} blocks must give, read through
+intseries.to_series, exactly the same operation on Laurent-valued series,
+validity order included.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from conftest import (
+    map_coefficients,
+    naive_euler_phi,
+    naive_partition_power,
+    one_series,
+    phi_series,
+    power,
+    series_sum,
+    truncate,
+)
+
 from e8theta import intseries
-from e8theta.gaussian import I, GaussianRational
+from e8theta.gaussian import I, MINUS_I, GaussianRational
 from e8theta.laurent import LaurentPolynomial
-from e8theta.series import TruncatedSeries, phi_series
-from e8theta.theta import ThetaKind, theta_series
+from e8theta.series import U_PER_Q
 
 
-def _random_series(rng) -> TruncatedSeries:
+def _random_block(rng) -> intseries.Block:
     """Integer Laurent coefficients, a random base exponent and validity; now
-    and then zero, sparse or with cancelling terms."""
+    and then zero, sparse, or with w-powers that collapse at w = 1."""
     base = rng.randint(-30, 30)
     validity = base + rng.randint(0, 60)
     coeffs = {}
@@ -25,62 +36,93 @@ def _random_series(rng) -> TruncatedSeries:
         exponents = range(base, validity + 1)
         for e in rng.sample(exponents, rng.randint(1, min(8, len(exponents)))):
             poly = {rng.randint(-6, 6): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
-            coeffs[e] = LaurentPolynomial(poly)
-    return TruncatedSeries(coeffs, validity, LaurentPolynomial())
+            poly = {w: c for w, c in poly.items() if c}
+            if poly:
+                coeffs[e] = poly
+    if coeffs and not rng.randint(0, 3):
+        coeffs[max(coeffs)] = {1: 2, -1: -2}  # zero at w = 1
+    return coeffs, validity
 
 
-def _block_series(block) -> TruncatedSeries:
-    coeffs, validity = block
-    return TruncatedSeries(
-        {e: LaurentPolynomial(p) for e, p in coeffs.items()}, validity, LaurentPolynomial()
-    )
-
-
-def test_from_series_round_trips(rng):
+def test_to_series_is_the_laurent_view(rng):
     for _ in range(200):
-        s = _random_series(rng)
-        block = intseries.from_series(s)
-        assert all(p and all(p.values()) for p in block[0].values())
-        assert _block_series(block) == s
-        assert intseries.from_series(s, -1) == intseries.from_series(-s)
-    phi = phi_series(5)
-    block = intseries.from_series(phi)
-    assert block[1] == phi.order
-    assert block[0] == {e: {0: c.re} for e, c in phi.coeffs.items()}
+        block = _random_block(rng)
+        s = intseries.to_series(block)
+        assert s.order == block[1] and s.zero == LaurentPolynomial()
+        assert s.coeffs == {e: LaurentPolynomial(p) for e, p in block[0].items()}
+        assert intseries.to_series(block, MINUS_I) == map_coefficients(s, lambda c: c * MINUS_I)
 
 
-def test_from_series_power_substitutes_w(rng):
+def test_substitute_equals_substitute_power(rng):
     for _ in range(200):
-        s = _random_series(rng)
-        m = rng.randint(-3, 3)
-        expected = s.map_coefficients(lambda c: c.substitute_power(m))
-        assert intseries.from_series(s, power=m) == intseries.from_series(expected), m
+        block = _random_block(rng)
+        for m in (0, 1, -1, 3, -3):
+            got = intseries.substitute(block, m)
+            assert all(p and all(p.values()) for p in got[0].values())
+            expected = map_coefficients(intseries.to_series(block), lambda c: c.substitute_power(m))
+            assert intseries.to_series(got) == expected, m
 
 
 def test_mul_and_add_equal_series_arithmetic(rng):
     for _ in range(300):
-        a, b = _random_series(rng), _random_series(rng)
-        x, y = intseries.from_series(a), intseries.from_series(b)
-        assert intseries.mul(x, y) == intseries.from_series(a * b)
-        assert intseries.add(x, y) == intseries.from_series(a + b)
+        x, y = _random_block(rng), _random_block(rng)
+        a, b = intseries.to_series(x), intseries.to_series(y)
+        assert intseries.to_series(intseries.mul(x, y)) == a * b
+        assert intseries.to_series(intseries.add(x, y)) == series_sum(a, b)
 
 
 def test_times_one_plus_equals_series_method(rng):
     for _ in range(300):
-        s = _random_series(rng)
+        coeffs, validity = _random_block(rng)
+        s = intseries.to_series((coeffs, validity))
         c, x, e = rng.choice((-1, 1)), rng.randint(-8, 8), rng.randint(1, 40)
-        coeffs, validity = intseries.from_series(s)
         intseries.times_one_plus(coeffs, c, x, e, validity)
         expected = s.times_one_plus(LaurentPolynomial({x: c}), e)
-        assert (coeffs, validity) == intseries.from_series(expected)
+        assert intseries.to_series((coeffs, validity)) == expected
 
 
-def test_from_series_rejects_non_integers():
-    theta = theta_series(ThetaKind.THETA, 2)  # coefficients -i w + i w^-1, ...
-    with pytest.raises(AssertionError, match="not a real integer"):
-        intseries.from_series(theta)
-    assert intseries.from_series(theta, I) == intseries.from_series(theta.scale(I))
-    half_w2 = LaurentPolynomial({2: GaussianRational(Fraction(1, 2))})
-    half = TruncatedSeries({0: LaurentPolynomial({0: 1}), 24: half_w2}, 30, LaurentPolynomial())
-    with pytest.raises(AssertionError, match="not a real integer"):
-        intseries.from_series(half)
+def test_times_inverse_equals_build_then_invert(rng):
+    for _ in range(300):
+        coeffs, validity = _random_block(rng)
+        s = intseries.to_series((coeffs, validity))
+        x, e = rng.randint(-8, 8), rng.randint(1, 40)
+        factor = one_series(max(validity, 0), LaurentPolynomial())
+        if e <= factor.order:
+            factor = factor.times_one_plus(LaurentPolynomial({x: -1}), e)
+        expected = s * factor.invert()
+        intseries.times_inverse(coeffs, x, e, validity)
+        assert truncate(intseries.to_series((coeffs, validity)), expected.order) == expected
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_phi_block_powers_match_naive_products(order):
+    one = ({0: {0: 1}}, U_PER_Q * order + U_PER_Q - 1)
+    for n in range(-8, 9):
+        block = intseries.phi_block(n, order)
+        assert block[1] == one[1]
+        assert all(e % U_PER_Q == 0 and set(p) == {0} for e, p in block[0].items())
+        got = [block[0].get(U_PER_Q * i, {0: 0})[0] for i in range(order + 1)]
+        # phi^n = prod (1 - q^m)^(-(-n)), by the divisor-sum recurrence
+        assert got == naive_partition_power(order, -n), (n, order)
+        assert intseries.mul(block, intseries.phi_block(-n, order)) == one, (n, order)
+    euler = naive_euler_phi(order)
+    assert intseries.phi_block(1, order)[0] == {
+        U_PER_Q * i: {0: c} for i, c in euler.items()
+    }
+    qi = intseries.to_series(intseries.phi_block(-3, order))
+    assert qi == map_coefficients(power(phi_series(order), -3), lambda c: LaurentPolynomial({0: c}))
+
+
+def test_from_laurent_rejects_non_integers():
+    assert intseries.from_laurent(LaurentPolynomial({-1: 3, 2: -1}), 30) == (
+        {0: {-1: 3, 2: -1}},
+        30,
+    )
+    assert intseries.from_laurent(LaurentPolynomial(), 30) == ({}, 30)
+    for poly in (
+        LaurentPolynomial({1: I, -1: -I}),
+        LaurentPolynomial({0: 1, 2: GaussianRational(Fraction(1, 2))}),
+    ):
+        with pytest.raises(AssertionError, match="not a real integer"):
+            intseries.from_laurent(poly, 30)
+

@@ -4,17 +4,18 @@ import pytest
 
 from conftest import (
     evaluate_expansion,
+    map_coefficients,
     theta_prime_zero_series,
     theta_product_qi,
     theta_sum_series,
-    truncate_block,
+    truncate,
     z_derivative_at_zero,
 )
 
 from e8theta import intseries
 from e8theta.gaussian import GaussianRational, I, ONE
 from e8theta.laurent import LaurentPolynomial
-from e8theta.series import U_PER_Q, format_series, phi_series
+from e8theta.series import U_PER_Q, format_series
 from e8theta.theta import (
     ThetaKind,
     check_lattice_transform,
@@ -63,9 +64,9 @@ def test_parity(kind, order=6):
     series = theta_series(kind, order)
     flipped = theta_product([(kind, -1)], order)  # i*theta for THETA
     if kind is ThetaKind.THETA:
-        assert flipped == intseries.from_series(series, -I)
+        assert intseries.to_series(flipped, I) == series
     else:
-        assert flipped == intseries.from_series(series)
+        assert intseries.to_series(flipped) == series
 
 
 def _unit(factors):
@@ -96,8 +97,9 @@ def test_integer_product_equals_qi_product(rng):
         factor_lists += [[(kind, c) for kind in even], [(ThetaKind.THETA, c)]]
     for factors in factor_lists:
         for order in range(5):
-            expected = intseries.from_series(theta_product_qi(factors, order), _unit(factors))
-            assert theta_product(factors, order) == expected, (factors, order)
+            unit = _unit(factors)
+            expected = map_coefficients(theta_product_qi(factors, order), lambda c: c * unit)
+            assert intseries.to_series(theta_product(factors, order)) == expected, (factors, order)
 
 
 def test_theta_gap_returns_laurent_zero():
@@ -146,10 +148,10 @@ def test_jacobi_identity_residuals():
 def test_jacobi_identity_theta123_at_zero_is_twice_q18_phi_cubed(n):
     """(theta_1 theta_2 theta_3)(0) = 2 q^(1/8) phi^3 exactly, through q^n."""
     kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
-    product = theta_product([(kind, 0) for kind in kinds], n)
-    jacobi = intseries.from_series((phi_series(n) ** 3).shift(3), 2)
+    product = intseries.to_series(theta_product([(kind, 0) for kind in kinds], n))
+    jacobi = map_coefficients(theta_prime_zero_series(n), lambda c: LaurentPolynomial({0: 2 * c}))
     through = U_PER_Q * n
-    assert truncate_block(product, through) == truncate_block(jacobi, through)
+    assert truncate(product, through) == truncate(jacobi, through)
 
 
 def test_theta_prime_series_is_q18_phi_cubed():
@@ -235,9 +237,12 @@ def test_display_has_fractional_exponents():
 
 
 def test_theta_series_order_and_cache_are_bounded():
-    from e8theta.theta import MAX_THETA_ORDER
+    from e8theta.theta import MAX_THETA_ORDER, _theta_block
 
     for order in (MAX_THETA_ORDER + 1, -1):
         with pytest.raises(ValueError, match=rf"0\.\.{MAX_THETA_ORDER}"):
             theta_series(ThetaKind.THETA3, order)
+        with pytest.raises(ValueError, match=rf"0\.\.{MAX_THETA_ORDER}"):
+            theta_product([(ThetaKind.THETA3, 1)], order)
     assert theta_series.cache_info().maxsize is not None
+    assert _theta_block.cache_info().maxsize is not None
