@@ -16,7 +16,7 @@ import time
 
 from .e8 import basic_character, check_identity_116, theta_e8
 from .errors import FixtureFormatError
-from .fixtures import MAX_BETA, IndexFlavor, resolve_fixture
+from .fixtures import IndexFlavor, resolve_fixture, validate_beta
 from .index import (
     check_transform_laws,
     classify,
@@ -57,16 +57,9 @@ def _emit(args, command: str, report: VerificationReport, text: str | None = Non
 
 def _parse_beta(text: str) -> tuple[int, ...]:
     try:
-        beta = tuple(int(x) for x in text.split(","))
+        return validate_beta([int(x) for x in text.split(",")])
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"beta must be comma-separated integers: {exc}")
-    if len(beta) != 8:
-        raise argparse.ArgumentTypeError(f"beta needs 8 entries, got {len(beta)}")
-    if any(abs(b) > MAX_BETA for b in beta):
-        raise argparse.ArgumentTypeError(
-            f"beta entries must lie in -{MAX_BETA}..{MAX_BETA}, got {text!r}"
-        )
-    return beta
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}")
 
 
 def _parse_fixture(text: str) -> str:

@@ -21,7 +21,9 @@ and halves the sum exactly; basic_character multiplies the lattice block
 by the block of phi^-8.  Each public function makes a TruncatedSeries only
 from its final block (intseries.to_series).  Explicit enumeration
 (enumerate_shells, also bounded by MAX_HALF_NORM) serves only the 240 roots
-and the tests, where it is the brute-force oracle for that count.
+and the tests, where it is the brute-force oracle for that count.  A beta
+other than 8 integers in -MAX_BETA..MAX_BETA raises ValueError
+(fixtures.validate_beta) before any block is built.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intseries
+from .fixtures import validate_beta
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_product
@@ -47,9 +50,6 @@ class ShellTable:
 
     max_half_norm: int
     shells: dict[int, list[LatticeVector]]
-
-    def counts(self) -> list[int]:
-        return [len(self.shells.get(m, [])) for m in range(self.max_half_norm + 1)]
 
     def total_vectors(self) -> int:
         return sum(len(v) for v in self.shells.values())
@@ -134,7 +134,7 @@ def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     w-exponent 2<gamma,beta> = sum(d_l beta_l) an integer.  beta = 0 gives
     the scalar shell-count series.
     """
-    beta = _validate_beta(beta)
+    beta = validate_beta(beta)
     _check_half_norm(order)
     return intseries.to_series(_lattice_series(beta, order))
 
@@ -178,13 +178,6 @@ def _lattice_series(beta: tuple[int, ...], order: int) -> intseries.Block:
     return {U_PER_Q * m: shell for m, shell in enumerate(shells)}, U_PER_Q * order + U_PER_Q - 1
 
 
-def _validate_beta(beta) -> tuple[int, ...]:
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != 8:
-        raise ValueError(f"beta must have 8 entries, got {len(beta)}")
-    return beta
-
-
 def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     """Half the sum of the four 8-fold theta products at z_l = beta_l t.
 
@@ -192,7 +185,7 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     through q^order, i.e. u^(24 order): the theta_2 and theta_3 products are
     valid exactly that far, the other two (which start at q^(1/8)) further.
     """
-    beta = _validate_beta(beta)
+    beta = validate_beta(beta)
     total = ({}, U_PER_Q * order)
     for kind in ThetaKind:
         total = intseries.add(total, theta_product([(kind, b) for b in beta], order))
@@ -213,7 +206,6 @@ def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
     The basis is pinned to the standard coordinates documented in the
     module docstring; a mismatch is reported, never silently re-based.
     """
-    beta = _validate_beta(beta)
     lhs = theta_e8(beta, order)
     rhs = theta_product_side(beta, order)
     e = lhs.first_difference(rhs)
@@ -252,7 +244,7 @@ def basic_character(beta: tuple[int, ...], order: int) -> BasicCharacter:
     1, 248, 4124, 34752, ...  An order out of range raises ValueError before
     any block is expanded.
     """
-    beta = _validate_beta(beta)
+    beta = validate_beta(beta)
     _check_half_norm(order)
     block = intseries.mul(intseries.phi_block(-8, order), _lattice_series(beta, order))
     series = intseries.to_series(block)

@@ -14,4 +14,9 @@ class BeyondTruncationError(ValueError):
 
 
 class FixtureFormatError(ValueError):
-    """Raised on malformed fixture files; the message names the offending field."""
+    """Raised on malformed fixture data; the message names the offending field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"field {field!r}: {message}")
+        self.field = field
+        self.message = message

@@ -6,14 +6,19 @@ weights alpha_j, the weight c of the line bundle, and the 8 torus weights
 beta_l of the lift.  Realizability as an actual manifold is the caller's
 responsibility.
 
-File schema::
+Each value is checked once, where it is defined, and never converted (a
+float or a bool raises): FixedPoint checks alpha and c, validate_beta checks
+beta (for the e8 functions and --beta too), and FixedPointFixture checks k,
+label, points and that each point has k weights.  Every check raises
+FixtureFormatError naming the field.  File schema::
 
     {"label": str, "k": int, "flavor": "I"|"J",
      "points": [{"alpha": [int, ...], "c": int, "beta": [int x 8]}]}
 
-Unknown fields are rejected; "beta" defaults to zeros and "c" to 0 (the
-spin case); "flavor" defaults to "I".  Each beta entry lies in
--MAX_BETA..MAX_BETA.
+fixture_from_dict checks only the document's structure (unknown or missing
+fields, a list of point objects, the flavor tag) and names a point's field
+as points[i].<field>.  "beta" defaults to zeros and "c" to 0 (the spin
+case); "flavor" defaults to "I".
 """
 
 from __future__ import annotations
@@ -21,10 +26,36 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .errors import FixtureFormatError
+
+# largest |beta_l| a fixture may give: the lattice block's cost grows with
+# the number of distinct w-exponents beta.d, and a two-point k = 1 fixture
+# with beta = (1, 10, ..., 10^7) took 456 MiB at order 10; with every
+# |beta_l| <= 30 order 30 stays under 4 s and 30 MiB
+MAX_BETA = 30
+
+
+def _require(cond: bool, field_name: str, message: str):
+    if not cond:
+        raise FixtureFormatError(field_name, message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_beta(beta) -> tuple[int, ...]:
+    """beta as a tuple of 8 integers in -MAX_BETA..MAX_BETA; anything else
+    raises FixtureFormatError (a ValueError) for the field 'beta'."""
+    _require(
+        isinstance(beta, (list, tuple)) and len(beta) == 8 and all(map(_is_int, beta)),
+        "beta",
+        "must be a list of 8 integers",
+    )
+    _require(all(abs(b) <= MAX_BETA for b in beta), "beta", f"entries must lie in -{MAX_BETA}..{MAX_BETA}")
+    return tuple(beta)
 
 
 class IndexFlavor(enum.Enum):
@@ -39,13 +70,14 @@ class FixedPoint:
     beta: tuple[int, ...] = (0,) * 8
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
-        object.__setattr__(self, "c", int(self.c))
-        if any(a == 0 for a in self.alpha):
-            raise ValueError("rotation weights must be nonzero at an isolated fixed point")
-        if len(self.beta) != 8:
-            raise ValueError(f"beta must have 8 entries, got {len(self.beta)}")
+        _require(
+            isinstance(self.alpha, (list, tuple)) and all(_is_int(a) and a != 0 for a in self.alpha),
+            "alpha",
+            "must be a list of integers, all nonzero at an isolated fixed point",
+        )
+        _require(_is_int(self.c), "c", "must be an integer")
+        object.__setattr__(self, "alpha", tuple(self.alpha))
+        object.__setattr__(self, "beta", validate_beta(self.beta))
 
 
 @dataclass(frozen=True)
@@ -55,40 +87,28 @@ class FixedPointFixture:
     label: str = ""
 
     def __post_init__(self):
+        _require(_is_int(self.k) and self.k >= 1, "k", "must be a positive integer")
+        _require(isinstance(self.label, str), "label", "must be a string")
+        _require(
+            isinstance(self.points, (list, tuple))
+            and self.points
+            and all(isinstance(p, FixedPoint) for p in self.points),
+            "points",
+            "must be a nonempty list of fixed points",
+        )
         object.__setattr__(self, "points", tuple(self.points))
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if not self.points:
-            raise ValueError("fixture needs at least one fixed point")
-        for p in self.points:
-            if len(p.alpha) != self.k:
-                raise ValueError(
-                    f"point has {len(p.alpha)} rotation weights, fixture has k={self.k}"
-                )
-
-
-# largest |beta_l| a fixture file may give: the lattice block's cost grows
-# with the number of distinct w-exponents beta.d, and a two-point k = 1
-# fixture with beta = (1, 10, ..., 10^7) took 456 MiB at order 10; with
-# every |beta_l| <= 30 order 30 stays under 4 s and 30 MiB
-MAX_BETA = 30
-
-
-def _require(cond: bool, field_name: str, message: str):
-    if not cond:
-        raise FixtureFormatError(f"field {field_name!r}: {message}")
+        for i, p in enumerate(self.points):
+            n = len(p.alpha)
+            _require(n == self.k, f"points[{i}].alpha", f"{n} rotation weights, but k={self.k}")
 
 
 def fixture_from_dict(data: dict) -> tuple[FixedPointFixture, IndexFlavor]:
     _require(isinstance(data, dict), "<root>", "fixture must be a JSON object")
-    unknown = set(data) - {"label", "k", "flavor", "points"}
-    _require(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
+    unknown = sorted(set(data) - {"label", "k", "flavor", "points"}, key=str)
+    _require(not unknown, unknown[0] if unknown else "", "unknown field")
     _require("k" in data, "k", "missing")
-    _require(isinstance(data["k"], int) and not isinstance(data["k"], bool), "k", "must be an integer")
     _require("points" in data, "points", "missing")
-    _require(isinstance(data["points"], list) and data["points"], "points", "must be a nonempty list")
-    label = data.get("label", "")
-    _require(isinstance(label, str), "label", "must be a string")
+    _require(isinstance(data["points"], list), "points", "must be a list")
     flavor_tag = data.get("flavor", "I")
     _require(flavor_tag in ("I", "J"), "flavor", 'must be "I" or "J"')
 
@@ -96,37 +116,14 @@ def fixture_from_dict(data: dict) -> tuple[FixedPointFixture, IndexFlavor]:
     for i, pd in enumerate(data["points"]):
         where = f"points[{i}]"
         _require(isinstance(pd, dict), where, "must be an object")
-        unknown = set(pd) - {"alpha", "c", "beta"}
-        _require(not unknown, f"{where}.{sorted(unknown)[0]}" if unknown else "", "unknown field")
+        unknown = sorted(set(pd) - {"alpha", "c", "beta"}, key=str)
+        _require(not unknown, f"{where}.{unknown[0]}" if unknown else "", "unknown field")
         _require("alpha" in pd, f"{where}.alpha", "missing")
-        alpha = pd["alpha"]
-        _require(
-            isinstance(alpha, list) and all(isinstance(a, int) and not isinstance(a, bool) for a in alpha),
-            f"{where}.alpha",
-            "must be a list of integers",
-        )
-        _require(all(a != 0 for a in alpha), f"{where}.alpha", "weights must be nonzero")
-        c = pd.get("c", 0)
-        _require(isinstance(c, int) and not isinstance(c, bool), f"{where}.c", "must be an integer")
-        beta = pd.get("beta", [0] * 8)
-        _require(
-            isinstance(beta, list)
-            and len(beta) == 8
-            and all(isinstance(b, int) and not isinstance(b, bool) for b in beta),
-            f"{where}.beta",
-            "must be a list of 8 integers",
-        )
-        _require(
-            all(abs(b) <= MAX_BETA for b in beta),
-            f"{where}.beta",
-            f"entries must lie in -{MAX_BETA}..{MAX_BETA}",
-        )
-        points.append(FixedPoint(tuple(alpha), c, tuple(beta)))
-
-    try:
-        fixture = FixedPointFixture(k=data["k"], points=tuple(points), label=label)
-    except ValueError as exc:
-        raise FixtureFormatError(str(exc)) from exc
+        try:
+            points.append(FixedPoint(pd["alpha"], pd.get("c", 0), pd.get("beta", (0,) * 8)))
+        except FixtureFormatError as exc:
+            raise FixtureFormatError(f"{where}.{exc.field}", exc.message) from None
+    fixture = FixedPointFixture(k=data["k"], points=points, label=data.get("label", ""))
     return fixture, IndexFlavor(flavor_tag)
 
 
@@ -147,7 +144,7 @@ def load_fixture(path) -> tuple[FixedPointFixture, IndexFlavor]:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
     except json.JSONDecodeError as exc:
-        raise FixtureFormatError(f"invalid JSON in {path}: {exc}") from exc
+        raise FixtureFormatError("<root>", f"invalid JSON in {path}: {exc}") from exc
     return fixture_from_dict(data)
 
 
@@ -165,10 +162,11 @@ def bundled_fixture_path(name: str) -> Path:
     stem = name[:-5] if name.endswith(".json") else name
     if stem not in BUNDLED_FIXTURES:
         raise FixtureFormatError(
-            f"field 'fixture': no bundled fixture {name!r}; "
+            "fixture",
+            f"no bundled fixture {name!r}; "
             f"available: {', '.join(BUNDLED_FIXTURES)}"
         )
-    return Path(str(resources.files("e8theta").joinpath("data", f"{stem}.json")))
+    return Path(__file__).parent / "data" / f"{stem}.json"
 
 
 def resolve_fixture(path_or_name: str) -> tuple[FixedPointFixture, IndexFlavor]:

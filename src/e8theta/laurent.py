@@ -121,22 +121,6 @@ class LaurentPolynomial:
         (e, c), = self.coeffs.items()
         return LaurentPolynomial({-e: ONE / c})
 
-    # substitutions
-
-    def substitute_power(self, m: int) -> "LaurentPolynomial":
-        """Map the variable to its m-th power; m = 0 collapses to a constant."""
-        out: dict[int, GaussianRational] = {}
-        for e, c in self.coeffs.items():
-            k = e * m
-            s = out.get(k, ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        r = LaurentPolynomial.__new__(LaurentPolynomial)
-        r.coeffs = out
-        return r
-
     def shift(self, k: int) -> "LaurentPolynomial":
         r = LaurentPolynomial.__new__(LaurentPolynomial)
         r.coeffs = {e + k: c for e, c in self.coeffs.items()}

@@ -12,8 +12,8 @@ genuine scalar and not merely a monomial quotient.
 The class holds the reduced sum of the fixed-point terms of an index
 series and does only what that needs: normalise on construction, add and
 multiply (a Laurent polynomial or scalar operand acts on the numerator
-and normalises once), negate, compare, evaluate (numerically, or exactly
-at w = 1) and substitute w -> 1/w.
+and normalises once), negate, compare and evaluate (numerically, or
+exactly at w = 1).
 """
 
 from __future__ import annotations
@@ -104,10 +104,6 @@ class RationalFunction:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def substitute_inverse(self) -> "RationalFunction":
-        """The image under variable -> 1/variable, re-canonicalized."""
-        return RationalFunction(self.num.substitute_power(-1), self.den.substitute_power(-1))
 
     def evaluate(self, value: complex) -> complex:
         return self.num.evaluate(value) / self.den.evaluate(value)

@@ -22,6 +22,19 @@ def map_coefficients(series: TruncatedSeries, fn) -> TruncatedSeries:
     return TruncatedSeries({e: fn(c) for e, c in series.coeffs.items()}, series.order, fn(series.zero))
 
 
+def shell_counts(table) -> list[int]:
+    """The number of points in each shell of an e8.ShellTable, by half-norm."""
+    return [len(table.shells.get(m, [])) for m in range(table.max_half_norm + 1)]
+
+
+def substitute_power(poly: LaurentPolynomial, m: int) -> LaurentPolynomial:
+    """poly with w -> w^m; m = 0 collapses it to a constant."""
+    out = {}
+    for e, c in poly.coeffs.items():
+        out[e * m] = out.get(e * m, ZERO) + c
+    return LaurentPolynomial(out)
+
+
 def shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
     """Multiply by u^k (validity shifts along)."""
     return TruncatedSeries({e + k: c for e, c in series.coeffs.items()}, series.order + k, series.zero)
@@ -81,7 +94,7 @@ def theta_product_qi(factors, order: int) -> TruncatedSeries:
     """
     prod = None
     for kind, m in factors:
-        factor = map_coefficients(theta_series(kind, order), lambda c: c.substitute_power(m))
+        factor = map_coefficients(theta_series(kind, order), lambda c: substitute_power(c, m))
         prod = factor if prod is None else prod * factor
         if prod.is_zero():
             break

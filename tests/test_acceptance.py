@@ -10,7 +10,7 @@ what the series actually does, and the discrepancy is documented there.
 import random
 import time
 
-from conftest import random_fixture, theta_sum_series
+from conftest import random_fixture, shell_counts, theta_sum_series
 
 from e8theta.e8 import basic_character, check_identity_116, enumerate_shells, theta_product_side
 from e8theta.fixtures import FixedPoint, FixedPointFixture, IndexFlavor, resolve_fixture
@@ -53,7 +53,7 @@ def _timed(tag: str):
 def test_criterion_1_shell_counts():
     done = _timed("1")
     table = enumerate_shells(3)
-    counts = table.counts()
+    counts = shell_counts(table)
     rhs = theta_product_side((0,) * 8, 3)
     theta_counts = [rhs.q_coefficient(m).constant_value().as_integer() for m in range(4)]
     elapsed = done()

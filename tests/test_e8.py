@@ -10,6 +10,8 @@ from conftest import (
     map_coefficients,
     naive_partition_power,
     series_sum,
+    shell_counts,
+    substitute_power,
     theta_product_qi,
     truncate,
 )
@@ -43,7 +45,7 @@ def test_shells_match_brute_force_box_scan(m):
 
 
 def test_shell_counts():
-    counts = enumerate_shells(3).counts()
+    counts = shell_counts(enumerate_shells(3))
     assert counts == [1, 240, 2160, 6720]
 
 
@@ -162,7 +164,7 @@ def test_theta_e8_palindromic_in_w(rng):
         s = theta_e8(beta, 2)
         for i in range(3):
             c = s.q_coefficient(i)
-            assert c == c.substitute_power(-1)
+            assert c == substitute_power(c, -1)
 
 
 def test_theta_e8_permutation_invariance(rng):
@@ -271,6 +273,18 @@ def test_basic_character_order_checked_before_any_block(monkeypatch):
             basic_character((0,) * 8, order)
 
 
+def test_beta_checked_before_any_block(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a block was built for an out-of-range beta")
+
+    monkeypatch.setattr(e8theta.e8, "_lattice_series", no_work)
+    monkeypatch.setattr(e8theta.e8, "theta_product", no_work)
+    for beta in ((31,) + (0,) * 7, (0,) * 7 + (-31,), (1.5,) + (0,) * 7, (True,) + (0,) * 7, (0,) * 7):
+        for fn in (theta_e8, theta_product_side, check_identity_116, basic_character):
+            with pytest.raises(ValueError, match="beta"):
+                fn(beta, 1)
+
+
 def test_basic_character_graded_dims():
     ch = basic_character((0,) * 8, 3)
     assert ch.graded_dims == [1, 248, 4124, 34752]
@@ -278,7 +292,7 @@ def test_basic_character_graded_dims():
 
 def test_graded_dims_match_convolution_oracle():
     # dim V_i = sum_m shellcount(m) * [q^(i-m)] prod (1-q^n)^(-8)
-    counts = enumerate_shells(3).counts()
+    counts = shell_counts(enumerate_shells(3))
     inv8 = naive_partition_power(3, 8)
     expected = [
         sum(counts[m] * inv8[i - m] for m in range(i + 1)) for i in range(4)
@@ -306,7 +320,7 @@ def test_graded_dims_independent_of_beta(rng):
 
 def test_shell_counts_equal_theta_eighth_powers():
     order = 5
-    counts = enumerate_shells(order).counts()
+    counts = shell_counts(enumerate_shells(order))
     rhs = theta_product_side((0,) * 8, order)
     for m in range(order + 1):
         assert rhs.q_coefficient(m).constant_value().as_integer() == counts[m]

@@ -76,6 +76,7 @@ def test_defaults_applied():
         ({"k": 1, "points": [{"alpha": [1], "c": "x"}]}, "c"),
         ({"k": 2, "points": [{"alpha": [1]}]}, "rotation weights"),
         ({"k": 1, "flavor": "K", "points": [{"alpha": [1]}]}, "flavor"),
+        ({"k": 1, "points": [{"alpha": [1]}], 1: 0, "x": 1}, "unknown field"),
     ],
 )
 def test_malformed_fixtures_name_the_field(data, needle):
@@ -111,6 +112,41 @@ def test_unknown_bundled_name():
 def test_isolated_fixed_point_requires_nonzero_weights():
     with pytest.raises(ValueError):
         FixedPoint((0,), 0)
+
+
+_VALID = {"alpha": (1,), "c": 0, "beta": (0,) * 8, "k": 1, "label": ""}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("alpha", (1.5,)),
+        ("alpha", (True,)),
+        ("alpha", ("1",)),
+        ("alpha", "1"),
+        ("alpha", (1, 0)),
+        ("c", 0.7),
+        ("c", True),
+        ("c", "0"),
+        ("beta", (0.9,) * 8),
+        ("beta", (False,) * 8),
+        ("beta", ("0",) * 8),
+        ("beta", "0" * 8),
+        ("beta", (MAX_BETA + 1,) + (0,) * 7),
+        ("beta", (0,) * 7 + (-MAX_BETA - 1,)),
+        ("k", 1.0),
+        ("k", True),
+        ("k", "2"),
+        ("label", 1.5),
+        ("label", False),
+    ],
+)
+def test_constructors_reject_odd_values_by_field(field, value):
+    """Each field is checked where it is defined: no value is truncated or
+    converted, and the error names the field."""
+    v = dict(_VALID, **{field: value})
+    with pytest.raises(FixtureFormatError, match=rf"^field '{field}'"):
+        FixedPointFixture(v["k"], (FixedPoint(v["alpha"], v["c"], v["beta"]),), v["label"])
 
 
 def test_bundled_cp2_matches_documented_weights():
@@ -155,6 +191,23 @@ def _fixture_documents(draw):
     return doc
 
 
+def _construct_directly(data):
+    """The document's values passed straight to FixedPoint and
+    FixedPointFixture, or None if they raise FixtureFormatError; skipped
+    (None) where the document has no list of point objects to read."""
+    points = data.get("points") if isinstance(data, dict) else None
+    if not (isinstance(points, list) and all(isinstance(p, dict) for p in points)):
+        return None
+    try:
+        return FixedPointFixture(
+            data.get("k"),
+            tuple(FixedPoint(p.get("alpha"), p.get("c", 0), p.get("beta", (0,) * 8)) for p in points),
+            data.get("label", ""),
+        )
+    except FixtureFormatError:
+        return None
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=_fixture_documents() | st.sampled_from(_ODD[1:]))
 def test_fuzzed_fixture_loads_or_raises_format_error(data, tmp_path_factory):
@@ -162,8 +215,15 @@ def test_fuzzed_fixture_loads_or_raises_format_error(data, tmp_path_factory):
     whatever loads survives a save/load round trip unchanged."""
     try:
         fixture, flavor = fixture_from_dict(data)
-    except FixtureFormatError:
+    except FixtureFormatError as exc:
+        fixture, loader_error = None, exc
+    direct = _construct_directly(data)
+    if fixture is None:
+        # beyond the constructors' checks the loader rejects only structure
+        structural = loader_error.field in ("extra", "flavor") or loader_error.field.endswith(".gamma")
+        assert direct is None or structural, (data, loader_error)
         return
+    assert direct == fixture
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     save_fixture(fixture, flavor, path)
     assert load_fixture(path) == (fixture, flavor)

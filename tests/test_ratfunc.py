@@ -91,13 +91,6 @@ def test_pole_detection_at_one():
     assert r2.value_at_one() == GaussianRational(1)
 
 
-def test_substitute_inverse():
-    r = RF({1: 1}, {1: 1, 0: -2})  # w/(w-2)
-    s = r.substitute_inverse()  # (1/w)/((1/w)-2) = 1/(1-2w)
-    assert s == RF({0: 1}, {1: -2, 0: 1})
-    assert r.substitute_inverse().substitute_inverse() == r
-
-
 def test_evaluate():
     r = RF({1: 1, -1: -1}, {0: 2})
     assert abs(r.evaluate(2 + 0j) - 0.75) < 1e-15

@@ -1,8 +1,9 @@
 """The package ships no name that only tests use, and one import path per name.
 
-Every module-level function and class in src/e8theta must be referenced
-somewhere in src/e8theta or perfbench outside its own definition: test-only
-oracles belong in tests/.  The package root binds nothing but dunders, so
+Every module-level function and class in src/e8theta, and every
+non-dunder method of its classes, must be referenced somewhere in
+src/e8theta or perfbench outside its own definition: test-only oracles
+belong in tests/.  The package root binds nothing but dunders, so
 each name is imported from its module only.
 """
 
@@ -50,23 +51,45 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_module_level_name_has_a_caller_outside_tests():
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _unused(definitions):
+    """The definitions `definitions(tree)` picks in src/e8theta that nothing
+    in src/e8theta or perfbench references outside their own bodies."""
     # the root's re-exports would be a second import path, not a caller
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     trees = {p: _parse(p) for p in sources + sorted((ROOT / "perfbench").glob("*.py"))}
     refs = {p: _references(tree, []) for p, tree in trees.items()}
     unused = []
     for path in sources:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for node in definitions(trees[path]):
             if node.name in EXCEPTIONS:
                 continue
             if any(node.name in r for p, r in refs.items() if p != path):
                 continue
             if node.name not in _references(trees[path], [node]):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_module_level_name_has_a_caller_outside_tests():
+    unused = _unused(lambda tree: [n for n in tree.body if isinstance(n, (*_FUNCTIONS, ast.ClassDef))])
     assert not unused, "names only tests use (move them to tests/): " + ", ".join(unused)
+
+
+def test_every_method_has_a_caller_outside_tests():
+    def methods(tree):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, _FUNCTIONS) and not (
+                        node.name.startswith("__") and node.name.endswith("__")
+                    ):
+                        yield node
+
+    unused = _unused(methods)
+    assert not unused, "methods only tests use (move them to tests/): " + ", ".join(unused)
 
 
 def test_package_root_binds_only_dunders():

@@ -229,6 +229,16 @@ def test_eval_rejects_lower_half_plane():
         theta_eval(ThetaKind.THETA3, 0.1, -1j)
     with pytest.raises(ValueError):
         check_modular_transform(ThetaKind.THETA, 0.1, 0.5, 1e-9)
+    for tau in (-1j, 0.5):
+        for call in (
+            lambda: theta_eval(ThetaKind.THETA, 0.1, tau),
+            lambda: theta_prime_zero(tau),
+            lambda: jacobi_identity_residual(tau),
+            lambda: check_modular_transform(ThetaKind.THETA3, 0.1, tau),
+            lambda: check_lattice_transform(ThetaKind.THETA1, 0.1, tau, 1, 1),
+        ):
+            with pytest.raises(ValueError, match="upper half plane"):
+                call()
 
 
 def test_display_has_fractional_exponents():
