@@ -14,9 +14,9 @@ import random
 import sys
 import time
 
-from .e8 import basic_character, check_identity_116, theta_e8
+from .e8 import basic_character, check_identity_116, theta_e8, validate_beta
 from .errors import FixtureFormatError
-from .fixtures import IndexFlavor, resolve_fixture, validate_beta
+from .fixtures import IndexFlavor, resolve_fixture
 from .index import (
     check_transform_laws,
     classify,

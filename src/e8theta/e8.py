@@ -23,7 +23,8 @@ from its final block (intseries.to_series).  Explicit enumeration
 (enumerate_shells, also bounded by MAX_HALF_NORM) serves only the 240 roots
 and the tests, where it is the brute-force oracle for that count.  A beta
 other than 8 integers in -MAX_BETA..MAX_BETA raises ValueError
-(fixtures.validate_beta) before any block is built.
+(validate_beta, which also checks a fixture's beta and --beta) before any
+block is built.
 """
 
 from __future__ import annotations
@@ -34,12 +35,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intseries
-from .fixtures import validate_beta
+from .errors import FixtureFormatError
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_product
 
 MAX_HALF_NORM = 10
+
+# largest |beta_l| a fixture may give: the lattice block's cost grows with
+# the number of distinct w-exponents beta.d, and a two-point k = 1 fixture
+# with beta = (1, 10, ..., 10^7) took 456 MiB at order 10; with every
+# |beta_l| <= 30 order 30 stays under 4 s and 30 MiB
+MAX_BETA = 30
 
 LatticeVector = tuple[int, int, int, int, int, int, int, int]
 
@@ -53,6 +60,20 @@ class ShellTable:
 
     def total_vectors(self) -> int:
         return sum(len(v) for v in self.shells.values())
+
+
+def validate_beta(beta) -> tuple[int, ...]:
+    """beta as a tuple of 8 integers in -MAX_BETA..MAX_BETA; anything else
+    raises FixtureFormatError (a ValueError) for the field 'beta'."""
+    if not (
+        isinstance(beta, (list, tuple))
+        and len(beta) == 8
+        and all(isinstance(b, int) and not isinstance(b, bool) for b in beta)
+    ):
+        raise FixtureFormatError("beta", "must be a list of 8 integers")
+    if any(abs(b) > MAX_BETA for b in beta):
+        raise FixtureFormatError("beta", f"entries must lie in -{MAX_BETA}..{MAX_BETA}")
+    return tuple(beta)
 
 
 def _scan_parity(values: tuple[int, ...], norm_sq: int, out):

@@ -7,10 +7,10 @@ beta_l of the lift.  Realizability as an actual manifold is the caller's
 responsibility.
 
 Each value is checked once, where it is defined, and never converted (a
-float or a bool raises): FixedPoint checks alpha and c, validate_beta checks
-beta (for the e8 functions and --beta too), and FixedPointFixture checks k,
-label, points and that each point has k weights.  Every check raises
-FixtureFormatError naming the field.  File schema::
+float or a bool raises): FixedPoint checks alpha and c, e8.validate_beta
+checks beta (for the e8 functions and --beta too), and FixedPointFixture
+checks k, label, points and that each point has k weights.  Every check
+raises FixtureFormatError naming the field.  File schema::
 
     {"label": str, "k": int, "flavor": "I"|"J",
      "points": [{"alpha": [int, ...], "c": int, "beta": [int x 8]}]}
@@ -28,13 +28,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .e8 import validate_beta
 from .errors import FixtureFormatError
-
-# largest |beta_l| a fixture may give: the lattice block's cost grows with
-# the number of distinct w-exponents beta.d, and a two-point k = 1 fixture
-# with beta = (1, 10, ..., 10^7) took 456 MiB at order 10; with every
-# |beta_l| <= 30 order 30 stays under 4 s and 30 MiB
-MAX_BETA = 30
 
 
 def _require(cond: bool, field_name: str, message: str):
@@ -44,18 +39,6 @@ def _require(cond: bool, field_name: str, message: str):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def validate_beta(beta) -> tuple[int, ...]:
-    """beta as a tuple of 8 integers in -MAX_BETA..MAX_BETA; anything else
-    raises FixtureFormatError (a ValueError) for the field 'beta'."""
-    _require(
-        isinstance(beta, (list, tuple)) and len(beta) == 8 and all(map(_is_int, beta)),
-        "beta",
-        "must be a list of 8 integers",
-    )
-    _require(all(abs(b) <= MAX_BETA for b in beta), "beta", f"entries must lie in -{MAX_BETA}..{MAX_BETA}")
-    return tuple(beta)
 
 
 class IndexFlavor(enum.Enum):

@@ -24,15 +24,17 @@ sum's 2, the phi^(2k) and the theta_i(0) make the shared factor
 phi^(2k-3) q^(-1/8).  Every block is built and multiplied as an
 `intseries` block over Z[w^+-1] with plain ints: the shared factor is
 intseries.phi_block shifted, the lattice block the lattice sum's own block.
-The only Q(i) values are the tangent leads and the cofactors D / D_p; a
-cofactor enters as a one-term block through intseries.from_laurent, which
-raises on a coefficient that is not a real integer, so the result is real
-by construction.  index_series builds the shared factor once per fixture and
-the lattice block once per distinct beta.  Each point adds its tangent
-q-series times its line numerator, scaled by D / D_p with D = lcm_p D_p;
-the points with one beta are summed, then multiplied once by that beta's
-lattice block times the shared factor.  Each q^n coefficient of the total
-becomes one RationalFunction over D (in point_contribution, over D_p).
+The leads enter only through D = lcm_p D_p, which ratfunc.cyclotomic_lcm
+gives factored into cyclotomic polynomials, with the integer cofactors
+D / D_p; a cofactor enters as a one-term block through
+intseries.from_laurent, so the result is real by construction.
+index_series builds the shared factor once per fixture and the lattice
+block once per distinct beta.  Each point adds its tangent q-series times
+its line numerator, scaled by D / D_p; the points with one beta are summed,
+then multiplied once by that beta's lattice block times the shared factor.
+Each q^n coefficient of the total becomes one RationalFunction over D (in
+point_contribution, over D_p), reduced by exact integer division by the
+cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.
 
 Every block expands through q^order and no further: validity propagation
 then leaves the product valid through exactly u^(24 order).  That only
@@ -48,14 +50,15 @@ from . import intseries
 from .bundles import BundleExpr, order_one_twist
 from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
-from .laurent import LaurentPolynomial, laurent_exact_div, laurent_gcd
-from .ratfunc import RationalFunction
+from .laurent import LaurentPolynomial
+from .ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 # largest order index_series expands to: cp2 (k = 2, three points) takes
-# about 0.15 s at order 30 on a 2-vCPU host
+# about 0.2 s (I) and 0.1 s (J) at order 30 on a 2-vCPU host, nearly all of
+# it block multiplies
 MAX_INDEX_ORDER = 30
 
 
@@ -92,55 +95,33 @@ class IndexSeries:
 _EVEN_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
 
 
-def _tangent_lead(alpha: tuple[int, ...]) -> LaurentPolynomial:
-    """prod_j (w^(alpha_j) - w^(-alpha_j)), the tangent factor's q^0 part."""
-    lead = LaurentPolynomial({0: 1})
-    for a in alpha:
-        lead = lead * LaurentPolynomial({a: 1, -a: -1})
-    return lead
-
-
-def _tangent_block(
-    alpha: tuple[int, ...], validity: int
-) -> tuple[LaurentPolynomial, intseries.Block]:
-    """Split the tangent denominator into its lead and its q-product.
-
-    Returns the lead and the inverse of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m),
-    as 1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... with y = w^(+-2a) q^m.
-    """
+def _tangent_block(alpha: tuple[int, ...], validity: int) -> intseries.Block:
+    """The inverse of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), the
+    tangent denominator without its lead, as 1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)...
+    with y = w^(+-2a) q^m."""
     coeffs = {0: {0: 1}}
     for a in alpha:
         for x in (2 * a, -2 * a):
             for e in range(U_PER_Q, validity + 1, U_PER_Q):
                 intseries.times_inverse(coeffs, x, e, validity)
-    return _tangent_lead(alpha), (coeffs, validity)
+    return coeffs, validity
 
 
-def _lcm(leads: list[LaurentPolynomial]):
-    """D = lcm of the tangent leads D_p, and the list of D / D_p."""
-    den = leads[0]
-    for lead in leads[1:]:
-        den = den * laurent_exact_div(lead, laurent_gcd(den, lead))
-    return den, [laurent_exact_div(den, lead) for lead in leads]
-
-
-def _over(block: intseries.Block, den: LaurentPolynomial, order: int) -> TruncatedSeries:
-    """The block through q^order, each coefficient one RationalFunction over den."""
+def _over(block: intseries.Block, mult: dict[int, int], order: int) -> TruncatedSeries:
+    """The block through q^order, each coefficient over prod_d Phi_d^mult[d]."""
     target = U_PER_Q * order
     if block[1] < target:
         raise AssertionError(f"validity shortfall: {block[1]} < {target}")
-    out = {
-        e: RationalFunction(LaurentPolynomial(c), den) for e, c in block[0].items() if e <= target
-    }
+    out = {e: over_cyclotomic(c, mult) for e, c in block[0].items() if e <= target}
     return TruncatedSeries(out, target, RationalFunction.zero())
 
 
-def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int):
-    """A point's tangent lead, and its tangent q-series times its line numerator."""
-    lead, tangent = _tangent_block(point.alpha, U_PER_Q * order)
+def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int) -> intseries.Block:
+    """A point's tangent q-series times its line numerator."""
+    tangent = _tangent_block(point.alpha, U_PER_Q * order)
     kinds = _EVEN_KINDS if flavor is IndexFlavor.I_SERIES else (ThetaKind.THETA,)
     line = theta_product([(kind, point.c) for kind in kinds], order)
-    return lead, intseries.mul(tangent, line)
+    return intseries.mul(tangent, line)
 
 
 def _shared_block(k: int, order: int) -> intseries.Block:
@@ -158,8 +139,9 @@ def _assert_quotient_identity():
     if _factor_identity_checked:
         return
     order = 6
-    lead, tangent = _tangent_block((1,), U_PER_Q * order)
-    quotient = _over(intseries.mul(intseries.phi_block(2, order), tangent), lead, order)
+    mult, (cofactor,) = cyclotomic_lcm([(1,)])
+    block = intseries.mul(intseries.phi_block(2, order), _tangent_block((1,), U_PER_Q * order))
+    quotient = _over(intseries.mul(block, intseries.from_laurent(cofactor, block[1])), mult, order)
     t, tau = 0.23, 1.3j
     w = cmath.exp(1j * cmath.pi * t)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
@@ -174,10 +156,10 @@ def _assert_quotient_identity():
 
 def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     """Sum of the points' summands through q^order, each coefficient over D = lcm_p D_p."""
-    blocks = [_point_block(p, flavor, order) for p in points]
-    den, cofactors = _lcm([lead for lead, _ in blocks])
+    mult, cofactors = cyclotomic_lcm([p.alpha for p in points])
     by_beta = {}
-    for p, (_, own), cofactor in zip(points, blocks, cofactors):
+    for p, cofactor in zip(points, cofactors):
+        own = _point_block(p, flavor, order)
         own = intseries.mul(own, intseries.from_laurent(cofactor, own[1]))
         by_beta[p.beta] = intseries.add(own, by_beta.get(p.beta, ({}, own[1])))
     shared = _shared_block(k, order)
@@ -185,7 +167,7 @@ def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     for beta, part in by_beta.items():
         lattice = _lattice_series(beta, order)
         numer = intseries.add(numer, intseries.mul(part, intseries.mul(lattice, shared)))
-    return _over(numer, den, order)
+    return _over(numer, mult, order)
 
 
 def point_contribution(
@@ -264,15 +246,18 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
 def _sum_lefschetz(
     fixture: FixedPointFixture, expr: BundleExpr, flavor: IndexFlavor
 ) -> RationalFunction:
-    """The points' Lefschetz numbers summed as sum_p num_p (D / D_p) over one D."""
-    den, cofactors = _lcm([_tangent_lead(p.alpha) for p in fixture.points])
+    """The points' Lefschetz numbers summed as sum_p num_p (D / D_p) over one D.
+
+    The numerator is a q^0 block, so it is converted to ints (raising on a
+    coefficient that is not a real integer) and reduced as in the series."""
+    mult, cofactors = cyclotomic_lcm([p.alpha for p in fixture.points])
     sign = 1 if flavor is IndexFlavor.I_SERIES else -1
     num = LaurentPolynomial()
     for p, cofactor in zip(fixture.points, cofactors):
         spinor = {p.c: 1}
         spinor[-p.c] = spinor.get(-p.c, 0) + sign
         num = num + LaurentPolynomial(spinor) * expr.char_at(p.alpha, p.c, p.beta) * cofactor
-    return RationalFunction(num, den)
+    return _over(intseries.from_laurent(num, 0), mult, 0).q_coefficient(0)
 
 
 def check_rigidity(

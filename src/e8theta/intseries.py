@@ -7,7 +7,8 @@ series the package computes (theta products, the E8 lattice sum, powers
 of phi, the index blocks) has real integer coefficients, so it is built and
 multiplied here with plain ints.  A TruncatedSeries is made only at the
 public boundary, by to_series (or, over a denominator, by index._over); the
-one way in is from_laurent, for the index path's Laurent cofactors.
+one way in is from_laurent, for the index path's Laurent cofactors and its
+Lefschetz-number numerators.
 Standard library only.
 """
 

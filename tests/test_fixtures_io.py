@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e8theta.e8 import MAX_BETA
 from e8theta.errors import FixtureFormatError
 from e8theta.fixtures import (
     BUNDLED_FIXTURES,
-    MAX_BETA,
     FixedPoint,
     FixedPointFixture,
     IndexFlavor,

@@ -13,6 +13,8 @@ the production series uses.  Agreement with the production series, which
 comes from theta quotients, validates both routes at every order.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,7 +30,7 @@ from conftest import (
     truncate,
 )
 
-from e8theta import intseries
+from e8theta import intseries, ratfunc
 from e8theta.bundles import BundleExpr, order_one_twist
 from e8theta.e8 import theta_product_side
 from e8theta.fixtures import (
@@ -39,8 +41,8 @@ from e8theta.fixtures import (
     resolve_fixture,
 )
 from e8theta.gaussian import GaussianRational
-from e8theta.laurent import LaurentPolynomial
-from e8theta.ratfunc import RationalFunction
+from e8theta.laurent import LaurentPolynomial, laurent_exact_div, laurent_gcd
+from e8theta.ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
 from e8theta.series import TruncatedSeries, U_PER_Q
 from e8theta.theta import ThetaKind, theta_product
 from e8theta.index import (
@@ -49,6 +51,7 @@ from e8theta.index import (
     _tangent_block,
     anomaly,
     check_rigidity,
+    classify,
     evaluate_at_identity,
     index_series,
     lefschetz_number,
@@ -168,22 +171,58 @@ def _tangent_by_inversion(alpha, validity):
     return s.invert()
 
 
-def test_tangent_inverse_equals_build_then_invert(rng):
+def _tangent_alphas(rng):
     alphas = []
     for _ in range(8):
         a, b = (rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(2))
         width = rng.randint(1, 3)
         alphas += [tuple(rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(width))]
         alphas += [(a, a), (a, -a), (a, -a, b), (b, b, b)]
-    for alpha in alphas:
-        lead = LaurentPolynomial({0: 1})
-        for a in alpha:
-            lead = lead * W({a: 1, -a: -1})
+    return alphas
+
+
+def test_tangent_inverse_equals_build_then_invert(rng):
+    for alpha in _tangent_alphas(rng):
         for n in range(7):
             validity = U_PER_Q * n
-            got_lead, got = _tangent_block(alpha, validity)
-            assert got_lead == lead, alpha
+            got = _tangent_block(alpha, validity)
             assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, n)
+
+
+def _tangent_lead(alpha):
+    lead = LaurentPolynomial({0: 1})
+    for a in alpha:
+        lead = lead * W({a: 1, -a: -1})
+    return lead
+
+
+def _cyclotomic_power(mult):
+    """prod_d Phi_d^mult[d] as a Laurent polynomial."""
+    out = LaurentPolynomial({0: 1})
+    for d, m in mult.items():
+        for _ in range(m):
+            out = out * W(dict(enumerate(ratfunc._cyclotomic_product([1], {d: 1}))))
+    return out
+
+
+def test_factored_lead_equals_tangent_lead(rng):
+    """s_p w^-(sum |a_j|) prod_d Phi_d^m_pd is the lead prod_j (w^a_j - w^-a_j),
+    and for several points D / D_p times D_p is the same D = prod_d Phi_d^m_d."""
+    alphas = _tangent_alphas(rng)
+    for alpha in alphas:
+        sign = -1 if sum(a < 0 for a in alpha) % 2 else 1
+        size = sum(abs(a) for a in alpha)
+        mult, (cofactor,) = cyclotomic_lcm([alpha])
+        m_pd = Counter(d for a in alpha for d in range(1, 2 * abs(a) + 1) if 2 * abs(a) % d == 0)
+        assert mult == m_pd, alpha
+        assert cofactor == W({size: sign}), alpha
+        assert W({-size: sign}) * _cyclotomic_power(mult) == _tangent_lead(alpha), alpha
+    for i in range(0, len(alphas) - 2, 3):
+        group = alphas[i : i + 3]
+        mult, cofactors = cyclotomic_lcm(group)
+        den = _cyclotomic_power(mult)
+        for alpha, cofactor in zip(group, cofactors):
+            assert cofactor * _tangent_lead(alpha) == den, group
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -577,3 +616,69 @@ def test_negating_all_weights_substitutes_w_inverse(fx, order):
             lambda c: RationalFunction(substitute_power(c.num, -1), substitute_power(c.den, -1)),
         )
         assert direct == flipped, flavor
+
+
+# the cyclotomic reduction against the Euclidean normalisation
+
+
+@st.composite
+def _repeated_weight_fixtures(draw):
+    """k <= 3, 1-4 points, |alpha_j| <= 15, the weights drawn from a pool of
+    at most three magnitudes so that they repeat within and across points."""
+    k = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.integers(1, 15), min_size=1, max_size=3))
+    weight = st.builds(lambda a, s: s * a, st.sampled_from(pool), st.sampled_from((-1, 1)))
+    beta = st.tuples(*[st.integers(-1, 1)] * 8)
+    point = st.builds(FixedPoint, st.tuples(*[weight] * k), st.integers(-3, 3), beta)
+    return FixedPointFixture(k, tuple(draw(st.lists(point, min_size=1, max_size=4))), "repeated")
+
+
+def _euclidean_lcm(alphas):
+    den = _tangent_lead(alphas[0])
+    for alpha in alphas[1:]:
+        lead = _tangent_lead(alpha)
+        den = den * laurent_exact_div(lead, laurent_gcd(den, lead))
+    return den
+
+
+@given(_repeated_weight_fixtures(), st.sampled_from(list(IndexFlavor)), st.integers(0, 2))
+@example(fixture(2, ((1, 1), 1), ((-1, -1), -1)), IndexFlavor.I_SERIES, 2)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+def test_cyclotomic_reduction_equals_euclidean_normalisation(fx, flavor, order):
+    """Every reduced series coefficient and every _sum_lefschetz value (the
+    ones verify_qexpansion compares) equals RationalFunction(num, D) on the
+    same numerator, and D is the Euclidean lcm of the leads up to a unit."""
+    import e8theta.index
+
+    calls = []
+
+    def recording(num, mult):
+        calls.append((num, mult, over_cyclotomic(num, mult)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(e8theta.index, "over_cyclotomic", recording)
+        index_series(fx, flavor, order)
+        verify_qexpansion(fx, flavor)
+    alphas = [p.alpha for p in fx.points]
+    unit = RationalFunction(_euclidean_lcm(alphas), _cyclotomic_power(cyclotomic_lcm(alphas)[0]))
+    assert unit.den == W({0: 1}) and len(unit.num.coeffs) == 1, unit
+    for num, m, got in calls:
+        assert got == RationalFunction(W(num), _cyclotomic_power(m)), (num, m)
+
+
+def test_index_path_runs_no_euclidean_gcd(monkeypatch):
+    """The series, the Lefschetz numbers and the reports reduce their
+    coefficients without the Euclidean gcd or its exact division."""
+
+    def euclid(*args):
+        raise AssertionError("the index path ran the Euclidean gcd")
+
+    monkeypatch.setattr(ratfunc, "laurent_gcd", euclid)
+    monkeypatch.setattr(ratfunc, "laurent_exact_div", euclid)
+    for name in BUNDLED_FIXTURES:
+        fx, _ = resolve_fixture(name)
+        for flavor in IndexFlavor:
+            evaluate_at_identity(index_series(fx, flavor, 4))
+            assert verify_qexpansion(fx, flavor).ok, (name, flavor)
+            classify(fx, flavor, 4)

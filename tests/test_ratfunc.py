@@ -5,7 +5,7 @@ import pytest
 
 from e8theta.gaussian import GaussianRational, ONE
 from e8theta.laurent import LaurentPolynomial
-from e8theta.ratfunc import RationalFunction
+from e8theta.ratfunc import RationalFunction, _cyclotomic_product, cyclotomic
 
 
 def L(coeffs):
@@ -108,3 +108,23 @@ def test_promotion_matches_explicit_lift():
     assert RationalFunction.from_laurent(L({0: 5})) == L({0: 5})
     assert len({RationalFunction.from_laurent(p), p}) == 1
     assert RationalFunction(p, L({0: 2})) != p
+
+
+def test_cyclotomic_factors_of_w_n_minus_one():
+    """prod_{d | n} Phi_d = w^n - 1 for n <= 200, which fixes each Phi_d by
+    induction on n; the Phi_d cache is bounded."""
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for n in range(1, 201):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = times(product, _cyclotomic_product([1], {d: 1}))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+    assert cyclotomic.cache_info().maxsize is not None
