@@ -4,7 +4,8 @@ Atoms: the spin-c line bundle L, its conjugate, their squares, the
 complexified tangent bundle, and the rank-248 bundle W attached to the
 adjoint representation.  A monomial is a tensor product of atoms; an
 expression is an integer combination of monomials.  Evaluating at a fixed
-point yields the equivariant character as a Laurent polynomial in w.
+point yields the equivariant character over Z[w^+-1] as a u^0 `intseries`
+block: a product of atom blocks per monomial, summed.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import operator
 from collections import Counter
 
+from . import intseries
 from .e8 import e8_roots
-from .laurent import LaurentPolynomial
 
 _ATOMS = ("L", "Lbar", "L2", "Lbar2", "TCX", "W")
 
@@ -98,8 +99,8 @@ class BundleExpr:
             parts.append(f"{n}*{name}")
         return f"<BundleExpr {' + '.join(parts)}>"
 
-    def char_at(self, alpha: tuple[int, ...], c: int, beta: tuple[int, ...]) -> LaurentPolynomial:
-        """Equivariant character at a fixed point, as a Laurent polynomial in w.
+    def char_at(self, alpha: tuple[int, ...], c: int, beta: tuple[int, ...]) -> intseries.Block:
+        """Equivariant character at a fixed point, as the block ({0: {w: int}}, 0).
 
         L carries weight e^(2 pi i c t) = w^(2c); the tangent bundle splits
         into rotation planes with weights alpha_j; W restricts to the torus
@@ -114,16 +115,16 @@ class BundleExpr:
         }
         if any("W" in mono for mono in self.terms):  # 240 dot products: only when used
             exponents["W"] = [0] * 8 + [sum(map(operator.mul, d, beta)) for d in e8_roots()]
-        chars = {name: LaurentPolynomial(Counter(es)) for name, es in exponents.items()}
+        chars = {name: ({0: dict(Counter(es))}, 0) for name, es in exponents.items()}
 
-        total = LaurentPolynomial()
+        total = ({}, 0)
         for mono, n in self.terms.items():
-            term = LaurentPolynomial({0: n})
+            term = ({0: {0: n}}, 0)
             for name in mono:
                 if name not in chars:
                     raise ValueError(f"unknown bundle atom {name!r}")
-                term = term * chars[name]
-            total = total + term
+                term = intseries.mul(term, chars[name])
+            total = intseries.add(total, term)
         return total
 
 

@@ -269,10 +269,7 @@ def basic_character(beta: tuple[int, ...], order: int) -> BasicCharacter:
     _check_half_norm(order)
     block = intseries.mul(intseries.phi_block(-8, order), _lattice_series(beta, order))
     series = intseries.to_series(block)
-    dims = []
-    for i in range(order + 1):
-        value = series.q_coefficient(i).sum_of_coefficients()
-        dims.append(value.as_integer())
+    dims = [sum(block[0].get(U_PER_Q * i, {}).values()) for i in range(order + 1)]
     if dims and dims[0] != 1:
         raise AssertionError(f"graded dimension 0 is {dims[0]}, expected 1")
     if len(dims) > 1 and dims[1] != 248:

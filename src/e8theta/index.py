@@ -26,15 +26,17 @@ phi^(2k-3) q^(-1/8).  Every block is built and multiplied as an
 intseries.phi_block shifted, the lattice block the lattice sum's own block.
 The leads enter only through D = lcm_p D_p, which ratfunc.cyclotomic_lcm
 gives factored into cyclotomic polynomials, with the integer cofactors
-D / D_p; a cofactor enters as a one-term block through
-intseries.from_laurent, so the result is real by construction.
+D / D_p; a cofactor enters as the u^0 block ({0: cofactor}, validity), so
+the result is real by construction.
 index_series builds the shared factor once per fixture and the lattice
 block once per distinct beta.  Each point adds its tangent q-series times
 its line numerator, scaled by D / D_p; the points with one beta are summed,
 then multiplied once by that beta's lattice block times the shared factor.
 Each q^n coefficient of the total becomes one RationalFunction over D (in
 point_contribution, over D_p), reduced by exact integer division by the
-cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.
+cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.  So is
+each Lefschetz number: spinor times BundleExpr.char_at times cofactor, a
+u^0 block summed over the points.
 
 Every block expands through q^order and no further: validity propagation
 then leaves the product valid through exactly u^(24 order).  That only
@@ -50,7 +52,6 @@ from . import intseries
 from .bundles import BundleExpr, order_one_twist
 from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
-from .laurent import LaurentPolynomial
 from .ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
@@ -141,7 +142,7 @@ def _assert_quotient_identity():
     order = 6
     mult, (cofactor,) = cyclotomic_lcm([(1,)])
     block = intseries.mul(intseries.phi_block(2, order), _tangent_block((1,), U_PER_Q * order))
-    quotient = _over(intseries.mul(block, intseries.from_laurent(cofactor, block[1])), mult, order)
+    quotient = _over(intseries.mul(block, ({0: cofactor}, block[1])), mult, order)
     t, tau = 0.23, 1.3j
     w = cmath.exp(1j * cmath.pi * t)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
@@ -160,7 +161,7 @@ def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     by_beta = {}
     for p, cofactor in zip(points, cofactors):
         own = _point_block(p, flavor, order)
-        own = intseries.mul(own, intseries.from_laurent(cofactor, own[1]))
+        own = intseries.mul(own, ({0: cofactor}, own[1]))
         by_beta[p.beta] = intseries.add(own, by_beta.get(p.beta, ({}, own[1])))
     shared = _shared_block(k, order)
     numer = ({}, U_PER_Q * order)
@@ -248,16 +249,18 @@ def _sum_lefschetz(
 ) -> RationalFunction:
     """The points' Lefschetz numbers summed as sum_p num_p (D / D_p) over one D.
 
-    The numerator is a q^0 block, so it is converted to ints (raising on a
-    coefficient that is not a real integer) and reduced as in the series."""
+    The numerator is a u^0 block over Z[w^+-1], reduced as in the series."""
     mult, cofactors = cyclotomic_lcm([p.alpha for p in fixture.points])
     sign = 1 if flavor is IndexFlavor.I_SERIES else -1
-    num = LaurentPolynomial()
+    num = ({}, 0)
     for p, cofactor in zip(fixture.points, cofactors):
         spinor = {p.c: 1}
         spinor[-p.c] = spinor.get(-p.c, 0) + sign
-        num = num + LaurentPolynomial(spinor) * expr.char_at(p.alpha, p.c, p.beta) * cofactor
-    return _over(intseries.from_laurent(num, 0), mult, 0).q_coefficient(0)
+        if not any(spinor.values()):
+            continue  # w^c - w^-c at c = 0: a block stores no zero
+        term = intseries.mul(({0: spinor}, 0), expr.char_at(p.alpha, p.c, p.beta))
+        num = intseries.add(num, intseries.mul(term, ({0: cofactor}, 0)))
+    return _over(num, mult, 0).q_coefficient(0)
 
 
 def check_rigidity(
@@ -435,12 +438,14 @@ def check_transform_laws(
             rhs = f * values[0]
             scale = max((abs(v[col]) for v in summands), default=1.0)
             r = abs(values[col] - rhs) / max(1.0, abs(rhs), scale)
+            if not cmath.isfinite(r):  # a summand or the multiplier left float range
+                raise ValueError(f"{label} {law} residual is {r}")
             items.append(ReportItem(f"{label} {law}", "pass" if r < tol else "fail", residual=r))
             if not r < tol:
                 failed.add(law)
 
-    # a summand on a zero of theta(alpha t), or an argument far enough off
-    # the real axis, makes the numeric evaluation fail: that is bad input
+    # a summand on or near a zero of theta(alpha t), or an argument too large
+    # for cmath, makes the numeric evaluation fail: that is bad input
     try:
         arguments = ((t, tau), (t, tau + 1), (t / tau, -1 / tau), (t + a * tau + b, tau))
         per_point = [
@@ -454,7 +459,7 @@ def check_transform_laws(
             # large; the attainable precision scales with the largest summand
             total = [sum(vs) for vs in zip(*per_point)]
             check("total", total, laws(an.n), per_point)
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:  # cmath's domain error too
         raise ValueError(
             f"index series cannot be evaluated at t={t}, tau={tau}: {exc}"
         ) from exc

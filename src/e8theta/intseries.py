@@ -5,10 +5,11 @@ meaning and the validity rules of `series.TruncatedSeries`; no stored map
 is empty and no stored int is zero, so equal blocks compare equal.  Every
 series the package computes (theta products, the E8 lattice sum, powers
 of phi, the index blocks) has real integer coefficients, so it is built and
-multiplied here with plain ints.  A TruncatedSeries is made only at the
-public boundary, by to_series (or, over a denominator, by index._over); the
-one way in is from_laurent, for the index path's Laurent cofactors and its
-Lefschetz-number numerators.
+multiplied here with plain ints, and so are the index path's Lefschetz
+numerators (bundles.BundleExpr.char_at) and cofactors D / D_p, as u^0
+blocks ({0: {w: int}}, validity).  A TruncatedSeries is made only at the
+public boundary, by to_series (or, over a denominator, by index._over);
+nothing is converted back into a block.
 Standard library only.
 """
 
@@ -28,17 +29,6 @@ def to_series(block: Block, unit=1) -> TruncatedSeries:
         validity,
         LaurentPolynomial(),
     )
-
-
-def from_laurent(poly: LaurentPolynomial, validity: int) -> Block:
-    """The constant block poly (at u^0), valid through u^validity.
-
-    Raises AssertionError on a coefficient that is not a real integer.
-    """
-    for v in poly.coeffs.values():
-        if v.im != 0 or type(v.re) is not int:
-            raise AssertionError(f"coefficient is not a real integer: {poly}")
-    return {0: {w: v.re for w, v in poly.coeffs.items()}} if poly.coeffs else {}, validity
 
 
 def substitute(block: Block, m: int) -> Block:

@@ -11,23 +11,25 @@ genuine scalar and not merely a monomial quotient.  A zero numerator has
 denominator 1.
 
 The class holds the reduced sum of the fixed-point terms of an index
-series and does only what that needs: normalise on construction (by a
-Euclidean gcd over Q(i)), add and multiply (a Laurent polynomial or scalar
-operand acts on the numerator and normalises once), negate, compare and
-evaluate (numerically, or exactly at w = 1).
+series and does only what that needs: hold a canonical form, negate,
+compare and evaluate (numerically, or exactly at w = 1).  The constructor
+normalises by a Euclidean gcd over Q(i); it serves only + and * (a Laurent
+polynomial or scalar operand acts on the numerator) and the tests' oracle.
 
-The index path never runs that gcd.  Its denominators are the tangent
-leads D_p = prod_j (w^a_j - w^-a_j), and since
+The index path never runs it: p / 1 (from_laurent) is already canonical,
+and the index denominators come from the tangent leads
+D_p = prod_j (w^a_j - w^-a_j).  Since
 w^a - w^-a = sign(a) w^-|a| (w^(2|a|) - 1) and w^n - 1 = prod_{d | n} Phi_d,
 each lead is a unit times a product of cyclotomic polynomials Phi_d.
 cyclotomic_lcm gives their lcm D = prod_d Phi_d^m_d in that factored form,
-and over_cyclotomic reduces an integer numerator over D by exact integer
-division by each Phi_d, at most m_d times.  That is the canonical form:
-Phi_d is monic and irreducible over Q, so what is left of D is monic with
-constant term +-1, and shares no factor over Q with what is left of the
-numerator.  Over Q(i), Phi_d splits into two conjugate factors when 4 | d;
-a real numerator is divisible by one of them exactly when it is divisible
-by the other, so the Q(i) gcd is the same product of Phi_d's.
+with the cofactors D / D_p as {w: int} maps, and over_cyclotomic reduces an
+integer numerator over D by exact integer division by each Phi_d, at most
+m_d times.  That is the canonical form: Phi_d is monic and irreducible over
+Q, so what is left of D is monic with constant term +-1, and shares no
+factor over Q with what is left of the numerator.  Over Q(i), Phi_d splits
+into two conjugate factors when 4 | d; a real numerator is divisible by one
+of them exactly when it is divisible by the other, so the Q(i) gcd is the
+same product of Phi_d's.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class RationalFunction:
 
     @classmethod
     def from_laurent(cls, p: LaurentPolynomial) -> "RationalFunction":
-        return cls(p, LaurentPolynomial({0: 1}))
+        return cls._canonical(p, LaurentPolynomial({0: 1}))
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -224,15 +226,15 @@ def _cyclotomic_product(poly: list[int], powers: dict[int, int]) -> list[int]:
     return _times_binomials(poly, exps.items())
 
 
-def _laurent(coeffs: list[int], shift: int) -> LaurentPolynomial:
-    return LaurentPolynomial({i + shift: c for i, c in enumerate(coeffs) if c})
+def _terms(coeffs: list[int], shift: int) -> dict[int, int]:
+    return {i + shift: c for i, c in enumerate(coeffs) if c}
 
 
-def cyclotomic_lcm(alphas) -> tuple[dict[int, int], list[LaurentPolynomial]]:
+def cyclotomic_lcm(alphas) -> tuple[dict[int, int], list[dict[int, int]]]:
     """D = lcm_p D_p of the leads D_p = prod_j (w^a_j - w^-a_j), factored.
 
-    Returns {d: m_d} with D = prod_d Phi_d^m_d, and each D / D_p.  With
-    m_pd = #{j : d | 2|a_j|} and s_p = prod_j sign(a_j),
+    Returns {d: m_d} with D = prod_d Phi_d^m_d, and each D / D_p as a
+    {w: int} map.  With m_pd = #{j : d | 2|a_j|} and s_p = prod_j sign(a_j),
     D_p = s_p w^-(sum_j |a_j|) prod_d Phi_d^m_pd, so m_d = max_p m_pd and
     D / D_p = s_p w^(sum_j |a_j|) prod_d Phi_d^(m_d - m_pd).
     """
@@ -244,7 +246,7 @@ def cyclotomic_lcm(alphas) -> tuple[dict[int, int], list[LaurentPolynomial]]:
     for alpha, own in zip(alphas, counts):
         sign = math.prod(1 if a > 0 else -1 for a in alpha)
         poly = _cyclotomic_product([sign], mult - own)
-        cofactors.append(_laurent(poly, sum(map(abs, alpha))))
+        cofactors.append(_terms(poly, sum(map(abs, alpha))))
     return dict(mult), cofactors
 
 
@@ -264,5 +266,5 @@ def over_cyclotomic(num: dict[int, int], mult: dict[int, int]) -> RationalFuncti
         while m and (q := _times_binomials(a, inverse)) is not None:
             a, m = q, m - 1
         left[d] = m
-    den = _laurent(_cyclotomic_product([1], left), 0)
-    return RationalFunction._canonical(_laurent(a, low), den)
+    den = LaurentPolynomial(_terms(_cyclotomic_product([1], left), 0))
+    return RationalFunction._canonical(LaurentPolynomial(_terms(a, low)), den)

@@ -145,12 +145,16 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
             assert code == 2, (command, order)
             assert err.startswith("error:") and f"0..{bound}" in err, err
             assert len(err.strip().splitlines()) == 1
-    # a summand on a zero of theta(alpha t), an overflowing evaluation, or a
-    # point that is not finite
+    # a summand on a zero of theta(alpha t), an overflowing evaluation, a
+    # summand or residual that leaves float range, cmath's domain error, or
+    # a point that is not finite
     for point in (
         ("--t", "0"),
         ("--tau=1e-300j",),
         ("--t=-300j",),
+        ("--t", "1e-300"),
+        ("--t", "1e308"),
+        ("--tau", "1e308+1j"),
         ("--t=nan",),
         ("--t=inf",),
         ("--tau=nanj",),

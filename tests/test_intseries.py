@@ -5,8 +5,6 @@ intseries.to_series, exactly the same operation on Laurent-valued series,
 validity order included.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from conftest import (
@@ -22,7 +20,7 @@ from conftest import (
 )
 
 from e8theta import intseries
-from e8theta.gaussian import I, MINUS_I, GaussianRational
+from e8theta.gaussian import MINUS_I
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import U_PER_Q
 
@@ -112,18 +110,3 @@ def test_phi_block_powers_match_naive_products(order):
     }
     qi = intseries.to_series(intseries.phi_block(-3, order))
     assert qi == map_coefficients(power(phi_series(order), -3), lambda c: LaurentPolynomial({0: c}))
-
-
-def test_from_laurent_rejects_non_integers():
-    assert intseries.from_laurent(LaurentPolynomial({-1: 3, 2: -1}), 30) == (
-        {0: {-1: 3, 2: -1}},
-        30,
-    )
-    assert intseries.from_laurent(LaurentPolynomial(), 30) == ({}, 30)
-    for poly in (
-        LaurentPolynomial({1: I, -1: -I}),
-        LaurentPolynomial({0: 1, 2: GaussianRational(Fraction(1, 2))}),
-    ):
-        with pytest.raises(AssertionError, match="not a real integer"):
-            intseries.from_laurent(poly, 30)
-

@@ -103,3 +103,21 @@ def test_package_root_binds_only_dunders():
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
     assert all(name.startswith("__") and name.endswith("__") for name in bound), sorted(bound)
+
+
+def test_every_module_level_import_is_used():
+    """No import is left over: each name a module-level import binds in
+    src/e8theta is read somewhere in that module (__future__ is exempt)."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "unused imports: " + ", ".join(unused)
