@@ -30,12 +30,12 @@ block is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import intseries
 from .errors import FixtureFormatError
+from .record import Record
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_product
@@ -51,12 +51,14 @@ MAX_BETA = 30
 LatticeVector = tuple[int, int, int, int, int, int, int, int]
 
 
-@dataclass
-class ShellTable:
+class ShellTable(Record):
     """Vectors grouped by half-norm, each shell sorted lexicographically."""
 
-    max_half_norm: int
-    shells: dict[int, list[LatticeVector]]
+    __slots__ = ("max_half_norm", "shells")
+
+    def __init__(self, max_half_norm: int, shells: dict[int, list[LatticeVector]]):
+        self.max_half_norm = max_half_norm
+        self.shells = shells
 
     def total_vectors(self) -> int:
         return sum(len(v) for v in self.shells.values())
@@ -249,13 +251,15 @@ def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
     )
 
 
-@dataclass
-class BasicCharacter:
+class BasicCharacter(Record):
     """Graded character of the level-one highest-weight module, along beta."""
 
-    beta: tuple[int, ...]
-    series: TruncatedSeries
-    graded_dims: list[int]
+    __slots__ = ("beta", "series", "graded_dims")
+
+    def __init__(self, beta: tuple[int, ...], series: TruncatedSeries, graded_dims: list[int]):
+        self.beta = beta
+        self.series = series
+        self.graded_dims = graded_dims
 
 
 def basic_character(beta: tuple[int, ...], order: int) -> BasicCharacter:

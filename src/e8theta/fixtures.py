@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .e8 import validate_beta
 from .errors import FixtureFormatError
+from .record import FrozenRecord
 
 
 def _require(cond: bool, field_name: str, message: str):
@@ -46,43 +46,40 @@ class IndexFlavor(enum.Enum):
     J_SERIES = "J"
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    alpha: tuple[int, ...]
-    c: int = 0
-    beta: tuple[int, ...] = (0,) * 8
+class FixedPoint(FrozenRecord):
+    __slots__ = ("alpha", "c", "beta")
 
-    def __post_init__(self):
+    def __init__(self, alpha: tuple[int, ...], c: int = 0, beta: tuple[int, ...] = (0,) * 8):
         _require(
-            isinstance(self.alpha, (list, tuple)) and all(_is_int(a) and a != 0 for a in self.alpha),
+            isinstance(alpha, (list, tuple)) and all(_is_int(a) and a != 0 for a in alpha),
             "alpha",
             "must be a list of integers, all nonzero at an isolated fixed point",
         )
-        _require(_is_int(self.c), "c", "must be an integer")
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "beta", validate_beta(self.beta))
+        _require(_is_int(c), "c", "must be an integer")
+        object.__setattr__(self, "alpha", tuple(alpha))
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "beta", validate_beta(beta))
 
 
-@dataclass(frozen=True)
-class FixedPointFixture:
-    k: int
-    points: tuple[FixedPoint, ...]
-    label: str = ""
+class FixedPointFixture(FrozenRecord):
+    __slots__ = ("k", "points", "label")
 
-    def __post_init__(self):
-        _require(_is_int(self.k) and self.k >= 1, "k", "must be a positive integer")
-        _require(isinstance(self.label, str), "label", "must be a string")
+    def __init__(self, k: int, points: tuple[FixedPoint, ...], label: str = ""):
+        _require(_is_int(k) and k >= 1, "k", "must be a positive integer")
+        _require(isinstance(label, str), "label", "must be a string")
         _require(
-            isinstance(self.points, (list, tuple))
-            and self.points
-            and all(isinstance(p, FixedPoint) for p in self.points),
+            isinstance(points, (list, tuple))
+            and points
+            and all(isinstance(p, FixedPoint) for p in points),
             "points",
             "must be a nonempty list of fixed points",
         )
-        object.__setattr__(self, "points", tuple(self.points))
-        for i, p in enumerate(self.points):
+        for i, p in enumerate(points):
             n = len(p.alpha)
-            _require(n == self.k, f"points[{i}].alpha", f"{n} rotation weights, but k={self.k}")
+            _require(n == k, f"points[{i}].alpha", f"{n} rotation weights, but k={k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "label", label)
 
 
 def fixture_from_dict(data: dict) -> tuple[FixedPointFixture, IndexFlavor]:
@@ -126,7 +123,8 @@ def load_fixture(path) -> tuple[FixedPointFixture, IndexFlavor]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the decoder's recursion limit
         raise FixtureFormatError("<root>", f"invalid JSON in {path}: {exc}") from exc
     return fixture_from_dict(data)
 

@@ -46,13 +46,13 @@ whole powers of q survive the sum over the points is asserted.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from . import intseries
 from .bundles import BundleExpr, order_one_twist
 from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from .ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
+from .record import FrozenRecord, Record
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
@@ -63,13 +63,15 @@ from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 MAX_INDEX_ORDER = 30
 
 
-@dataclass(frozen=True)
-class AnomalyResult:
+class AnomalyResult(FrozenRecord):
     """Per-point values of sum(beta^2) + (3 or 1) c^2 - sum(alpha^2)."""
 
-    per_point: tuple[int, ...]
-    consistent: bool
-    n: int | None
+    __slots__ = ("per_point", "consistent", "n")
+
+    def __init__(self, per_point: tuple[int, ...], consistent: bool, n: int | None):
+        object.__setattr__(self, "per_point", per_point)
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "n", n)
 
 
 def anomaly(fixture: FixedPointFixture, flavor: IndexFlavor) -> AnomalyResult:
@@ -82,12 +84,20 @@ def anomaly(fixture: FixedPointFixture, flavor: IndexFlavor) -> AnomalyResult:
     return AnomalyResult(values, consistent, values[0] if consistent else None)
 
 
-@dataclass
-class IndexSeries:
-    flavor: IndexFlavor
-    fixture: FixedPointFixture
-    series: TruncatedSeries  # rational-function coefficients, whole q-powers
-    order: int
+class IndexSeries(Record):
+    __slots__ = ("flavor", "fixture", "series", "order")
+
+    def __init__(
+        self,
+        flavor: IndexFlavor,
+        fixture: FixedPointFixture,
+        series: TruncatedSeries,  # rational-function coefficients, whole q-powers
+        order: int,
+    ):
+        self.flavor = flavor
+        self.fixture = fixture
+        self.series = series
+        self.order = order
 
     def q_coefficient(self, n: int) -> RationalFunction:
         return self.series.q_coefficient(n)

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass
-class ReportItem:
-    name: str
-    status: str  # "pass" | "fail" | "info"
-    residual: float | None = None
-    coefficient: str | None = None
-    detail: str | None = None
+class ReportItem(Record):
+    __slots__ = ("name", "status", "residual", "coefficient", "detail")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,  # "pass" | "fail" | "info"
+        residual: float | None = None,
+        coefficient: str | None = None,
+        detail: str | None = None,
+    ):
+        self.name = name
+        self.status = status
+        self.residual = residual
+        self.coefficient = coefficient
+        self.detail = detail
 
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "status": self.status}
@@ -24,8 +33,7 @@ class ReportItem:
         return d
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Machine-readable outcome of a check.
 
     `verdict` is the checker's headline ("pass"/"fail" for residual checks,
@@ -34,10 +42,19 @@ class VerificationReport:
     first failing item.
     """
 
-    verdict: str
-    ok: bool
-    items: list[ReportItem] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("verdict", "ok", "items", "meta")
+
+    def __init__(
+        self,
+        verdict: str,
+        ok: bool,
+        items: list[ReportItem] | None = None,
+        meta: dict | None = None,
+    ):
+        self.verdict = verdict
+        self.ok = ok
+        self.items = [] if items is None else items
+        self.meta = {} if meta is None else meta
 
     @classmethod
     def from_items(cls, items: list[ReportItem], meta: dict) -> "VerificationReport":

@@ -22,8 +22,8 @@ to Mb, lowest mb) is valid to min(Ma + mb, Mb + ma).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .errors import BeyondTruncationError, ExponentLatticeError
 from .gaussian import ZERO

@@ -163,6 +163,16 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         assert code == 2
         assert err.startswith("error:") and "t=" in err and "tau=" in err
         assert len(err.strip().splitlines()) == 1
+    # a fixture nested deeper than the JSON decoder's recursion limit, as the
+    # whole document or as the points value
+    nested = "[" * 200000 + "]" * 200000
+    for text in (nested, '{"k": 1, "points": ' + nested + "}"):
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        code, _, err = invoke(capsys, "index", "expand", "--fixture", str(deep), "--order", "1")
+        assert code == 2
+        assert err.startswith("error:") and "invalid JSON" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_empty_fixture_is_a_usage_error_naming_the_option(capsys):

@@ -1,4 +1,5 @@
-"""The package ships no name that only tests use, and one import path per name.
+"""The package ships no name that only tests use, and one import path per name;
+importing its CLI loads no module that only introspection needs.
 
 Every module-level function and class in src/e8theta, and every
 non-dunder method of its classes, must be referenced somewhere in
@@ -8,8 +9,13 @@ each name is imported from its module only.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "e8theta"
@@ -121,3 +127,24 @@ def test_every_module_level_import_is_used():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# modules that only introspection or annotations need (dataclasses brings
+# inspect, ast, dis and tokenize), paid for by every cold command
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_cli_import_loads_no_introspection_modules(flags):
+    """Importing the CLI, which every command does, loads none of them."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import e8theta.cli\n"
+        f"print(sorted(set({INTROSPECTION_MODULES!r}) & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]", out
