@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
 
@@ -39,7 +38,7 @@ _THETA_NAMES = {k.value: k for k in ThetaKind}
 _THETA_SAMPLE = (0.2 + 0.0j, 1.1j)
 _JACOBI_TAUS = [1.3j, 0.8j, 0.2 + 1.1j, -0.4 + 0.9j, 2.0j]
 
-# largest `e8 identity --random` count: 20-25 s at order 10 on a 2-vCPU host
+# largest `e8 identity --random` count: ~14 s at order 10 on a 2-vCPU host
 MAX_RANDOM = 1000
 
 
@@ -209,6 +208,8 @@ def _cmd_e8_identity(args) -> int:
     if args.beta is not None:
         betas.append(args.beta)
     if args.random:
+        import random  # only this option draws betas
+
         rng = random.Random(args.seed)
         betas.extend(
             tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(args.random)

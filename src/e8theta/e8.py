@@ -9,10 +9,13 @@ shells, and shell m holds 240 * sigma_3(m) points (m >= 1).
 
 The lattice theta function is a dynamic program over the eight doubled
 coordinates: it counts points by (half-norm, w-exponent) without listing
-them, so its cost grows polynomially in the order.  For a generic beta
-every point of a shell can have its own w-exponent, and the dynamic program
-then keeps about as many states as the enumeration has vectors: 794,161
-through half-norm 10.  Its counts form an `intseries` block over Z[w^+-1].
+them, so its cost grows polynomially in the order.  A state is a squared
+length and a coordinate sum mod 4, at most 21 of them per parity class
+through half-norm 10 and 61 through 30, and it holds its counts for every
+w-exponent packed into one int, so a generic beta, whose points can each
+have their own w-exponent, adds no states: it only widens the ints, by
+sum |beta_l| / gcd(beta) slots.  Its counts form an `intseries` block over
+Z[w^+-1].
 It serves theta_e8, check_identity_116 and basic_character, which take
 orders 0..MAX_HALF_NORM = 10, and the lattice block of the index series,
 which takes the index bound 0..30.  The other side of identity 116,
@@ -30,6 +33,7 @@ block is built.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,10 +46,15 @@ from .theta import ThetaKind, theta_product
 
 MAX_HALF_NORM = 10
 
-# largest |beta_l| a fixture may give: the lattice block's cost grows with
-# the number of distinct w-exponents beta.d, and a two-point k = 1 fixture
-# with beta = (1, 10, ..., 10^7) took 456 MiB at order 10; with every
-# |beta_l| <= 30 order 30 stays under 4 s and 30 MiB
+# width of one w-exponent's count in _lattice_series's packed states; _slots
+# reads them as C unsigned 64-bit ints
+_SLOT_BITS = 64
+
+# largest |beta_l| a fixture may give: the cost of the lattice block and of
+# the block multiplies after it grows with the span of the w-exponents
+# beta.d, and a two-point k = 1 fixture with beta = (1, 10, ..., 10^7) took
+# 456 MiB at order 10; with every |beta_l| <= 30 order 30 stays under 2 s
+# and 25 MiB
 MAX_BETA = 30
 
 LatticeVector = tuple[int, int, int, int, int, int, int, int]
@@ -166,39 +175,67 @@ def _lattice_series(beta: tuple[int, ...], order: int) -> intseries.Block:
     """The lattice theta series along an 8-entry beta, through q^order, as a block.
 
     A dynamic program over the eight doubled coordinates, once per parity
-    class, whose states (sum d_l^2, sum d_l mod 4, sum d_l beta_l) count the
-    coordinate prefixes reaching them; no lattice vector is listed.
-    Membership (sum d_l = 0 mod 4) is applied to the final states.  The
-    caller bounds the order: theta_e8 and basic_character by MAX_HALF_NORM,
-    the index lattice block by its own MAX_INDEX_ORDER.
+    class, whose states (sum d_l^2, sum d_l mod 4) count the coordinate
+    prefixes reaching them; no lattice vector is listed.  A state's counts by
+    w-exponent are packed into one int, _SLOT_BITS bits per exponent, so a
+    coordinate step adds the state's int shifted by the step's exponent.
+    The packed exponent is sum floor(d_l / 2) b_l for b = beta / gcd(beta),
+    less its minimum: with the parity p of the class, the w-exponent is
+    gcd(beta) (2 sum floor(d_l / 2) b_l + p sum b_l), and neither the zero
+    slots between multiples of the gcd nor those of the other parity are
+    stored.  Membership (sum d_l = 0 mod 4) is applied to the final states.
+    The caller bounds the order: theta_e8 and basic_character by
+    MAX_HALF_NORM, the index lattice block by its own MAX_INDEX_ORDER.
     """
     norm_sq = 8 * order
     r = math.isqrt(norm_sq)
+    # a slot counts coordinate tuples, at most (r + 1)^8 of them, and must
+    # not carry into the next slot
+    if (r + 1) ** 8 >> _SLOT_BITS:
+        raise AssertionError(f"order {order} overflows the {_SLOT_BITS}-bit count slots")
+    g = math.gcd(*beta) or 1
+    beta = [b // g for b in beta]
     shells: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for parity in (0, 1):
         values = sorted((v for v in range(-r, r + 1) if v % 2 == parity), key=abs)
-        states = {(0, 0, 0): 1}
+        low = 0  # the half-exponent of slot 0
+        states = {(0, 0): 1}
         for b in beta:
-            steps = [(v * v, v, v * b) for v in values]
-            reached: dict[tuple[int, int, int], int] = {}
-            for (n, s, e), count in states.items():
+            halves = [(v >> 1) * b for v in values]
+            least = min(halves, default=0)  # no odd values at order 0
+            low += least
+            steps = [(v * v, v, _SLOT_BITS * (h - least)) for v, h in zip(values, halves)]
+            reached: dict[tuple[int, int], int] = {}
+            for (n, s), poly in states.items():
                 room = norm_sq - n
-                for v2, v, vb in steps:
+                for v2, v, shift in steps:
                     if v2 > room:
                         break
-                    key = (n + v2, (s + v) % 4, e + vb)
-                    reached[key] = reached.get(key, 0) + count
+                    key = (n + v2, (s + v) % 4)
+                    reached[key] = reached.get(key, 0) + (poly << shift)
             states = reached
-        for (n, s, e), count in states.items():
+        base = g * (2 * low + parity * sum(beta))  # the w-exponent of slot 0
+        for (n, s), poly in states.items():
             if s:
                 continue
             if n % 8 != 0:  # impossible for even-sum vectors of either parity class
                 raise AssertionError(f"a point of squared length {n}/4 is off the even lattice")
             shell = shells[n // 8]
-            shell[e] = shell.get(e, 0) + count
+            e = base
+            for count in _slots(poly):
+                if count:
+                    shell[e] = shell.get(e, 0) + count
+                e += 2 * g
     for m, shell in enumerate(shells):
         _check_shell_count(m, sum(shell.values()))
     return {U_PER_Q * m: shell for m, shell in enumerate(shells)}, U_PER_Q * order + U_PER_Q - 1
+
+
+def _slots(poly: int) -> memoryview:
+    """The _SLOT_BITS-bit slots of a packed int, lowest first."""
+    size = -(-poly.bit_length() // _SLOT_BITS) * (_SLOT_BITS // 8)
+    slots = memoryview(poly.to_bytes(size, sys.byteorder)).cast("Q")
+    return slots if sys.byteorder == "little" else slots[::-1]
 
 
 def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
@@ -208,16 +245,24 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     through q^order, i.e. u^(24 order): the theta_2 and theta_3 products are
     valid exactly that far, the other two (which start at q^(1/8)) further.
     """
-    beta = validate_beta(beta)
+    return intseries.to_series(_product_side(validate_beta(beta), order))
+
+
+def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
+    """theta_product_side's block, for a validated beta.
+
+    Each product takes its factors by increasing |beta_l|: the product is
+    the same, the small factors keep the partial products short, and a zero
+    beta_l comes first, where it ends the theta_1 product at once.
+    """
+    factors = sorted(beta, key=abs)
     total = ({}, U_PER_Q * order)
     for kind in ThetaKind:
-        total = intseries.add(total, theta_product([(kind, b) for b in beta], order))
+        total = intseries.add(total, theta_product([(kind, b) for b in factors], order))
     for e, poly in total[0].items():
         if any(c % 2 for c in poly.values()):
             raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")
-    return intseries.to_series(
-        ({e: {w: c // 2 for w, c in p.items()} for e, p in total[0].items()}, total[1])
-    )
+    return {e: {w: c // 2 for w, c in p.items()} for e, p in total[0].items()}, total[1]
 
 
 def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
@@ -225,16 +270,25 @@ def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:
 
     The two sides are computed by unrelated routes (a count of lattice
     points vs product expansions), so agreement through q^order is a real
-    check.
+    check.  They are compared as integer blocks; series are made only to
+    word a mismatch.
     The basis is pinned to the standard coordinates documented in the
     module docstring; a mismatch is reported, never silently re-based.
     """
-    lhs = theta_e8(beta, order)
-    rhs = theta_product_side(beta, order)
-    e = lhs.first_difference(rhs)
-    if e is None:
+    beta = validate_beta(beta)
+    _check_half_norm(order)
+    lhs = _lattice_series(beta, order)
+    rhs = _product_side(beta, order)
+    through = min(lhs[1], rhs[1])
+    differ = [
+        e for e in lhs[0].keys() | rhs[0].keys()
+        if e <= through and lhs[0].get(e) != rhs[0].get(e)
+    ]
+    if not differ:
         item = ReportItem(f"lattice sum = theta products through q^{order}", "pass")
     else:
+        e = min(differ)
+        lhs, rhs = intseries.to_series(lhs), intseries.to_series(rhs)
         item = ReportItem(
             "first mismatching coefficient",
             "fail",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
-from pathlib import Path
+import os.path
 
 from .e8 import validate_beta
 from .errors import FixtureFormatError
@@ -138,7 +138,7 @@ def save_fixture(fixture: FixedPointFixture, flavor: IndexFlavor, path) -> None:
 BUNDLED_FIXTURES = ("s2", "s2xs2", "cp1_spinc", "cp2", "single_point")
 
 
-def bundled_fixture_path(name: str) -> Path:
+def bundled_fixture_path(name: str) -> str:
     """Resolve a bundled fixture by bare name or filename."""
     stem = name[:-5] if name.endswith(".json") else name
     if stem not in BUNDLED_FIXTURES:
@@ -147,15 +147,11 @@ def bundled_fixture_path(name: str) -> Path:
             f"no bundled fixture {name!r}; "
             f"available: {', '.join(BUNDLED_FIXTURES)}"
         )
-    return Path(__file__).parent / "data" / f"{stem}.json"
+    return os.path.join(os.path.dirname(__file__), "data", f"{stem}.json")
 
 
 def resolve_fixture(path_or_name: str) -> tuple[FixedPointFixture, IndexFlavor]:
-    """Load from an existing path, else fall back to the bundled fixtures.
-
-    The empty string names no path (Path("") would be the directory ".").
-    """
-    p = Path(path_or_name)
-    if path_or_name and p.exists():
-        return load_fixture(p)
+    """Load from an existing path, else fall back to the bundled fixtures."""
+    if os.path.exists(path_or_name):
+        return load_fixture(path_or_name)
     return load_fixture(bundled_fixture_path(path_or_name))

@@ -147,19 +147,6 @@ class TruncatedSeries:
                 out[k] = s
         return TruncatedSeries(out, self.order, zero)
 
-    def first_difference(self, other: "TruncatedSeries"):
-        """Lowest exponent where the two series differ within both validity
-        orders, or None."""
-        bound = min(self.order, other.order)
-        for e in sorted(set(self.coeffs) | set(other.coeffs)):
-            if e > bound:
-                continue
-            a = self.coeffs.get(e, self.zero)
-            b = other.coeffs.get(e, other.zero)
-            if a != b:
-                return e
-        return None
-
     def evaluate(self, u_value: complex, coeff_value: Callable = complex) -> complex:
         return sum((coeff_value(c) * u_value**e for e, c in self.coeffs.items()), 0j)
 

@@ -22,6 +22,18 @@ def map_coefficients(series: TruncatedSeries, fn) -> TruncatedSeries:
     return TruncatedSeries({e: fn(c) for e, c in series.coeffs.items()}, series.order, fn(series.zero))
 
 
+def first_difference(a: TruncatedSeries, b: TruncatedSeries):
+    """Lowest exponent where the two series differ within both validity
+    orders, or None."""
+    bound = min(a.order, b.order)
+    for e in sorted(set(a.coeffs) | set(b.coeffs)):
+        if e > bound:
+            continue
+        if a.coeffs.get(e, a.zero) != b.coeffs.get(e, b.zero):
+            return e
+    return None
+
+
 def shell_counts(table) -> list[int]:
     """The number of points in each shell of an e8.ShellTable, by half-norm."""
     return [len(table.shells.get(m, [])) for m in range(table.max_half_norm + 1)]

@@ -1,12 +1,15 @@
+import math
 import operator
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     brute_force_e8_shell,
+    first_difference,
     map_coefficients,
     naive_partition_power,
     series_sum,
@@ -128,6 +131,40 @@ def test_theta_e8_equals_enumerated_lattice_sum(beta, n):
     assert s.coeffs == _lattice_sum_from_shells(beta, _shells_through_5(), n), (beta, n)
 
 
+@st.composite
+def _wide_betas(draw):
+    """8 entries in -30..30, a multiple of a drawn g in 1..10."""
+    g = draw(st.integers(1, 10))
+    return tuple(g * b for b in draw(st.tuples(*[st.integers(-(30 // g), 30 // g)] * 8)))
+
+
+@given(_wide_betas(), st.integers(0, 3))
+@example((3, 6, -9, 0, 0, 0, 0, 3), 3)  # shared factor 3, odd sum
+@example((30,) * 8, 3)
+@example((-30, 29, 27, -23, 19, 13, 7, 2), 3)
+@example((2, 4, 6, 0, 0, 0, 0, -8), 3)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_lattice_sum_equals_enumeration_for_wide_betas(beta, n):
+    # the packed dynamic program against the enumerated vectors, with
+    # entries up to the MAX_BETA bound, shared factors and odd sums
+    s = intseries.to_series(e8theta.e8._lattice_series(beta, n))
+    assert s.coeffs == _lattice_sum_from_shells(beta, _shells_through_5(), n), (beta, n)
+
+
+def test_lattice_sum_checks_the_slot_width_before_any_state(monkeypatch):
+    # every count is at most (r + 1)^8 with r = isqrt(8 order), so 64-bit
+    # slots hold every order through 8128.  gcd(beta) is the program's first
+    # step after the check: patched to raise, no state is ever built.
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(e8theta.e8, "math", SimpleNamespace(isqrt=math.isqrt, gcd=no_work))
+    with pytest.raises(AssertionError, match="order 8129 overflows the 64-bit count slots"):
+        e8theta.e8._lattice_series((1,) * 8, 8129)
+    with pytest.raises(AssertionError, match="work started"):
+        e8theta.e8._lattice_series((1,) * 8, 8128)
+
+
 def test_theta_e8_does_not_enumerate(monkeypatch):
     calls = []
 
@@ -174,6 +211,10 @@ def test_theta_e8_permutation_invariance(rng):
         perm = list(beta)
         rng.shuffle(perm)
         assert theta_e8(tuple(perm), 2) == s
+    # so is the product side, which reorders its factors by |beta_l|
+    rhs = theta_product_side(beta, 3)
+    for perm in ((1, 3, 0, -2, 1, 0, 2, -1), (0, 0, -1, 1, 1, -2, 2, 3)):
+        assert theta_product_side(perm, 3) == rhs
 
 
 def test_identity_beta_zero_reduces_to_three_products():
@@ -244,21 +285,48 @@ def test_identity_randomized(rng):
     ((0,) * 8, 12),
     ((0,) * 8, 30),
     ((1, -1, 0, 0, 0, 0, 0, 0), 12),
+    ((30, 29, 27, 23, 19, 13, 7, 2), 12),
+    ((30, 29, 27, 23, 19, 13, 7, 2), 30),
+    ((30,) * 8, 17),
+    ((30,) * 8, 30),
+    ((2, 4, 6, 0, 0, 0, 0, -8), 12),
+    ((2, 4, 6, 0, 0, 0, 0, -8), 30),
 ])
 def test_lattice_sum_equals_theta_products_past_the_e8_bound(beta, order):
     # the index lattice block runs the lattice-sum DP up to the index bound,
     # 30, past the 0..10 that theta_e8 and check_identity_116 accept
     lhs = intseries.to_series(e8theta.e8._lattice_series(beta, order))
     rhs = theta_product_side(beta, order)
-    assert lhs.first_difference(rhs) is None
+    assert first_difference(lhs, rhs) is None
     assert not lhs.q_coefficient(order).is_zero()
+
+
+def test_identity_mismatch_item_wording(monkeypatch):
+    # two more at a theta_1 term of q^1: the half-sum gains one w^2 there;
+    # the item reads as when the two sides were compared as series
+    def two_more_theta1_terms(factors, order):
+        coeffs, validity = theta_product(factors, order)
+        if factors[0][0] is ThetaKind.THETA1:
+            e = min(coeffs)
+            coeffs = {**coeffs, e: {**coeffs[e], max(coeffs[e]) + 1: 2}}
+        return coeffs, validity
+
+    monkeypatch.setattr(e8theta.e8, "theta_product", two_more_theta1_terms)
+    report = check_identity_116((1, 0, 0, 0, 0, 0, 0, 0), 2)
+    assert [item.to_dict() for item in report.items] == [{
+        "name": "first mismatching coefficient",
+        "status": "fail",
+        "coefficient": "u^24 (q^1): lattice 14*w^-2 + 64*w^-1 + 84 + 64*w + 14*w^2"
+        " vs products 14*w^-2 + 64*w^-1 + 84 + 64*w + 15*w^2",
+    }]
+    assert report.summary().splitlines()[0] == "verdict: fail"
 
 
 def test_identity_check_can_fail():
     # corrupt one side by shifting beta between the two routes
     lhs = theta_e8((1, 0, 0, 0, 0, 0, 0, 0), 2)
     rhs = theta_product_side((2, 0, 0, 0, 0, 0, 0, 0), 2)
-    e = lhs.first_difference(rhs)
+    e = first_difference(lhs, rhs)
     assert e is not None
 
 

@@ -148,3 +148,19 @@ def test_cli_import_loads_no_introspection_modules(flags):
         [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]", out
+
+
+def test_cli_import_loads_no_pathlib_or_random():
+    """Without site (which may load both), importing the CLI loads neither:
+    fixture paths are os.path strings, and only `e8 identity --random`
+    imports random."""
+    code = (
+        "import sys\n"
+        "import e8theta.cli\n"
+        "print(sorted({'pathlib', 'random'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]", out

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     evaluate_expansion,
+    first_difference,
     map_coefficients,
     theta_prime_zero_series,
     theta_product_qi,
@@ -160,7 +161,7 @@ def test_theta_prime_series_is_q18_phi_cubed():
     assert s.coefficient(3) == ONE
     # spot check against the termwise z-derivative of the odd theta
     d = z_derivative_at_zero(theta_series(ThetaKind.THETA, 6))
-    assert d.first_difference(s) is None
+    assert first_difference(d, s) is None
 
 
 def test_theta_prime_numeric_laws():
