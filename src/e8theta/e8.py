@@ -20,8 +20,10 @@ It serves theta_e8, check_identity_116 and basic_character, which take
 orders 0..MAX_HALF_NORM = 10, and the lattice block of the index series,
 which takes the index bound 0..30.  The other side of identity 116,
 theta_product_side, adds the four 8-fold theta products as integer blocks
-and halves the sum exactly; basic_character multiplies the lattice block
-by the block of phi^-8.  Each public function makes a TruncatedSeries only
+and halves the sum exactly.  It multiplies out three of them: the theta_2
+product is the theta_3 product at tau + 1, by the law tau -> tau + 1,
+which sends q^(1/2) to -q^(1/2).  basic_character multiplies the lattice
+block by the block of phi^-8.  Each public function makes a TruncatedSeries only
 from its final block (intseries.to_series).  Explicit enumeration
 (enumerate_shells, also bounded by MAX_HALF_NORM) serves only the 240 roots
 and the tests, where it is the brute-force oracle for that count.  A beta
@@ -251,14 +253,27 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
 def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     """theta_product_side's block, for a validated beta.
 
-    Each product takes its factors by increasing |beta_l|: the product is
-    the same, the small factors keep the partial products short, and a zero
-    beta_l comes first, where it ends the theta_1 product at once.
+    Three 8-fold products are multiplied out; the theta_2 product is the
+    theta_3 product at tau + 1.  tau -> tau + 1 sends q^(1/2) to -q^(1/2),
+    which turns each factor theta_3(z, tau) into theta_2(z, tau), so it
+    sends u^e to (-1)^(e/12) u^e in a product whose exponents are all
+    multiples of 12 (asserted).  Each product takes its factors by
+    increasing |beta_l|: the product is the same, the small factors keep the
+    partial products short, and a zero beta_l comes first, where it ends the
+    theta_1 product at once.
     """
     factors = sorted(beta, key=abs)
+    half_q = U_PER_Q // 2
+    theta3 = theta_product([(ThetaKind.THETA3, b) for b in factors], order)
+    if any(e % half_q for e in theta3[0]):
+        raise AssertionError("the theta_3 product has a term off the q^(1/2) lattice")
+    theta2 = {
+        e: {w: -c for w, c in p.items()} if e % U_PER_Q else p for e, p in theta3[0].items()
+    }
     total = ({}, U_PER_Q * order)
-    for kind in ThetaKind:
+    for kind in (ThetaKind.THETA, ThetaKind.THETA1):
         total = intseries.add(total, theta_product([(kind, b) for b in factors], order))
+    total = intseries.add(intseries.add(total, (theta2, theta3[1])), theta3)
     for e, poly in total[0].items():
         if any(c % 2 for c in poly.values()):
             raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")

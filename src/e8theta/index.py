@@ -28,15 +28,21 @@ The leads enter only through D = lcm_p D_p, which ratfunc.cyclotomic_lcm
 gives factored into cyclotomic polynomials, with the integer cofactors
 D / D_p; a cofactor enters as the u^0 block ({0: cofactor}, validity), so
 the result is real by construction.
-index_series builds the shared factor once per fixture and the lattice
-block once per distinct beta.  Each point adds its tangent q-series times
-its line numerator, scaled by D / D_p; the points with one beta are summed,
-then multiplied once by that beta's lattice block times the shared factor.
+Each block has a parity: the tangent block is even in each alpha_j (it is
+built from both w^(+-2a)), the lattice block even in beta (gamma -> -gamma
+maps the lattice to itself), the I line block even in c and the J line
+block odd in c (theta is odd).  So index_series groups the points by
+(sorted |alpha_j|, |c|, beta up to sign) and sums each group's cofactors
+D / D_p, signed by sign(c) for J; a group whose sum is zero builds no
+block.  Each other group adds one tangent q-series times line numerator,
+scaled by its summed cofactor; the groups with one beta are summed, then
+multiplied once by that beta's lattice block times the shared factor,
+which is built once per fixture.  point_contribution uses no symmetry.
 Each q^n coefficient of the total becomes one RationalFunction over D (in
 point_contribution, over D_p), reduced by exact integer division by the
 cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.  So is
 each Lefschetz number: spinor times BundleExpr.char_at times cofactor, a
-u^0 block summed over the points.
+u^0 block summed point by point, an independent check of q^0 and q^1.
 
 Every block expands through q^order and no further: validity propagation
 then leaves the product valid through exactly u^(24 order).  That only
@@ -57,9 +63,9 @@ from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
-# largest order index_series expands to: cp2 (k = 2, three points) takes
-# about 0.2 s (I) and 0.1 s (J) at order 30 on a 2-vCPU host, nearly all of
-# it block multiplies
+# largest order index_series expands to: cp2 (k = 2, three points, two point
+# groups) takes about 0.06 s (I) at order 30 on a 2-vCPU host, nearly all of
+# it block multiplies, and under 1 ms (J), whose mirrored points cancel
 MAX_INDEX_ORDER = 30
 
 
@@ -127,12 +133,13 @@ def _over(block: intseries.Block, mult: dict[int, int], order: int) -> Truncated
     return TruncatedSeries(out, target, RationalFunction.zero())
 
 
-def _point_block(point: FixedPoint, flavor: IndexFlavor, order: int) -> intseries.Block:
+def _point_block(
+    alpha: tuple[int, ...], c: int, flavor: IndexFlavor, order: int
+) -> intseries.Block:
     """A point's tangent q-series times its line numerator."""
-    tangent = _tangent_block(point.alpha, U_PER_Q * order)
+    tangent = _tangent_block(alpha, U_PER_Q * order)
     kinds = _EVEN_KINDS if flavor is IndexFlavor.I_SERIES else (ThetaKind.THETA,)
-    line = theta_product([(kind, point.c) for kind in kinds], order)
-    return intseries.mul(tangent, line)
+    return intseries.mul(tangent, theta_product([(kind, c) for kind in kinds], order))
 
 
 def _shared_block(k: int, order: int) -> intseries.Block:
@@ -165,28 +172,58 @@ def _assert_quotient_identity():
     _factor_identity_checked = True
 
 
-def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
-    """Sum of the points' summands through q^order, each coefficient over D = lcm_p D_p."""
-    mult, cofactors = cyclotomic_lcm([p.alpha for p in points])
+def _numerator(terms, k: int, flavor: IndexFlavor, order: int) -> intseries.Block:
+    """Sum over the (alpha, c, beta, {0: cofactor}) terms of the cofactor
+    times the point block, the lattice block of beta and the shared factor;
+    the terms with one beta share one lattice block."""
     by_beta = {}
-    for p, cofactor in zip(points, cofactors):
-        own = _point_block(p, flavor, order)
-        own = intseries.mul(own, ({0: cofactor}, own[1]))
-        by_beta[p.beta] = intseries.add(own, by_beta.get(p.beta, ({}, own[1])))
+    for alpha, c, beta, cofactor in terms:
+        own = _point_block(alpha, c, flavor, order)
+        own = intseries.mul(own, (cofactor, own[1]))
+        by_beta[beta] = intseries.add(own, by_beta.get(beta, ({}, own[1])))
     shared = _shared_block(k, order)
     numer = ({}, U_PER_Q * order)
     for beta, part in by_beta.items():
         lattice = _lattice_series(beta, order)
         numer = intseries.add(numer, intseries.mul(part, intseries.mul(lattice, shared)))
-    return _over(numer, mult, order)
+    return numer
+
+
+def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
+    """Sum of the points' summands through q^order, each coefficient over D = lcm_p D_p.
+
+    A point's blocks depend on it only through (sorted |alpha_j|, |c|, beta
+    up to sign), up to a sign: the tangent block is even in each alpha_j,
+    the lattice block even in beta (gamma -> -gamma), the I line block even
+    in c and the J line block odd in c.  So each group of points with one
+    such key adds its cofactors D / D_p, times 1 (I) or sign(c) (J), and a
+    group whose sum is zero builds no block; a J point with c = 0 adds
+    nothing, as theta(0) = 0.
+    """
+    mult, cofactors = cyclotomic_lcm([p.alpha for p in points])
+    groups = {}
+    for p, cofactor in zip(points, cofactors):
+        sign = 1 if flavor is IndexFlavor.I_SERIES else (p.c > 0) - (p.c < 0)
+        if sign:
+            beta = max(p.beta, tuple(-b for b in p.beta))
+            key = (tuple(sorted(map(abs, p.alpha))), abs(p.c), beta)
+            intseries._add_into(groups.setdefault(key, {}), 0, cofactor, 0, sign)
+    terms = [key + (summed,) for key, summed in groups.items() if summed]
+    return _over(_numerator(terms, k, flavor, order), mult, order)
 
 
 def point_contribution(
     point: FixedPoint, k: int, flavor: IndexFlavor, order: int
 ) -> TruncatedSeries:
-    """Exact series of one fixed point's summand over its own lead, through q^order."""
+    """Exact series of one fixed point's summand over its own lead, through q^order.
+
+    Its blocks are built from the point's own alpha, c and beta, with no
+    symmetry used: the per-point route that the grouping is tested against.
+    """
     _assert_quotient_identity()
-    return _summed((point,), k, flavor, order)
+    mult, (cofactor,) = cyclotomic_lcm([point.alpha])
+    terms = [(point.alpha, point.c, point.beta, {0: cofactor})]
+    return _over(_numerator(terms, k, flavor, order), mult, order)
 
 
 def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) -> IndexSeries:

@@ -264,6 +264,40 @@ def test_product_side_raises_on_an_odd_sum(monkeypatch):
         theta_product_side((1, 0, 0, 0, 0, 0, 0, 0), 1)
 
 
+README_BETA = (30, 29, 27, 23, 19, 13, 7, 2)
+
+
+def test_product_side_multiplies_three_products(monkeypatch):
+    """The theta_2 product is not multiplied out: it is the theta_3 one twisted."""
+    kinds = []
+
+    def recording(factors, order):
+        kinds.append({kind for kind, _ in factors})
+        return theta_product(factors, order)
+
+    monkeypatch.setattr(e8theta.e8, "theta_product", recording)
+    for beta in ((0,) * 8, (1, 2, 0, -3, 0, 0, 1, 1), README_BETA):
+        kinds.clear()
+        theta_product_side(beta, 4)
+        assert len(kinds) == 3 and all(len(k) == 1 for k in kinds), kinds
+        assert ThetaKind.THETA2 not in set().union(*kinds)
+
+
+@given(st.tuples(*[st.integers(-30, 30)] * 8), st.integers(0, 10))
+@example(README_BETA, 10)
+@example((0,) * 8, 10)
+@example((1, 0, -3, 0, 5, 7, 0, -9), 7)
+@example((2, 4, 6, 0, 0, 0, 0, -8), 0)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+def test_theta2_product_is_the_theta3_product_at_tau_plus_one(beta, order):
+    """tau -> tau + 1 sends q^(1/2) to -q^(1/2), so u^e to (-1)^(e/12) u^e
+    on the 8-fold theta_3 product, whose exponents are multiples of 12."""
+    theta3 = theta_product([(ThetaKind.THETA3, b) for b in beta], order)
+    assert all(e % 12 == 0 for e in theta3[0])
+    twisted = {e: {w: (-1) ** (e // 12) * c for w, c in p.items()} for e, p in theta3[0].items()}
+    assert (twisted, theta3[1]) == theta_product([(ThetaKind.THETA2, b) for b in beta], order)
+
+
 @pytest.mark.parametrize("beta,order", [
     ((1, 1, 0, 0, 0, 0, 0, 0), 4),
     ((1, 0, 0, 0, 0, 0, 0, 0), 5),

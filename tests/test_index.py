@@ -13,6 +13,7 @@ the production series uses.  Agreement with the production series, which
 comes from theta quotients, validates both routes at every order.
 """
 
+import operator
 from collections import Counter
 
 import pytest
@@ -586,11 +587,86 @@ def _fixtures(draw):
     return random_fixture(rng)
 
 
-@given(_fixtures(), st.sampled_from(list(IndexFlavor)), st.integers(0, 2))
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+_SIGNS = st.sampled_from((1, -1))
+
+
+@st.composite
+def _mirrored_fixtures(draw):
+    """k <= 3 and one or two drawn points, each with up to three mirror
+    images (alpha with signs flipped and entries permuted, c -> +-c,
+    beta -> +-beta), and perhaps one more point with c = 0."""
+    k = draw(st.integers(1, 3))
+    alphas = st.tuples(*[st.builds(operator.mul, st.integers(1, 3), _SIGNS)] * k)
+    betas = st.tuples(*[st.integers(-2, 2)] * 8)
+    points = []
+    for _ in range(draw(st.integers(1, 2))):
+        alpha, c, beta = draw(alphas), draw(st.integers(-3, 3)), draw(betas)
+        points.append(FixedPoint(alpha, c, beta))
+        for _ in range(draw(st.integers(0, 3))):
+            flips, perm = draw(st.tuples(*[_SIGNS] * k)), draw(st.permutations(range(k)))
+            s_c, s_b = draw(_SIGNS), draw(_SIGNS)
+            mirrored = tuple(flips[j] * alpha[j] for j in perm)
+            points.append(FixedPoint(mirrored, s_c * c, tuple(s_b * b for b in beta)))
+    if draw(st.booleans()):
+        points.append(FixedPoint(draw(alphas), 0, draw(betas)))
+    return FixedPointFixture(k, tuple(points), "mirrored")
+
+
+# beta up to its overall sign is a symmetry of the lattice block; one entry's
+# sign need not be: (1, ..., 1) lies in 2 E8 and (1, ..., 1, -1) does not, and
+# their lattice blocks differ.  With a zero entry it is (flip that entry too:
+# an even number of sign changes lies in the Weyl group), and the Weyl group
+# is transitive on roots, so (1, 1, 0, ...) and (1, -1, 0, ...) give one
+# block and cannot tell a beta key without signs from the right one.
+_ONES = (1,) * 8
+_ONES_FLIPPED = (1,) * 7 + (-1,)
+
+
+# index_series groups mirrored points (one block up to sign);
+# point_contribution uses no symmetry, so their sum is the oracle
+@given(
+    st.one_of(_fixtures(), _mirrored_fixtures()),
+    st.sampled_from(list(IndexFlavor)),
+    st.integers(0, 4),
+)
+@example(CP1_SPINC, IndexFlavor.J_SERIES, 2)  # sign(c) of a J point
+@example(fixture(1, ((2,), -1, Z8)), IndexFlavor.J_SERIES, 1)
+@example(fixture(1, ((1,), 1, _ONES), ((1,), 1, _ONES_FLIPPED)), IndexFlavor.I_SERIES, 2)
+@example(fixture(1, ((1,), 1, _ONES), ((-1,), -1, _ONES_FLIPPED)), IndexFlavor.J_SERIES, 2)
+@example(fixture(2, ((1, 2), 0, Z8), ((2, -1), 0, Z8), ((1, 1), 0, Z8)), IndexFlavor.J_SERIES, 3)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, flavor, order):
     expected = _summed_point_contributions(fx, flavor, order)
     assert index_series(fx, flavor, order).series == expected
+
+
+def test_mirrored_pair_cancels_before_any_block(monkeypatch):
+    """A cp1-type pair alpha (d), c d and alpha (-d), c -d: the cofactors are
+    w^d and -w^d, so for I (line block even in c) the group cancels and no
+    block is built; for J (odd in c) it is one block and one lattice block."""
+    import e8theta.index
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(e8theta.index, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return run
+
+    for name in ("_point_block", "_lattice_series"):
+        monkeypatch.setattr(e8theta.index, name, counted(name))
+    beta = (3, -1, 0, 2, 0, 0, 1, -2)
+    for d in (1, 2, 5):
+        fx = fixture(1, ((d,), d, beta), ((-d,), -d, tuple(-b for b in beta)))
+        calls.clear()
+        assert index_series(fx, IndexFlavor.I_SERIES, 10).series.is_zero()
+        assert calls == {}
+        assert not index_series(fx, IndexFlavor.J_SERIES, 10).series.is_zero()
+        assert calls == {"_point_block": 1, "_lattice_series": 1}
 
 
 @given(_fixtures(), st.integers(0, 2))
