@@ -3,14 +3,13 @@
 Atoms: the spin-c line bundle L, its conjugate, their squares, the
 complexified tangent bundle, and the rank-248 bundle W attached to the
 adjoint representation.  A monomial is a tensor product of atoms; an
-expression is an integer combination of monomials.  Evaluating at a fixed
-point yields the equivariant character over Z[w^+-1] as a u^0 `intseries`
-block: a product of atom blocks per monomial, summed.
+expression is an integer combination of monomials.  Its character at a
+fixed point, over Z[w^+-1], is read from the point's table of atom
+characters (W's from the 240 E8 roots): a product per monomial, summed.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 
 from . import intseries
@@ -99,33 +98,60 @@ class BundleExpr:
             parts.append(f"{n}*{name}")
         return f"<BundleExpr {' + '.join(parts)}>"
 
-    def char_at(self, alpha: tuple[int, ...], c: int, beta: tuple[int, ...]) -> intseries.Block:
-        """Equivariant character at a fixed point, as the block ({0: {w: int}}, 0).
-
-        L carries weight e^(2 pi i c t) = w^(2c); the tangent bundle splits
-        into rotation planes with weights alpha_j; W restricts to the torus
-        character 8 + sum over roots of w^(2<root, beta>).
-        """
-        exponents = {
-            "L": [2 * c],
-            "Lbar": [-2 * c],
-            "L2": [4 * c],
-            "Lbar2": [-4 * c],
-            "TCX": [s * a for a in alpha for s in (2, -2)],
-        }
-        if any("W" in mono for mono in self.terms):  # 240 dot products: only when used
-            exponents["W"] = [0] * 8 + [sum(map(operator.mul, d, beta)) for d in e8_roots()]
-        chars = {name: ({0: dict(Counter(es))}, 0) for name, es in exponents.items()}
-
-        total = ({}, 0)
+    def char_at(self, alpha: tuple[int, ...], c: int, beta: tuple[int, ...], table=None):
+        """Equivariant character at a fixed point, as the block ({0: {w: int}}, 0),
+        read from the point's _atom_table (built here when none is given)."""
+        table = table or _atom_table(alpha, c, _w_character(beta))
+        total = {}
         for mono, n in self.terms.items():
-            term = ({0: {0: n}}, 0)
+            term = {0: n}
             for name in mono:
-                if name not in chars:
+                if name not in table:
                     raise ValueError(f"unknown bundle atom {name!r}")
-                term = intseries.mul(term, chars[name])
-            total = intseries.add(total, term)
-        return total
+                product = {}
+                for x, v in term.items():
+                    intseries._add_into(product, 0, table[name], x, v)
+                term = product[0]
+            intseries._add_into(total, 0, term, 0)
+        return total, 0
+
+
+def _w_character(beta: tuple[int, ...]) -> dict[int, int]:
+    """W's torus character 8 + sum over the E8 roots of w^(2<root, beta>)."""
+    roots = e8_roots()
+    exps = [0] * len(roots)
+    for l, b in enumerate(beta):
+        if b:
+            exps = [e + b * d[l] for e, d in zip(exps, roots)]
+    return dict(Counter([0] * 8 + exps))
+
+
+def _atom_table(alpha: tuple[int, ...], c: int, w_char: dict[int, int]) -> dict[str, dict]:
+    """Each atom's character at a fixed point as a {w: int} map: L has weight
+    w^(2c), TCX the weights w^(+-2 alpha_j), and W the character w_char."""
+    table = {"L": {2 * c: 1}, "Lbar": {-2 * c: 1}, "L2": {4 * c: 1}, "Lbar2": {-4 * c: 1}}
+    return {**table, "TCX": dict(Counter(s * a for a in alpha for s in (2, -2))), "W": w_char}
+
+
+def lefschetz_sums(points, cofactors, exprs, even_tower: bool) -> list[dict[int, int]]:
+    """Each expression's Lefschetz numbers summed over the fixed points: the
+    numerator sum_p (w^c +/- w^-c) ch_p(expr) D / D_p over one D, + for the
+    even tower.  One atom table per point (W's character once per beta) and
+    one spinor times cofactor D / D_p serve all the expressions."""
+    w_chars = {beta: _w_character(beta) for beta in {p.beta for p in points}}
+    sums = [{} for _ in exprs]
+    for p, cofactor in zip(points, cofactors):
+        scale = {}
+        for x, v in ((p.c, 1), (-p.c, 1 if even_tower else -1)):
+            intseries._add_into(scale, 0, cofactor, x, v)
+        if not scale:
+            continue  # w^c - w^-c at c = 0
+        table = _atom_table(p.alpha, p.c, w_chars[p.beta])
+        for total, expr in zip(sums, exprs):
+            char = expr.char_at(p.alpha, p.c, p.beta, table)[0].get(0, {})
+            for x, v in scale[0].items():
+                intseries._add_into(total, 0, char, x, v)
+    return [total.get(0, {}) for total in sums]
 
 
 def order_one_twist(flavor_is_even_tower: bool, k: int) -> BundleExpr:
@@ -134,15 +160,6 @@ def order_one_twist(flavor_is_even_tower: bool, k: int) -> BundleExpr:
     Even tower (paired with 1 + Lbar):  W + TCX - (L^2 + Lbar^2) + (L + Lbar) - 8 - 2k.
     Odd tower  (paired with 1 - Lbar):  W + TCX - (L + Lbar) - 2k - 6.
     """
-    atom = BundleExpr.atom
-    base = atom("W") + atom("TCX")
-    if flavor_is_even_tower:
-        return (
-            base
-            - atom("L2")
-            - atom("Lbar2")
-            + atom("L")
-            + atom("Lbar")
-            - BundleExpr.const(8 + 2 * k)
-        )
-    return base - atom("L") - atom("Lbar") - BundleExpr.const(2 * k + 6)
+    even = {("L2",): -1, ("Lbar2",): -1, ("L",): 1, ("Lbar",): 1, (): -8 - 2 * k}
+    odd = {("L",): -1, ("Lbar",): -1, (): -2 * k - 6}
+    return BundleExpr({("W",): 1, ("TCX",): 1, **(even if flavor_is_even_tower else odd)})

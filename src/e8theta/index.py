@@ -40,9 +40,10 @@ multiplied once by that beta's lattice block times the shared factor,
 which is built once per fixture.  point_contribution uses no symmetry.
 Each q^n coefficient of the total becomes one RationalFunction over D (in
 point_contribution, over D_p), reduced by exact integer division by the
-cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.  So is
-each Lefschetz number: spinor times BundleExpr.char_at times cofactor, a
-u^0 block summed point by point, an independent check of q^0 and q^1.
+cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.  The
+Lefschetz numbers that check q^0 and q^1 independently are numerators over
+the same D (bundles.lefschetz_sums, one atom table per point), so
+verify_qexpansion compares integer maps and reduces only to word a failure.
 
 Every block expands through q^order and no further: validity propagation
 then leaves the product valid through exactly u^(24 order).  That only
@@ -54,7 +55,7 @@ from __future__ import annotations
 import cmath
 
 from . import intseries
-from .bundles import BundleExpr, order_one_twist
+from .bundles import BundleExpr, lefschetz_sums, order_one_twist
 from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from .ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
@@ -124,12 +125,18 @@ def _tangent_block(alpha: tuple[int, ...], validity: int) -> intseries.Block:
     return coeffs, validity
 
 
-def _over(block: intseries.Block, mult: dict[int, int], order: int) -> TruncatedSeries:
-    """The block through q^order, each coefficient over prod_d Phi_d^mult[d]."""
+def _through(block: intseries.Block, order: int) -> intseries.Block:
+    """The block cut at q^order, which its validity must reach."""
     target = U_PER_Q * order
     if block[1] < target:
         raise AssertionError(f"validity shortfall: {block[1]} < {target}")
-    out = {e: over_cyclotomic(c, mult) for e, c in block[0].items() if e <= target}
+    return {e: c for e, c in block[0].items() if e <= target}, target
+
+
+def _over(block: intseries.Block, mult: dict[int, int], order: int) -> TruncatedSeries:
+    """The block through q^order, each coefficient over prod_d Phi_d^mult[d]."""
+    coeffs, target = _through(block, order)
+    out = {e: over_cyclotomic(c, mult) for e, c in coeffs.items()}
     return TruncatedSeries(out, target, RationalFunction.zero())
 
 
@@ -189,8 +196,9 @@ def _numerator(terms, k: int, flavor: IndexFlavor, order: int) -> intseries.Bloc
     return numer
 
 
-def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
-    """Sum of the points' summands through q^order, each coefficient over D = lcm_p D_p.
+def _summed(fixture: FixedPointFixture, flavor: IndexFlavor, order: int):
+    """D = lcm_p D_p as {d: m_d}, the cofactors D / D_p, and the numerators
+    over D of the summed summands, cut at q^order; only whole q-powers survive.
 
     A point's blocks depend on it only through (sorted |alpha_j|, |c|, beta
     up to sign), up to a sign: the tangent block is even in each alpha_j,
@@ -200,16 +208,20 @@ def _summed(points, k: int, flavor: IndexFlavor, order: int) -> TruncatedSeries:
     group whose sum is zero builds no block; a J point with c = 0 adds
     nothing, as theta(0) = 0.
     """
-    mult, cofactors = cyclotomic_lcm([p.alpha for p in points])
+    _assert_quotient_identity()
+    mult, cofactors = cyclotomic_lcm([p.alpha for p in fixture.points])
     groups = {}
-    for p, cofactor in zip(points, cofactors):
+    for p, cofactor in zip(fixture.points, cofactors):
         sign = 1 if flavor is IndexFlavor.I_SERIES else (p.c > 0) - (p.c < 0)
         if sign:
             beta = max(p.beta, tuple(-b for b in p.beta))
             key = (tuple(sorted(map(abs, p.alpha))), abs(p.c), beta)
             intseries._add_into(groups.setdefault(key, {}), 0, cofactor, 0, sign)
     terms = [key + (summed,) for key, summed in groups.items() if summed]
-    return _over(_numerator(terms, k, flavor, order), mult, order)
+    block = _through(_numerator(terms, fixture.k, flavor, order), order)
+    if bad := [e for e in block[0] if e % U_PER_Q]:
+        raise AssertionError(f"fractional q-power u^{min(bad)} survived point summation")
+    return mult, cofactors, block
 
 
 def point_contribution(
@@ -234,12 +246,8 @@ def index_series(fixture: FixedPointFixture, flavor: IndexFlavor, order: int) ->
     """
     if not 0 <= order <= MAX_INDEX_ORDER:
         raise ValueError(f"index order must lie in 0..{MAX_INDEX_ORDER}, got {order}")
-    _assert_quotient_identity()
-    total = _summed(fixture.points, fixture.k, flavor, order)
-    if not total.whole_q_powers():
-        bad = min(e for e in total.coeffs if e % U_PER_Q)
-        raise AssertionError(f"fractional q-power u^{bad} survived point summation")
-    return IndexSeries(flavor, fixture, total, order)
+    mult, _, block = _summed(fixture, flavor, order)
+    return IndexSeries(flavor, fixture, _over(block, mult, order), order)
 
 
 def lefschetz_number(
@@ -253,7 +261,10 @@ def lefschetz_number(
     prod_j (w^(alpha_j) - w^(-alpha_j)).  The convention matches the
     order-zero coefficient of the index series on the same point.
     """
-    return _sum_lefschetz(FixedPointFixture(k, (point,)), expr, flavor)
+    fixture = FixedPointFixture(k, (point,))  # checks that alpha has k weights
+    mult, cofactors = cyclotomic_lcm([point.alpha])
+    (num,) = lefschetz_sums(fixture.points, cofactors, [expr], flavor is IndexFlavor.I_SERIES)
+    return over_cyclotomic(num, mult)
 
 
 def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> VerificationReport:
@@ -262,52 +273,27 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
     The two routes are independent: the series comes from theta quotients,
     the Lefschetz numbers from equivariant characters of the named twists.
     Also checks the square of the rank-reduced line bundle against its
-    expansion in the atoms.
+    expansion in the atoms, all compared as integer numerators over one D.
     """
-    ixs = index_series(fixture, flavor, 1)
-    twists = (BundleExpr.const(1), order_one_twist(flavor is IndexFlavor.I_SERIES, fixture.k))
-    items = []
-    for n, (name, expr) in enumerate(zip(("bare", "order-one"), twists)):
-        got, lef = ixs.q_coefficient(n), _sum_lefschetz(fixture, expr, flavor)
-        ok = got == lef
-        items.append(
-            ReportItem(
-                f"q^{n} = Lefschetz number of the {name} twist",
-                "pass" if ok else "fail",
-                coefficient=None if ok else f"{got} vs {lef}",
-            )
-        )
-
+    mult, cofactors, block = _summed(fixture, flavor, 1)
+    even, atom = flavor is IndexFlavor.I_SERIES, BundleExpr.atom
     square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
-    atom = BundleExpr.atom
     expanded = atom("L2") + atom("Lbar2") - 4 * (atom("L") + atom("Lbar")) + BundleExpr.const(6)
-    ok2 = _sum_lefschetz(fixture, square, flavor) == _sum_lefschetz(fixture, expanded, flavor)
-    items.append(
-        ReportItem("squared reduced line bundle expands in the atoms", "pass" if ok2 else "fail")
-    )
-
+    twists = (BundleExpr.const(1), order_one_twist(even, fixture.k), square, expanded)
+    lefschetz = lefschetz_sums(fixture.points, cofactors, twists, even)
+    items = []
+    for n, twist in enumerate(("bare", "order-one")):
+        got, lef = block[0].get(U_PER_Q * n, {}), lefschetz[n]
+        text = (
+            None if got == lef else f"{over_cyclotomic(got, mult)} vs {over_cyclotomic(lef, mult)}"
+        )
+        name = f"q^{n} = Lefschetz number of the {twist} twist"
+        items.append(ReportItem(name, "fail" if text else "pass", coefficient=text))
+    name, ok = "squared reduced line bundle expands in the atoms", lefschetz[2] == lefschetz[3]
+    items.append(ReportItem(name, "pass" if ok else "fail"))
     return VerificationReport.from_items(
         items, {"flavor": flavor.value, "k": fixture.k, "label": fixture.label}
     )
-
-
-def _sum_lefschetz(
-    fixture: FixedPointFixture, expr: BundleExpr, flavor: IndexFlavor
-) -> RationalFunction:
-    """The points' Lefschetz numbers summed as sum_p num_p (D / D_p) over one D.
-
-    The numerator is a u^0 block over Z[w^+-1], reduced as in the series."""
-    mult, cofactors = cyclotomic_lcm([p.alpha for p in fixture.points])
-    sign = 1 if flavor is IndexFlavor.I_SERIES else -1
-    num = ({}, 0)
-    for p, cofactor in zip(fixture.points, cofactors):
-        spinor = {p.c: 1}
-        spinor[-p.c] = spinor.get(-p.c, 0) + sign
-        if not any(spinor.values()):
-            continue  # w^c - w^-c at c = 0: a block stores no zero
-        term = intseries.mul(({0: spinor}, 0), expr.char_at(p.alpha, p.c, p.beta))
-        num = intseries.add(num, intseries.mul(term, ({0: cofactor}, 0)))
-    return _over(num, mult, 0).q_coefficient(0)
 
 
 def check_rigidity(

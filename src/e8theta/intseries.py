@@ -6,8 +6,8 @@ is empty and no stored int is zero, so equal blocks compare equal.  Every
 series the package computes (theta products, the E8 lattice sum, powers
 of phi, the index blocks) has real integer coefficients, so it is built and
 multiplied here with plain ints, and so are the index path's Lefschetz
-numerators (bundles.BundleExpr.char_at) and cofactors D / D_p, as u^0
-blocks ({0: {w: int}}, validity).  A TruncatedSeries is made only at the
+numerators (bundles.lefschetz_sums, one atom table per point) and the
+cofactors D / D_p, as u^0 blocks.  A TruncatedSeries is made only at the
 public boundary, by to_series (or, over a denominator, by index._over);
 nothing is converted back into a block.
 Standard library only.

@@ -72,9 +72,6 @@ class TruncatedSeries:
     def q_coefficient(self, n: int):
         return self.coefficient(U_PER_Q * n)
 
-    def whole_q_powers(self) -> bool:
-        return all(e % U_PER_Q == 0 for e in self.coeffs)
-
     # arithmetic
 
     def __mul__(self, other):

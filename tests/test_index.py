@@ -33,7 +33,7 @@ from conftest import (
 )
 
 from e8theta import intseries, ratfunc
-from e8theta.bundles import BundleExpr, order_one_twist
+from e8theta.bundles import BundleExpr, lefschetz_sums, order_one_twist
 from e8theta.e8 import theta_product_side
 from e8theta.fixtures import (
     BUNDLED_FIXTURES,
@@ -49,7 +49,6 @@ from e8theta.series import TruncatedSeries, U_PER_Q
 from e8theta.theta import ThetaKind, theta_product
 from e8theta.index import (
     _shared_block,
-    _sum_lefschetz,
     _tangent_block,
     anomaly,
     check_rigidity,
@@ -302,7 +301,7 @@ def test_whole_powers_and_reality_hold(rng):
         fx = random_fixture(rng)
         for flavor in IndexFlavor:
             ixs = index_series(fx, flavor, 1)
-            assert ixs.series.whole_q_powers()
+            assert all(e % U_PER_Q == 0 for e in ixs.series.coeffs)
 
 
 # Lefschetz numbers and the q-expansion cross-check
@@ -348,11 +347,13 @@ def test_sum_lefschetz_over_one_denominator_equals_pairwise_sum(rng):
     fixtures += [sphere_product_fixture(rng) for _ in range(3)]
     square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
     for fx in fixtures:
+        mult, cofactors = cyclotomic_lcm([p.alpha for p in fx.points])
         for flavor in IndexFlavor:
-            twist = order_one_twist(flavor is IndexFlavor.I_SERIES, fx.k)
-            for expr in (BundleExpr.const(1), twist, square):
+            even = flavor is IndexFlavor.I_SERIES
+            exprs = (BundleExpr.const(1), order_one_twist(even, fx.k), square)
+            for expr, num in zip(exprs, lefschetz_sums(fx.points, cofactors, exprs, even)):
                 expected = _pairwise_lefschetz_sum(fx, expr, flavor)
-                assert _sum_lefschetz(fx, expr, flavor) == expected, (fx, flavor, expr)
+                assert over_cyclotomic(num, mult) == expected, (fx, flavor, expr)
 
 
 def test_qexpansion_sphere_all_zero():
@@ -373,6 +374,98 @@ def test_qexpansion_randomized(rng):
         for flavor in IndexFlavor:
             report = verify_qexpansion(fx, flavor)
             assert report.ok, f"{fx}\n{report.summary()}"
+
+
+# mutations of either side fail the item they reach, worded exactly as the
+# comparison of reduced RationalFunctions words it (each text was captured
+# from that comparison under the same mutation)
+
+_LATTICE_POINT = fixture(1, ((1,), 0, (1, 0, 0, 0, 0, 0, 0, 0)))
+_TWO_POINTS = fixture(
+    2, ((1, 2), 1, (1, -1, 0, 0, 0, 0, 0, 0)), ((-1, 3), -2, (0, 0, 1, 1, 0, 0, 0, 0))
+)
+_MUTATED_WORDING = {
+    ("root", "I"): "(30*w^-1 + 128 + 164*w + 128*w^2 + 30*w^3)/(-1 + w^2)"
+    " vs (30*w^-1 + 128 + 164*w + 128*w^2 + 28*w^3)/(-1 + w^2)",
+    ("root", "J"): "(w^-4 + 4*w^-2 + 116 + 420*w^2 + 598*w^4 + 420*w^6 + 116*w^8"
+    " + 4*w^10 + w^12)/(-1 - w^2 + w^6 + w^8) vs (w^-4 + 4*w^-2 + 116 + 418*w^2"
+    " + 595*w^4 + 418*w^6 + 116*w^8 + 4*w^10 + w^12)/(-1 - w^2 + w^6 + w^8)",
+    ("shell", "I"): "(32*w^-1 + 128 + 164*w + 128*w^2 + 30*w^3)/(-1 + w^2)"
+    " vs (30*w^-1 + 128 + 164*w + 128*w^2 + 30*w^3)/(-1 + w^2)",
+    ("shell", "J"): "(w^-4 + 6*w^-2 + 119 + 422*w^2 + 598*w^4 + 420*w^6 + 116*w^8"
+    " + 4*w^10 + w^12)/(-1 - w^2 + w^6 + w^8) vs (w^-4 + 4*w^-2 + 116 + 420*w^2"
+    " + 598*w^4 + 420*w^6 + 116*w^8 + 4*w^10 + w^12)/(-1 - w^2 + w^6 + w^8)",
+    ("cofactor", "I"): "(2*w)/(-1 + w^2) vs (2)/(-1 + w)",
+    ("cofactor", "J"): "(2*w^2 + 3*w^4 + 2*w^6)/(-1 - w^2 + w^6 + w^8)"
+    " vs (w^-1 + 2*w^2 + 3*w^4 + 2*w^6)/(-1 - w^2 + w^6 + w^8)",
+}
+
+
+def _mutate(mp, mutation):
+    import e8theta.bundles
+    import e8theta.index
+
+    if mutation == "root":  # one root fewer in the W character bundles reads
+        roots = e8theta.bundles.e8_roots
+        mp.setattr(e8theta.bundles, "e8_roots", lambda: roots()[:-1])
+    elif mutation == "shell":  # one more vector in the series' first lattice shell
+        lattice = e8theta.index._lattice_series
+
+        def bumped(beta, order):
+            coeffs, validity = lattice(beta, order)
+            coeffs = {e: dict(p) for e, p in coeffs.items()}
+            coeffs[U_PER_Q][min(coeffs[U_PER_Q])] += 1
+            return coeffs, validity
+
+        mp.setattr(e8theta.index, "_lattice_series", bumped)
+    else:  # the first point's cofactor plus 1, on the Lefschetz side only
+        sums = e8theta.index.lefschetz_sums
+
+        def perturbed(points, cofactors, exprs, even):
+            first = {**cofactors[0], 0: cofactors[0].get(0, 0) + 1}
+            return sums(points, [first, *cofactors[1:]], exprs, even)
+
+        mp.setattr(e8theta.index, "lefschetz_sums", perturbed)
+
+
+@pytest.mark.parametrize("mutation, failing", [("root", 1), ("shell", 1), ("cofactor", 0)])
+@pytest.mark.parametrize("fx, flavor", [(_LATTICE_POINT, "I"), (_TWO_POINTS, "J")])
+def test_mutated_side_fails_its_item_with_the_reduced_wording(mutation, failing, fx, flavor):
+    """A dropped root (W's character) and a bumped first-shell count (the
+    series' lattice block) fail the order-one item; a cofactor perturbed on
+    the Lefschetz side fails the bare one."""
+    assert verify_qexpansion(fx, IndexFlavor(flavor)).ok
+    with pytest.MonkeyPatch.context() as mp:
+        _mutate(mp, mutation)
+        items = verify_qexpansion(fx, IndexFlavor(flavor)).items
+    assert items[failing].status == "fail", items
+    assert items[failing].coefficient == _MUTATED_WORDING[mutation, flavor]
+    assert items[2].status == "pass", items
+
+
+def test_passing_qexpansion_reduces_nothing_over_one_lcm(monkeypatch):
+    """A passing check computes D and the cofactors once, for both sides,
+    and reduces no numerator: it compares them as integer maps."""
+    import e8theta.index
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return run
+
+    index_series(SINGLE, IndexFlavor.I_SERIES, 0)  # the one-shot identity check
+    for name in ("cyclotomic_lcm", "over_cyclotomic"):
+        monkeypatch.setattr(e8theta.index, name, counted(name, getattr(e8theta.index, name)))
+    for name in BUNDLED_FIXTURES:
+        fx, _ = resolve_fixture(name)
+        for flavor in IndexFlavor:
+            calls.clear()
+            assert verify_qexpansion(fx, flavor).ok, (name, flavor)
+            assert calls == {"cyclotomic_lcm": 1}, (name, flavor, calls)
 
 
 # rigidity and classification behavior
@@ -722,9 +815,11 @@ def _euclidean_lcm(alphas):
 @example(fixture(2, ((1, 1), 1), ((-1, -1), -1)), IndexFlavor.I_SERIES, 2)
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 def test_cyclotomic_reduction_equals_euclidean_normalisation(fx, flavor, order):
-    """Every reduced series coefficient and every _sum_lefschetz value (the
-    ones verify_qexpansion compares) equals RationalFunction(num, D) on the
-    same numerator, and D is the Euclidean lcm of the leads up to a unit."""
+    """Every reduced series coefficient and every per-point Lefschetz number
+    of the bare, order-one and square twists (verify_qexpansion compares
+    their sums as numerators, and reduces them only to word a failure)
+    equals RationalFunction(num, D) on the same numerator, and D is the
+    Euclidean lcm of the leads up to a unit."""
     import e8theta.index
 
     calls = []
@@ -737,6 +832,11 @@ def test_cyclotomic_reduction_equals_euclidean_normalisation(fx, flavor, order):
         mp.setattr(e8theta.index, "over_cyclotomic", recording)
         index_series(fx, flavor, order)
         verify_qexpansion(fx, flavor)
+        square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
+        twist = order_one_twist(flavor is IndexFlavor.I_SERIES, fx.k)
+        for p in fx.points:
+            for expr in (BundleExpr.const(1), twist, square):
+                lefschetz_number(p, fx.k, expr, flavor)
     alphas = [p.alpha for p in fx.points]
     unit = RationalFunction(_euclidean_lcm(alphas), _cyclotomic_power(cyclotomic_lcm(alphas)[0]))
     assert unit.den == W({0: 1}) and len(unit.num.coeffs) == 1, unit
