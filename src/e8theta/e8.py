@@ -18,18 +18,23 @@ sum |beta_l| / gcd(beta) slots.  Its counts form an `intseries` block over
 Z[w^+-1].
 It serves theta_e8, check_identity_116 and basic_character, which take
 orders 0..MAX_HALF_NORM = 10, and the lattice block of the index series,
-which takes the index bound 0..30.  The other side of identity 116,
-theta_product_side, adds the four 8-fold theta products as integer blocks
-and halves the sum exactly.  It multiplies out three of them: the theta_2
-product is the theta_3 product at tau + 1, by the law tau -> tau + 1,
-which sends q^(1/2) to -q^(1/2).  basic_character multiplies the lattice
-block by the block of phi^-8.  Each public function makes a TruncatedSeries only
-from its final block (intseries.to_series).  Explicit enumeration
-(enumerate_shells, also bounded by MAX_HALF_NORM) serves only the 240 roots
-and the tests, where it is the brute-force oracle for that count.  A beta
-other than 8 integers in -MAX_BETA..MAX_BETA raises ValueError
-(validate_beta, which also checks a fixture's beta and --beta) before any
-block is built.
+which takes the index bound 0..30.  All of them share one block per (W(D8)
+orbit of beta, order): the series is a function of beta up to permutations
+and even sign changes, so _lattice_series keys an lru_cache of 32 blocks
+by sorted |beta|, plus the parity of its negative entries when no entry is
+zero.  The largest block, at the README-bound beta (30, 29, 27, 23, 19,
+13, 7, 2) and order 30, holds 18.6k terms, ~1.6 MiB.  The other side of
+identity 116, theta_product_side, adds the four 8-fold theta products as
+integer blocks and halves the sum exactly.  It multiplies out three of
+them: the theta_2 product is the theta_3 product at tau + 1, by the law
+tau -> tau + 1, which sends q^(1/2) to -q^(1/2).  basic_character
+multiplies the lattice block by the block of phi^-8.  Each public function
+makes a TruncatedSeries only from its final block (intseries.to_series).
+Explicit enumeration (enumerate_shells, also bounded by MAX_HALF_NORM)
+serves only the 240 roots and the tests, where it is the brute-force
+oracle for that count.  A beta other than 8 integers in
+-MAX_BETA..MAX_BETA raises ValueError (validate_beta, which also checks a
+fixture's beta and --beta) before any block is built.
 """
 
 from __future__ import annotations
@@ -175,6 +180,24 @@ def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
 
 def _lattice_series(beta: tuple[int, ...], order: int) -> intseries.Block:
     """The lattice theta series along an 8-entry beta, through q^order, as a block.
+
+    The series depends on beta only up to W(D8): permutations and even sign
+    changes map the lattice to itself.  So the block is built once per orbit
+    and order, at the orbit's representative: sorted |beta|, with its largest
+    entry negated when an odd number of entries are negative.  An odd flip
+    is a symmetry only when a zero entry absorbs it, so the parity is kept
+    exactly when no entry is zero.  The block is shared: callers must not
+    mutate it.
+    """
+    key = sorted(map(abs, beta))
+    if key[0] and sum(b < 0 for b in beta) % 2:
+        key[-1] = -key[-1]
+    return _lattice_block(tuple(key), order)
+
+
+@lru_cache(maxsize=32)
+def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
+    """_lattice_series's block, built at beta itself.
 
     A dynamic program over the eight doubled coordinates, once per parity
     class, whose states (sum d_l^2, sum d_l mod 4) count the coordinate

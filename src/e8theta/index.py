@@ -36,8 +36,8 @@ block odd in c (theta is odd).  So index_series groups the points by
 D / D_p, signed by sign(c) for J; a group whose sum is zero builds no
 block.  Each other group adds one tangent q-series times line numerator,
 scaled by its summed cofactor; the groups with one beta are summed, then
-multiplied once by that beta's lattice block times the shared factor,
-which is built once per fixture.  point_contribution uses no symmetry.
+multiplied once by that beta's lattice block times the shared factor.
+point_contribution groups nothing: its point block is the point's own.
 Each q^n coefficient of the total becomes one RationalFunction over D (in
 point_contribution, over D_p), reduced by exact integer division by the
 cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.  The
@@ -48,11 +48,21 @@ verify_qexpansion compares integer maps and reduces only to word a failure.
 Every block expands through q^order and no further: validity propagation
 then leaves the product valid through exactly u^(24 order).  That only
 whole powers of q survive the sum over the points is asserted.
+
+Each block depends only on its key, so it is built once per process and
+shared, never mutated, by every fixture and job.  The point block is keyed
+by (alpha, c, flavour, order), which _summed passes as the group key, in an
+lru_cache of 32; alpha (10, 9), c 0, I at order 30 holds 7.6k terms
+(~0.4 MiB), and the size grows with sum |alpha_j| times the order.  The
+shared factor is keyed by (k, order), in a cache of 16; it holds 31 terms
+at order 30.  The lattice block is keyed by the W(D8) orbit of beta and
+the order, in e8's cache of 32.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 
 from . import intseries
 from .bundles import BundleExpr, lefschetz_sums, order_one_twist
@@ -140,17 +150,20 @@ def _over(block: intseries.Block, mult: dict[int, int], order: int) -> Truncated
     return TruncatedSeries(out, target, RationalFunction.zero())
 
 
+@lru_cache(maxsize=32)
 def _point_block(
     alpha: tuple[int, ...], c: int, flavor: IndexFlavor, order: int
 ) -> intseries.Block:
-    """A point's tangent q-series times its line numerator."""
+    """A point's tangent q-series times its line numerator; shared, never mutated."""
     tangent = _tangent_block(alpha, U_PER_Q * order)
     kinds = _EVEN_KINDS if flavor is IndexFlavor.I_SERIES else (ThetaKind.THETA,)
     return intseries.mul(tangent, theta_product([(kind, c) for kind in kinds], order))
 
 
+@lru_cache(maxsize=16)
 def _shared_block(k: int, order: int) -> intseries.Block:
-    """2 phi^(2k) / (theta_1 theta_2 theta_3)(0) = phi^(2k-3) q^(-1/8), by Jacobi."""
+    """2 phi^(2k) / (theta_1 theta_2 theta_3)(0) = phi^(2k-3) q^(-1/8), by Jacobi;
+    shared, never mutated."""
     coeffs, validity = intseries.phi_block(2 * k - 3, order)
     return {e - 3: p for e, p in coeffs.items()}, validity - 3
 
@@ -229,8 +242,10 @@ def point_contribution(
 ) -> TruncatedSeries:
     """Exact series of one fixed point's summand over its own lead, through q^order.
 
-    Its blocks are built from the point's own alpha, c and beta, with no
+    Its point block is built from the point's own alpha and c, with no
     symmetry used: the per-point route that the grouping is tested against.
+    Its lattice block comes through e8's W(D8) key, whose oracle is the
+    dynamic program run at beta itself.
     """
     _assert_quotient_identity()
     mult, (cofactor,) = cyclotomic_lcm([point.alpha])

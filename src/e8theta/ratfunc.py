@@ -35,7 +35,6 @@ same product of Phi_d's.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 
 from .gaussian import GaussianRational
@@ -219,10 +218,10 @@ def _times_binomials(poly: list[int], exps) -> list[int] | None:
 def _cyclotomic_product(poly: list[int], powers: dict[int, int]) -> list[int]:
     """poly * prod_d Phi_d^powers[d], powers >= 0, with one exponent per
     w^e - 1 summed over the Moebius pairs of every Phi_d."""
-    exps = Counter()
+    exps = {}
     for d, k in powers.items():
         for e, mu in cyclotomic(d):
-            exps[e] += k * mu
+            exps[e] = exps.get(e, 0) + k * mu
     return _times_binomials(poly, exps.items())
 
 
@@ -238,16 +237,23 @@ def cyclotomic_lcm(alphas) -> tuple[dict[int, int], list[dict[int, int]]]:
     D_p = s_p w^-(sum_j |a_j|) prod_d Phi_d^m_pd, so m_d = max_p m_pd and
     D / D_p = s_p w^(sum_j |a_j|) prod_d Phi_d^(m_d - m_pd).
     """
-    counts = [Counter(d for a in alpha for d in _divisors(2 * abs(a))) for alpha in alphas]
-    mult = Counter()
-    for own in counts:
-        mult |= own
+    counts, mult = [], {}
+    for alpha in alphas:
+        own = {}
+        for a in alpha:
+            for d in _divisors(2 * abs(a)):
+                own[d] = own.get(d, 0) + 1
+        for d, m in own.items():
+            if m > mult.get(d, 0):
+                mult[d] = m
+        counts.append(own)
     cofactors = []
     for alpha, own in zip(alphas, counts):
         sign = math.prod(1 if a > 0 else -1 for a in alpha)
-        poly = _cyclotomic_product([sign], mult - own)
+        left = {d: m - own.get(d, 0) for d, m in mult.items() if m > own.get(d, 0)}
+        poly = _cyclotomic_product([sign], left)
         cofactors.append(_terms(poly, sum(map(abs, alpha))))
-    return dict(mult), cofactors
+    return mult, cofactors
 
 
 def over_cyclotomic(num: dict[int, int], mult: dict[int, int]) -> RationalFunction:

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+import e8theta.e8
+import e8theta.index
 from e8theta.errors import BeyondTruncationError
 from e8theta.fixtures import FixedPoint, FixedPointFixture
 from e8theta.gaussian import ONE, ZERO, GaussianRational, I, MINUS_I
@@ -267,6 +269,16 @@ def sphere_product_fixture(rng: random.Random, max_k=2, spread=2):
         beta = tuple(sum(e * row[l] for e, row in zip(eps, b)) for l in range(8))
         pts.append(FixedPoint(alpha, c, beta))
     return FixedPointFixture(k=k, points=tuple(pts), label="sphere product")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_block_caches():
+    """Empty the per-process block caches before each test, so that a test
+    that patches a builder's internals builds its blocks under the patch
+    and never reads one that an earlier test cached."""
+    e8theta.e8._lattice_block.cache_clear()
+    e8theta.index._point_block.cache_clear()
+    e8theta.index._shared_block.cache_clear()
 
 
 @pytest.fixture

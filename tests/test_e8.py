@@ -165,6 +165,67 @@ def test_lattice_sum_checks_the_slot_width_before_any_state(monkeypatch):
         e8theta.e8._lattice_series((1,) * 8, 8128)
 
 
+@st.composite
+def _orbit_moves(draw):
+    """A beta and its image under W(D8): a permutation and an even number of
+    sign flips, or any number of them when beta has a zero entry (a flip of
+    a zero changes nothing, so it evens out the count)."""
+    beta = draw(st.tuples(*[st.integers(-30, 30)] * 8))
+    perm = draw(st.permutations(range(8)))
+    flips = draw(st.lists(st.booleans(), min_size=8, max_size=8))
+    if sum(flips) % 2 and 0 not in beta:
+        flips[0] = not flips[0]
+    return beta, tuple(-beta[i] if f else beta[i] for i, f in zip(perm, flips))
+
+
+@given(_orbit_moves(), st.integers(0, 4))
+@example(((1,) * 8, (-1,) * 8), 3)
+@example(((1,) * 8, (-1, -1) + (1,) * 6), 3)
+@example(((2, 0, 1, 1, 1, 1, 1, 1), (-2, 0, 1, 1, 1, 1, 1, 1)), 3)  # an odd flip, a zero entry
+@example(((30, 29, 27, 23, 19, 13, 7, 2), (-2, 7, 13, 19, 23, 27, 29, -30)), 2)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_lattice_block_is_shared_by_a_w_d8_orbit(pair, order):
+    # the key folds exactly these moves: the moved beta reads the block that
+    # beta cached, and that block is what the dynamic program gives when it
+    # is run at the moved beta itself
+    beta, moved = pair
+    e8theta.e8._lattice_block.cache_clear()
+    block = e8theta.e8._lattice_series(beta, order)
+    assert e8theta.e8._lattice_series(moved, order) is block
+    assert block == e8theta.e8._lattice_block.__wrapped__(moved, order), (beta, moved, order)
+    assert e8theta.e8._lattice_block.cache_info().misses == 1
+
+
+def test_a_single_sign_flip_without_a_zero_entry_is_not_folded():
+    # an odd number of flips maps the half-integer vectors off the lattice,
+    # so these two betas have different series and different keys
+    ones, flipped = (1,) * 8, (1,) * 7 + (-1,)
+    block = e8theta.e8._lattice_series(ones, 3)
+    other = e8theta.e8._lattice_series(flipped, 3)
+    assert block != other
+    assert block == e8theta.e8._lattice_block.__wrapped__(ones, 3)
+    assert other == e8theta.e8._lattice_block.__wrapped__(flipped, 3)
+    assert e8theta.e8._lattice_block.cache_info().currsize == 2
+
+
+def test_a_built_block_stays_cached():
+    theta_e8((1,) * 8, 3)
+    theta_e8((1,) * 8, 3)
+    assert e8theta.e8._lattice_block.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def test_a_patched_builder_reads_no_block_an_earlier_test_cached(monkeypatch):
+    # the test above cached this block; the autouse fixture in conftest.py
+    # empties the caches before each test, so the block is built again, under
+    # the patch
+    def no_count(m, got):
+        raise AssertionError("shell counted under the patch")
+
+    monkeypatch.setattr(e8theta.e8, "_check_shell_count", no_count)
+    with pytest.raises(AssertionError, match="under the patch"):
+        theta_e8((1,) * 8, 3)
+
+
 def test_theta_e8_does_not_enumerate(monkeypatch):
     calls = []
 

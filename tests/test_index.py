@@ -733,6 +733,57 @@ def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, f
     assert index_series(fx, flavor, order).series == expected
 
 
+def test_cached_blocks_are_never_mutated(monkeypatch):
+    """The lattice, point and shared blocks are cached and shared by every
+    caller.  Running the bundled fixtures' index path, and the e8 entry
+    points, a second time builds nothing, and finds every block the first
+    run was handed as deep copies taken after that run."""
+    import copy
+
+    import e8theta.e8
+    import e8theta.index
+    from e8theta.e8 import basic_character, check_identity_116, theta_e8
+
+    builders = {
+        "_lattice_block": (e8theta.e8, e8theta.e8._lattice_block),
+        "_point_block": (e8theta.index, e8theta.index._point_block),
+        "_shared_block": (e8theta.index, e8theta.index._shared_block),
+    }
+    handed = {}
+
+    def recording(name, fn):
+        def run(*args):
+            handed[name, args] = block = fn(*args)
+            return block
+
+        return run
+
+    for name, (module, fn) in builders.items():
+        monkeypatch.setattr(module, name, recording(name, fn))
+
+    def run_all():
+        for label in BUNDLED_FIXTURES:
+            fx, _ = resolve_fixture(label)
+            for flavor in IndexFlavor:
+                index_series(fx, flavor, 3)
+                verify_qexpansion(fx, flavor)
+                classify(fx, flavor, 3)
+        beta = (2, -1, 0, 1, 3, 0, -2, 1)
+        theta_e8(beta, 3)
+        basic_character(beta, 3)
+        check_identity_116(beta, 3)
+
+    run_all()
+    frozen = copy.deepcopy(handed)
+    misses = {name: fn.cache_info().misses for name, (_, fn) in builders.items()}
+    run_all()
+    assert {name: fn.cache_info().misses for name, (_, fn) in builders.items()} == misses
+    assert {name for name, _ in handed} == set(builders)
+    for (name, args), block in handed.items():
+        assert builders[name][1](*args) is block, (name, args)
+        assert block == frozen[name, args], (name, args)
+
+
 def test_mirrored_pair_cancels_before_any_block(monkeypatch):
     """A cp1-type pair alpha (d), c d and alpha (-d), c -d: the cofactors are
     w^d and -w^d, so for I (line block even in c) the group cancels and no

@@ -129,6 +129,28 @@ def test_every_module_level_import_is_used():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
+def test_every_cache_states_a_finite_maxsize():
+    """No unbounded caches: every lru_cache in src/e8theta is a call with a
+    positive integer maxsize, and functools.cache, which has no bound, is
+    not used."""
+    bounded, refused = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name not in ("lru_cache", "cache"):
+                continue
+            call = calls.get(id(node)) or ast.Call(args=[], keywords=[])
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            size = sizes[0].value if sizes and isinstance(sizes[0], ast.Constant) else None
+            if name == "lru_cache" and type(size) is int and size > 0:
+                bounded += 1
+            else:
+                refused.append(f"{path.name}:{node.lineno} {name}")
+    assert bounded and not refused, "caches without a stated finite maxsize: " + ", ".join(refused)
+
+
 # modules that only introspection or annotations need (dataclasses brings
 # inspect, ast, dis and tokenize), paid for by every cold command
 INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
