@@ -11,6 +11,7 @@ characters (W's from the 240 E8 roots): a product per monomial, summed.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from . import intseries
 from .e8 import e8_roots
@@ -163,3 +164,14 @@ def order_one_twist(flavor_is_even_tower: bool, k: int) -> BundleExpr:
     even = {("L2",): -1, ("Lbar2",): -1, ("L",): 1, ("Lbar",): 1, (): -8 - 2 * k}
     odd = {("L",): -1, ("Lbar",): -1, (): -2 * k - 6}
     return BundleExpr({("W",): 1, ("TCX",): 1, **(even if flavor_is_even_tower else odd)})
+
+
+@lru_cache(maxsize=16)
+def qexpansion_twists(flavor_is_even_tower: bool, k: int) -> tuple[BundleExpr, ...]:
+    """The twists index.verify_qexpansion checks, built once per (tower, k)
+    and shared, never mutated: the bare and order-one twists, and the square
+    of the rank-reduced line bundle with its expansion in the atoms."""
+    atom = BundleExpr.atom
+    square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
+    expanded = atom("L2") + atom("Lbar2") - 4 * (atom("L") + atom("Lbar")) + BundleExpr.const(6)
+    return BundleExpr.const(1), order_one_twist(flavor_is_even_tower, k), square, expanded

@@ -30,15 +30,18 @@ them: the theta_2 product is the theta_3 product at tau + 1, by the law
 tau -> tau + 1, which sends q^(1/2) to -q^(1/2).  basic_character
 multiplies the lattice block by the block of phi^-8.  Each public function
 makes a TruncatedSeries only from its final block (intseries.to_series).
-Explicit enumeration (enumerate_shells, also bounded by MAX_HALF_NORM)
-serves only the 240 roots and the tests, where it is the brute-force
-oracle for that count.  A beta other than 8 integers in
--MAX_BETA..MAX_BETA raises ValueError (validate_beta, which also checks a
-fixture's beta and --beta) before any block is built.
+e8_roots writes the 240 roots down.  Explicit enumeration
+(enumerate_shells, also bounded by MAX_HALF_NORM, and its cache
+_cached_shells, which the benchmark's tracer counts) serves only the tests,
+where it is the brute-force oracle for the shell counts and the roots.  A
+beta other than 8 integers in -MAX_BETA..MAX_BETA raises ValueError
+(validate_beta, which also checks a fixture's beta and --beta) before any
+block is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -157,12 +160,25 @@ def _check_shell_count(m: int, got: int) -> None:
 
 @lru_cache(maxsize=8)
 def _cached_shells(max_half_norm: int) -> ShellTable:
+    """enumerate_shells, once per bound; shared, never mutated."""
     return enumerate_shells(max_half_norm)
 
 
 def e8_roots() -> list[LatticeVector]:
-    """The 240 doubled-coordinate roots (half-norm 1)."""
-    return list(_cached_shells(1).shells[1])
+    """The 240 doubled-coordinate roots (half-norm 1), sorted as shell 1."""
+    return list(_roots())
+
+
+@lru_cache(maxsize=1)
+def _roots() -> tuple[LatticeVector, ...]:
+    """+-2e_i +-2e_j (i < j), and (+-1)^8 with an even number of minus signs."""
+    roots = [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0]
+    for i, j in itertools.combinations(range(8), 2):
+        for si, sj in itertools.product((2, -2), repeat=2):
+            d = [0] * 8
+            d[i], d[j] = si, sj
+            roots.append(tuple(d))
+    return tuple(sorted(roots))
 
 
 def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:

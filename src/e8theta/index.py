@@ -6,10 +6,11 @@ u = q^(1/24) lattice, divided by the tangent lead below:
 * tangent block: over the rotation weights alpha_j, the quotient
   theta'(0,tau) / (2 pi i theta(alpha_j t, tau)), implemented as the
   identity  phi(q)^2 / ((w^a - w^-a) prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m));
-  the 2 pi i cancels symbolically.  The q-product's inverse is built as a
-  product of factors 1 + y^(2^j), y = w^(+-2a) q^m; only the lead
-  D_p = prod_j (w^a - w^-a) needs the fraction field.  The identity is
-  asserted against a numeric evaluation once per process before first use.
+  the 2 pi i cancels symbolically.  The q-product's inverse is the one of
+  a = 1 with w -> w^(a_1), times a product of factors 1 + y^(2^j),
+  y = w^(+-2a) q^m, per later weight; only the lead D_p = prod_j (w^a - w^-a)
+  needs the fraction field.  The identity is asserted against a numeric
+  evaluation once per process before first use.
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
   single quotient i * theta(c t) / (theta_1 theta_2 theta_3)(0).  The i
@@ -21,29 +22,21 @@ u = q^(1/24) lattice, divided by the tangent lead below:
 
 By Jacobi's identity (theta_1 theta_2 theta_3)(0) = 2 q^(1/8) phi^3, the
 sum's 2, the phi^(2k) and the theta_i(0) make the shared factor
-phi^(2k-3) q^(-1/8).  Every block is built and multiplied as an
-`intseries` block over Z[w^+-1] with plain ints: the shared factor is
-intseries.phi_block shifted, the lattice block the lattice sum's own block.
-The leads enter only through D = lcm_p D_p, which ratfunc.cyclotomic_lcm
-gives factored into cyclotomic polynomials, with the integer cofactors
-D / D_p; a cofactor enters as the u^0 block ({0: cofactor}, validity), so
-the result is real by construction.
-Each block has a parity: the tangent block is even in each alpha_j (it is
-built from both w^(+-2a)), the lattice block even in beta (gamma -> -gamma
-maps the lattice to itself), the I line block even in c and the J line
-block odd in c (theta is odd).  So index_series groups the points by
-(sorted |alpha_j|, |c|, beta up to sign) and sums each group's cofactors
-D / D_p, signed by sign(c) for J; a group whose sum is zero builds no
-block.  Each other group adds one tangent q-series times line numerator,
-scaled by its summed cofactor; the groups with one beta are summed, then
-multiplied once by that beta's lattice block times the shared factor.
-point_contribution groups nothing: its point block is the point's own.
-Each q^n coefficient of the total becomes one RationalFunction over D (in
-point_contribution, over D_p), reduced by exact integer division by the
-cyclotomic factors of D (ratfunc.over_cyclotomic): no gcd is run.  The
-Lefschetz numbers that check q^0 and q^1 independently are numerators over
-the same D (bundles.lefschetz_sums, one atom table per point), so
-verify_qexpansion compares integer maps and reduces only to word a failure.
+phi^(2k-3) q^(-1/8).  Every block is an `intseries` block over Z[w^+-1]
+with plain ints.  The leads enter only through D = lcm_p D_p, which
+ratfunc.cyclotomic_lcm gives factored into cyclotomic polynomials, with the
+integer cofactors D / D_p as u^0 blocks, so the result is real by
+construction.  index_series groups the points by the parities of their
+blocks (_summed); each group whose summed cofactor is not zero adds its
+point block (tangent q-series times line numerator) times that cofactor,
+each beta's sum is multiplied by its lattice block, and the total once by
+the shared factor.  point_contribution groups nothing.  Each q^n
+coefficient becomes one RationalFunction over D (in point_contribution,
+over D_p), reduced by exact integer division by the cyclotomic factors of
+D (ratfunc.over_cyclotomic): no gcd is run.  The Lefschetz numbers that
+check q^0 and q^1 independently are numerators over the same D
+(bundles.lefschetz_sums), so verify_qexpansion compares integer maps and
+reduces only to word a failure.
 
 Every block expands through q^order and no further: validity propagation
 then leaves the product valid through exactly u^(24 order).  That only
@@ -54,9 +47,11 @@ shared, never mutated, by every fixture and job.  The point block is keyed
 by (alpha, c, flavour, order), which _summed passes as the group key, in an
 lru_cache of 32; alpha (10, 9), c 0, I at order 30 holds 7.6k terms
 (~0.4 MiB), and the size grows with sum |alpha_j| times the order.  The
-shared factor is keyed by (k, order), in a cache of 16; it holds 31 terms
-at order 30.  The lattice block is keyed by the W(D8) orbit of beta and
-the order, in e8's cache of 32.
+tangent block of a = 1 is keyed by its validity, 24 order, in a cache of
+32 that holds every order; at order 30 it holds 960 terms.  The shared
+factor is keyed by (k, order), in a cache of 16; it holds 31 terms at
+order 30.  The lattice block is keyed by the W(D8) orbit of beta and the
+order, in e8's cache of 32.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ import cmath
 from functools import lru_cache
 
 from . import intseries
-from .bundles import BundleExpr, lefschetz_sums, order_one_twist
+from .bundles import BundleExpr, lefschetz_sums, qexpansion_twists
 from .e8 import _lattice_series
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from .ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
@@ -125,14 +120,26 @@ _EVEN_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
 
 def _tangent_block(alpha: tuple[int, ...], validity: int) -> intseries.Block:
     """The inverse of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), the
-    tangent denominator without its lead, as 1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)...
-    with y = w^(+-2a) q^m."""
-    coeffs = {0: {0: 1}}
+    tangent denominator without its lead: the weight-1 block with
+    w -> w^(a_1), times the later weights in place."""
+    return _times_tangent(intseries.substitute(_unit_tangent_block(validity), alpha[0]), alpha[1:])
+
+
+@lru_cache(maxsize=32)
+def _unit_tangent_block(validity: int) -> intseries.Block:
+    """_tangent_block((1,), validity); shared, never mutated."""
+    return _times_tangent(({0: {0: 1}}, validity), (1,))
+
+
+def _times_tangent(block, alpha) -> intseries.Block:
+    """The block times alpha's tangent block, in place, as
+    1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... with y = w^(+-2a) q^m."""
+    coeffs, validity = block
     for a in alpha:
         for x in (2 * a, -2 * a):
             for e in range(U_PER_Q, validity + 1, U_PER_Q):
                 intseries.times_inverse(coeffs, x, e, validity)
-    return coeffs, validity
+    return block
 
 
 def _through(block: intseries.Block, order: int) -> intseries.Block:
@@ -178,7 +185,7 @@ def _assert_quotient_identity():
         return
     order = 6
     mult, (cofactor,) = cyclotomic_lcm([(1,)])
-    block = intseries.mul(intseries.phi_block(2, order), _tangent_block((1,), U_PER_Q * order))
+    block = intseries.mul(intseries.phi_block(2, order), _unit_tangent_block(U_PER_Q * order))
     quotient = _over(intseries.mul(block, ({0: cofactor}, block[1])), mult, order)
     t, tau = 0.23, 1.3j
     w = cmath.exp(1j * cmath.pi * t)
@@ -194,19 +201,18 @@ def _assert_quotient_identity():
 
 def _numerator(terms, k: int, flavor: IndexFlavor, order: int) -> intseries.Block:
     """Sum over the (alpha, c, beta, {0: cofactor}) terms of the cofactor
-    times the point block, the lattice block of beta and the shared factor;
-    the terms with one beta share one lattice block."""
+    times the point block and the lattice block of beta, times the shared
+    factor once; the terms with one beta share one lattice block."""
     by_beta = {}
     for alpha, c, beta, cofactor in terms:
         own = _point_block(alpha, c, flavor, order)
         own = intseries.mul(own, (cofactor, own[1]))
         by_beta[beta] = intseries.add(own, by_beta.get(beta, ({}, own[1])))
-    shared = _shared_block(k, order)
-    numer = ({}, U_PER_Q * order)
+    numer = None  # from the first term: ({}, 24 order) would cap its validity
     for beta, part in by_beta.items():
-        lattice = _lattice_series(beta, order)
-        numer = intseries.add(numer, intseries.mul(part, intseries.mul(lattice, shared)))
-    return numer
+        part = intseries.mul(part, _lattice_series(beta, order))
+        numer = intseries.add(numer, part) if numer else part
+    return intseries.mul(numer, _shared_block(k, order)) if numer else ({}, U_PER_Q * order)
 
 
 def _summed(fixture: FixedPointFixture, flavor: IndexFlavor, order: int):
@@ -291,11 +297,8 @@ def verify_qexpansion(fixture: FixedPointFixture, flavor: IndexFlavor) -> Verifi
     expansion in the atoms, all compared as integer numerators over one D.
     """
     mult, cofactors, block = _summed(fixture, flavor, 1)
-    even, atom = flavor is IndexFlavor.I_SERIES, BundleExpr.atom
-    square = BundleExpr.line_reduced() * BundleExpr.line_reduced()
-    expanded = atom("L2") + atom("Lbar2") - 4 * (atom("L") + atom("Lbar")) + BundleExpr.const(6)
-    twists = (BundleExpr.const(1), order_one_twist(even, fixture.k), square, expanded)
-    lefschetz = lefschetz_sums(fixture.points, cofactors, twists, even)
+    even = flavor is IndexFlavor.I_SERIES
+    lefschetz = lefschetz_sums(fixture.points, cofactors, qexpansion_twists(even, fixture.k), even)
     items = []
     for n, twist in enumerate(("bare", "order-one")):
         got, lef = block[0].get(U_PER_Q * n, {}), lefschetz[n]
@@ -326,7 +329,6 @@ def check_rigidity(
     ixs = index_series(fixture, flavor, order)
     items = []
     all_zero = True
-    all_const = True
     offender = None
     for i in range(order + 1):
         c = ixs.q_coefficient(i)
@@ -337,13 +339,12 @@ def check_rigidity(
         if c.is_constant():
             items.append(ReportItem(f"q^{i}", "pass", detail=f"constant {c.constant_value()}"))
         else:
-            all_const = False
             if offender is None:
                 offender = i
             items.append(ReportItem(f"q^{i}", "fail", coefficient=str(c)))
     if all_zero:
         verdict, ok = "VANISHING", True
-    elif all_const:
+    elif offender is None:
         verdict, ok = "RIGID", True
     elif an.consistent:
         verdict, ok = "NON-RIGID", False

@@ -24,11 +24,11 @@ Block = tuple[dict[int, dict[int, int]], int]
 def to_series(block: Block, unit=1) -> TruncatedSeries:
     """unit times the block, as a Laurent-valued TruncatedSeries."""
     coeffs, validity = block
-    return TruncatedSeries(
-        {e: LaurentPolynomial({w: unit * c for w, c in p.items()}) for e, p in coeffs.items()},
-        validity,
-        LaurentPolynomial(),
-    )
+    if unit == 1:  # the maps hold nonzero ints: no coefficient to canonicalise
+        out = {e: LaurentPolynomial._from_ints(p) for e, p in coeffs.items()}
+    else:
+        out = {e: LaurentPolynomial({w: unit * c for w, c in p.items()}) for e, p in coeffs.items()}
+    return TruncatedSeries(out, validity, LaurentPolynomial())
 
 
 def substitute(block: Block, m: int) -> Block:

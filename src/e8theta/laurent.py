@@ -2,16 +2,18 @@
 
 The variable is always w = e^(pi i t), the torus variable of the circle
 action, so no value carries a variable tag.  The constructor is the one
-way to build a value: it takes an {exponent: int or Gaussian rational}
-map (none for zero, {0: 1} for one) and stores no zero coefficients, so
-equality is a structural comparison.  Sums and products with a scalar
-(int or Gaussian rational) promote the scalar to a constant polynomial.
+public way to build a value: it takes an {exponent: int or Gaussian
+rational} map (none for zero, {0: 1} for one) and stores no zero
+coefficients, so equality is a structural comparison.  Integer blocks,
+whose maps hold nonzero ints only, skip its checks through _from_ints.
+Sums and products with a scalar (int or Gaussian rational) promote the
+scalar to a constant polynomial.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertibleError
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational, _new
 
 _SCALARS = (GaussianRational, int)
 
@@ -28,6 +30,14 @@ class LaurentPolynomial:
                 if not c.is_zero():
                     clean[int(e)] = c
         self.coeffs = clean
+
+    @classmethod
+    def _from_ints(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
+        """From an {exponent: nonzero int} map, which is already canonical:
+        no coefficient is checked, converted or reduced."""
+        r = cls.__new__(cls)
+        r.coeffs = {e: _new(c, 0) for e, c in coeffs.items()}
+        return r
 
     # structure
 

@@ -24,18 +24,31 @@ each lead is a unit times a product of cyclotomic polynomials Phi_d.
 cyclotomic_lcm gives their lcm D = prod_d Phi_d^m_d in that factored form,
 with the cofactors D / D_p as {w: int} maps, and over_cyclotomic reduces an
 integer numerator over D by exact integer division by each Phi_d, at most
-m_d times.  That is the canonical form: Phi_d is monic and irreducible over
-Q, so what is left of D is monic with constant term +-1, and shares no
-factor over Q with what is left of the numerator.  Over Q(i), Phi_d splits
-into two conjugate factors when 4 | d; a real numerator is divisible by one
-of them exactly when it is divisible by the other, so the Q(i) gcd is the
+m_d times.  A residue decides each division before it runs: the value at
+w = 1 for Phi_1, at w = -1 for Phi_2, and otherwise the numerator folded
+mod w^d - 1 into d ints and divided by Phi_d there.  Division by Phi_d
+runs as its Moebius product of binomials w^e - 1 (cyclotomic), one
+two-term pass per binomial, so for a fixed d it is linear in the length.
+That is the canonical form: Phi_d is monic and irreducible over Q, so what
+is left of D is monic with constant term +-1, and shares no factor over Q
+with what is left of the numerator.  Over Q(i), Phi_d splits into two
+conjugate factors when 4 | d; a real numerator is divisible by one of them
+exactly when it is divisible by the other, so the Q(i) gcd is the
 same product of Phi_d's.
+
+Three bounded caches share what the index path asks for again: Phi_d by d
+(1024 entries of at most 2^omega(d) pairs), D and the cofactors by the
+tuple of alphas (_lcm, 64 entries), and each reduced denominator by its
+leftover powers (_denominator, 256 entries).  Their values are shared,
+never mutated; an entry of the last two holds at most deg D + 1 terms per
+map, and deg D <= 2 sum_p sum_j |a_j|.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 from .gaussian import GaussianRational
 from .laurent import _SCALARS, LaurentPolynomial, laurent_exact_div, laurent_gcd
@@ -229,14 +242,24 @@ def _terms(coeffs: list[int], shift: int) -> dict[int, int]:
     return {i + shift: c for i, c in enumerate(coeffs) if c}
 
 
-def cyclotomic_lcm(alphas) -> tuple[dict[int, int], list[dict[int, int]]]:
+def cyclotomic_lcm(alphas) -> tuple[dict[int, int], tuple[dict[int, int], ...]]:
     """D = lcm_p D_p of the leads D_p = prod_j (w^a_j - w^-a_j), factored.
 
     Returns {d: m_d} with D = prod_d Phi_d^m_d, and each D / D_p as a
     {w: int} map.  With m_pd = #{j : d | 2|a_j|} and s_p = prod_j sign(a_j),
     D_p = s_p w^-(sum_j |a_j|) prod_d Phi_d^m_pd, so m_d = max_p m_pd and
     D / D_p = s_p w^(sum_j |a_j|) prod_d Phi_d^(m_d - m_pd).
+
+    alphas is any sequence of alpha tuples; the maps are built once per
+    tuple of them (_lcm) and shared, so callers must not mutate them.
     """
+    return _lcm(tuple(alphas))
+
+
+@lru_cache(maxsize=64)
+def _lcm(alphas: tuple[tuple[int, ...], ...]):
+    """cyclotomic_lcm's maps, keyed by the alphas of every point in order:
+    a fixture's series, verdicts and Lefschetz check all ask for one D."""
     counts, mult = [], {}
     for alpha in alphas:
         own = {}
@@ -253,24 +276,52 @@ def cyclotomic_lcm(alphas) -> tuple[dict[int, int], list[dict[int, int]]]:
         left = {d: m - own.get(d, 0) for d, m in mult.items() if m > own.get(d, 0)}
         poly = _cyclotomic_product([sign], left)
         cofactors.append(_terms(poly, sum(map(abs, alpha))))
-    return mult, cofactors
+    return mult, tuple(cofactors)
+
+
+def _over_phi(a: list[int], d: int) -> list[int] | None:
+    """a / Phi_d when Phi_d divides a, else None, decided by a residue.
+
+    Phi_1 = w - 1 divides a when a(1) = 0, and Phi_2 = w + 1 when
+    a(-1) = 0; their quotients are prefix sums (w -> -w turns w + 1 into
+    -(w - 1)).  For d > 2, a mod (w^d - 1) folds a by d strided sums, and
+    Phi_d divides a exactly when it divides that fold: the binomial passes
+    run on the d ints of the fold first, and on a only when it divides."""
+    if d == 1:
+        return None if sum(a) else [-s for s in accumulate(a[:-1])]
+    if d == 2:
+        if sum(a[0::2]) != sum(a[1::2]):
+            return None
+        flip = [-c if i % 2 else c for i, c in enumerate(a[:-1])]
+        return [-s if i % 2 else s for i, s in enumerate(accumulate(flip))]
+    inverse = [(e, -mu) for e, mu in cyclotomic(d)]
+    if _times_binomials([sum(a[k::d]) for k in range(d)], inverse) is None:
+        return None
+    return _times_binomials(a, inverse)
+
+
+@lru_cache(maxsize=256)
+def _denominator(left: tuple[tuple[int, int], ...]) -> LaurentPolynomial:
+    """prod_d Phi_d^m over the sorted (d, m) pairs, m > 0, of a reduced
+    form's leftover powers; shared, never mutated."""
+    return LaurentPolynomial._from_ints(_terms(_cyclotomic_product([1], dict(left)), 0))
 
 
 def over_cyclotomic(num: dict[int, int], mult: dict[int, int]) -> RationalFunction:
     """The integer Laurent polynomial num over prod_d Phi_d^m_d, reduced to
     canonical form by dividing num by each Phi_d while it divides, at most
-    m_d times."""
+    m_d times; a division runs only once a residue shows that it is exact."""
     if not num:
         return RationalFunction.zero()
     low = min(num)
     a = [0] * (max(num) - low + 1)
     for e, c in num.items():
         a[e - low] = c
-    left = {}
+    left = []
     for d, m in mult.items():
-        inverse = [(e, -mu) for e, mu in cyclotomic(d)]
-        while m and (q := _times_binomials(a, inverse)) is not None:
+        while m and (q := _over_phi(a, d)) is not None:
             a, m = q, m - 1
-        left[d] = m
-    den = LaurentPolynomial(_terms(_cyclotomic_product([1], left), 0))
-    return RationalFunction._canonical(LaurentPolynomial(_terms(a, low)), den)
+        if m:
+            left.append((d, m))
+    num = LaurentPolynomial._from_ints(_terms(a, low))
+    return RationalFunction._canonical(num, _denominator(tuple(sorted(left))))

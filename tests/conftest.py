@@ -11,6 +11,8 @@ import pytest
 
 import e8theta.e8
 import e8theta.index
+import e8theta.ratfunc
+from e8theta import intseries
 from e8theta.errors import BeyondTruncationError
 from e8theta.fixtures import FixedPoint, FixedPointFixture
 from e8theta.gaussian import ONE, ZERO, GaussianRational, I, MINUS_I
@@ -113,6 +115,19 @@ def theta_product_qi(factors, order: int) -> TruncatedSeries:
         if prod.is_zero():
             break
     return prod
+
+
+def tangent_block_in_place(alpha, validity: int):
+    """prod_j prod_m 1/((1 - w^(2a) q^m)(1 - w^(-2a) q^m)) as an intseries
+    block, every weight multiplied in place as 1/(1 - y) = (1 + y)(1 + y^2)...:
+    the route index._tangent_block took before its first weight came from
+    the weight-1 block by w -> w^a."""
+    coeffs = {0: {0: 1}}
+    for a in alpha:
+        for x in (2 * a, -2 * a):
+            for e in range(U_PER_Q, validity + 1, U_PER_Q):
+                intseries.times_inverse(coeffs, x, e, validity)
+    return coeffs, validity
 
 
 def naive_q_product(factors, order):
@@ -279,6 +294,9 @@ def _fresh_block_caches():
     e8theta.e8._lattice_block.cache_clear()
     e8theta.index._point_block.cache_clear()
     e8theta.index._shared_block.cache_clear()
+    e8theta.index._unit_tangent_block.cache_clear()
+    e8theta.ratfunc._lcm.cache_clear()
+    e8theta.ratfunc._denominator.cache_clear()
 
 
 @pytest.fixture

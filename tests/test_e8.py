@@ -87,6 +87,11 @@ def test_roots_have_norm_two():
     assert all(sum(d * d for d in r) == 8 for r in roots)
 
 
+def test_written_roots_are_the_enumerated_first_shell():
+    assert e8_roots() == enumerate_shells(1).shells[1]
+    assert e8_roots() is not e8_roots()  # a fresh list per call
+
+
 def test_theta_e8_scalar_series():
     # beta = 0: the q^m coefficient is 240 * sigma_3(m)
     s = theta_e8((0,) * 8, 10)

@@ -29,6 +29,7 @@ from conftest import (
     series_sum,
     sphere_product_fixture,
     substitute_power,
+    tangent_block_in_place,
     truncate,
 )
 
@@ -188,6 +189,18 @@ def test_tangent_inverse_equals_build_then_invert(rng):
             validity = U_PER_Q * n
             got = _tangent_block(alpha, validity)
             assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, n)
+
+
+@given(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=3), st.integers(0, 6))
+@example([1], 6)
+@example([-3, 3, 2], 6)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_substituted_tangent_block_equals_in_place_build(alpha, order):
+    """The weight-1 block with w -> w^(a_1), times the later weights in
+    place, is the block with every weight multiplied in place."""
+    validity = U_PER_Q * order
+    got = _tangent_block(tuple(alpha), validity)
+    assert got == tangent_block_in_place(alpha, validity), (alpha, order)
 
 
 def _tangent_lead(alpha):
@@ -734,20 +747,25 @@ def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, f
 
 
 def test_cached_blocks_are_never_mutated(monkeypatch):
-    """The lattice, point and shared blocks are cached and shared by every
-    caller.  Running the bundled fixtures' index path, and the e8 entry
-    points, a second time builds nothing, and finds every block the first
-    run was handed as deep copies taken after that run."""
+    """The lattice, point, shared and weight-1 tangent blocks, the lcm maps
+    and the reduced denominators are cached and shared by every caller.
+    Running the bundled fixtures' index path, and the e8 entry points, a
+    second time builds nothing, and finds everything the first run was
+    handed as deep copies taken after that run."""
     import copy
 
     import e8theta.e8
     import e8theta.index
+    import e8theta.ratfunc
     from e8theta.e8 import basic_character, check_identity_116, theta_e8
 
     builders = {
         "_lattice_block": (e8theta.e8, e8theta.e8._lattice_block),
         "_point_block": (e8theta.index, e8theta.index._point_block),
         "_shared_block": (e8theta.index, e8theta.index._shared_block),
+        "_unit_tangent_block": (e8theta.index, e8theta.index._unit_tangent_block),
+        "_lcm": (e8theta.ratfunc, e8theta.ratfunc._lcm),
+        "_denominator": (e8theta.ratfunc, e8theta.ratfunc._denominator),
     }
     handed = {}
 

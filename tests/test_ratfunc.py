@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from e8theta.gaussian import GaussianRational, ONE
 from e8theta.laurent import LaurentPolynomial
-from e8theta.ratfunc import RationalFunction, _cyclotomic_product, cyclotomic
+from e8theta.ratfunc import RationalFunction, _cyclotomic_product, cyclotomic, over_cyclotomic
 
 
 def L(coeffs):
@@ -128,3 +129,62 @@ def test_cyclotomic_factors_of_w_n_minus_one():
                 product = times(product, _cyclotomic_product([1], {d: 1}))
         assert product == [-1] + [0] * (n - 1) + [1], n
     assert cyclotomic.cache_info().maxsize is not None
+
+
+@st.composite
+def _numerators_over_cyclotomic(draw):
+    """({w: int} numerator, {d: m_d}): a random integer polynomial, which
+    mostly no Phi_d divides, times Phi_d^j with j up to m_d + 2, so that
+    some powers exceed the denominator's, at a random shift."""
+    d = st.sampled_from((1, 2, 3, 4)) | st.integers(1, 20)  # Phi_1, Phi_2 take their own route
+    mult = draw(st.dictionaries(d, st.integers(0, 2), max_size=3))
+    poly = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6).filter(any))
+    powers = {d: draw(st.integers(0, m + 2)) for d, m in mult.items()}
+    shift = draw(st.integers(-8, 8))
+    coeffs = _cyclotomic_product(poly, powers)
+    return {i + shift: c for i, c in enumerate(coeffs) if c}, mult
+
+
+@given(_numerators_over_cyclotomic())
+@example(({}, {1: 2}))
+@example(({0: -1, 2: 1}, {1: 1, 2: 1}))  # w^2 - 1 over itself
+@example(({0: -1, 6: 1}, {1: 2, 2: 1, 3: 1, 6: 3}))  # w^6 - 1, Phi_1^2 Phi_6^3 left over
+@example(({0: 1, 1: 1, 3: 1}, {3: 1, 4: 2}))  # nothing divides
+@example(({0: 1, 3: 1}, {2: 1}))  # w^3 + 1 = (w + 1)(w^2 - w + 1)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_cyclotomic_reduction_equals_euclidean_oracle(case):
+    """over_cyclotomic, whose residues decide each division, is the
+    Euclidean canonical form of the same quotient, printed alike."""
+    num, mult = case
+    den = _cyclotomic_product([1], mult)
+    oracle = RationalFunction(L(num), L(dict(enumerate(den))))
+    got = over_cyclotomic(num, mult)
+    assert got == oracle, case
+    assert str(got) == str(oracle), case
+
+
+def test_a_residue_decides_each_division_before_it_runs(monkeypatch, rng):
+    """For d > 2 the binomial passes run on the d ints of the numerator
+    folded mod w^d - 1 first, and on the whole numerator only when that
+    fold divides: a long numerator that Phi_d does not divide costs one
+    pass over d ints, not one over its length."""
+    import e8theta.ratfunc
+
+    lengths = []
+    passes = e8theta.ratfunc._times_binomials
+
+    def recording(poly, exps):
+        lengths.append(len(poly))
+        return passes(poly, exps)
+
+    monkeypatch.setattr(e8theta.ratfunc, "_times_binomials", recording)
+    for d in (3, 5, 12, 97, 998):
+        poly = [rng.randint(-3, 3) for _ in range(3000)] + [1]
+        divisible = _cyclotomic_product(poly, {d: 1})
+        lengths.clear()
+        got = over_cyclotomic(dict(enumerate(poly)), {d: 1})
+        if not got.den.is_constant():  # Phi_d does not divide poly
+            assert d in lengths and len(poly) not in lengths, (d, lengths)
+        lengths.clear()
+        assert over_cyclotomic(dict(enumerate(divisible)), {d: 1}) == L(dict(enumerate(poly)))
+        assert lengths[:2] == [d, len(divisible)], (d, lengths)  # then the denominator's
