@@ -38,7 +38,7 @@ _THETA_NAMES = {k.value: k for k in ThetaKind}
 _THETA_SAMPLE = (0.2 + 0.0j, 1.1j)
 _JACOBI_TAUS = [1.3j, 0.8j, 0.2 + 1.1j, -0.4 + 0.9j, 2.0j]
 
-# largest `e8 identity --random` count: ~9 s at order 10 on a 2-vCPU host
+# largest `e8 identity --random` count: ~2.2 s at order 10 on a 2-vCPU host
 MAX_RANDOM = 1000
 
 

@@ -26,8 +26,11 @@ zero.  The largest block, at the README-bound beta (30, 29, 27, 23, 19,
 13, 7, 2) and order 30, holds 18.6k terms, ~1.6 MiB.  The other side of
 identity 116, theta_product_side, adds the four 8-fold theta products as
 integer blocks and halves the sum exactly.  It multiplies out three of
-them: the theta_2 product is the theta_3 product at tau + 1, by the law
-tau -> tau + 1, which sends q^(1/2) to -q^(1/2).  basic_character
+them (theta.theta_product, a chain over the same packed layout as the
+lattice states, intseries', with signed slots): the theta_2 product is
+the theta_3 product at tau + 1, by the law tau -> tau + 1, which sends
+q^(1/2) to -q^(1/2), so the two sum to twice the theta_3 product's terms
+at whole powers of q, and the four are summed in one pass.  basic_character
 multiplies the lattice block by the block of phi^-8.  Each public function
 makes a TruncatedSeries only from its final block (intseries.to_series).
 e8_roots writes the 240 roots down.  Explicit enumeration
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,10 +57,6 @@ from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_product
 
 MAX_HALF_NORM = 10
-
-# width of one w-exponent's count in _lattice_series's packed states; _slots
-# reads them as C unsigned 64-bit ints
-_SLOT_BITS = 64
 
 # largest |beta_l| a fixture may give: the cost of the lattice block and of
 # the block multiplies after it grows with the span of the w-exponents
@@ -218,7 +216,8 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
     A dynamic program over the eight doubled coordinates, once per parity
     class, whose states (sum d_l^2, sum d_l mod 4) count the coordinate
     prefixes reaching them; no lattice vector is listed.  A state's counts by
-    w-exponent are packed into one int, _SLOT_BITS bits per exponent, so a
+    w-exponent are packed into one int, intseries._SLOT_BITS bits per
+    exponent (intseries' packed layout, read back by intseries._slots), so a
     coordinate step adds the state's int shifted by the step's exponent.
     The packed exponent is sum floor(d_l / 2) b_l for b = beta / gcd(beta),
     less its minimum: with the parity p of the class, the w-exponent is
@@ -232,8 +231,10 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
     r = math.isqrt(norm_sq)
     # a slot counts coordinate tuples, at most (r + 1)^8 of them, and must
     # not carry into the next slot
-    if (r + 1) ** 8 >> _SLOT_BITS:
-        raise AssertionError(f"order {order} overflows the {_SLOT_BITS}-bit count slots")
+    if (r + 1) ** 8 >> intseries._SLOT_BITS:
+        raise AssertionError(
+            f"order {order} overflows the {intseries._SLOT_BITS}-bit count slots"
+        )
     g = math.gcd(*beta) or 1
     beta = [b // g for b in beta]
     shells: list[dict[int, int]] = [{} for _ in range(order + 1)]
@@ -245,7 +246,9 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
             halves = [(v >> 1) * b for v in values]
             least = min(halves, default=0)  # no odd values at order 0
             low += least
-            steps = [(v * v, v, _SLOT_BITS * (h - least)) for v, h in zip(values, halves)]
+            steps = [
+                (v * v, v, intseries._SLOT_BITS * (h - least)) for v, h in zip(values, halves)
+            ]
             reached: dict[tuple[int, int], int] = {}
             for (n, s), poly in states.items():
                 room = norm_sq - n
@@ -263,20 +266,13 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
                 raise AssertionError(f"a point of squared length {n}/4 is off the even lattice")
             shell = shells[n // 8]
             e = base
-            for count in _slots(poly):
+            for count in intseries._slots(poly):
                 if count:
                     shell[e] = shell.get(e, 0) + count
                 e += 2 * g
     for m, shell in enumerate(shells):
         _check_shell_count(m, sum(shell.values()))
     return {U_PER_Q * m: shell for m, shell in enumerate(shells)}, U_PER_Q * order + U_PER_Q - 1
-
-
-def _slots(poly: int) -> memoryview:
-    """The _SLOT_BITS-bit slots of a packed int, lowest first."""
-    size = -(-poly.bit_length() // _SLOT_BITS) * (_SLOT_BITS // 8)
-    slots = memoryview(poly.to_bytes(size, sys.byteorder)).cast("Q")
-    return slots if sys.byteorder == "little" else slots[::-1]
 
 
 def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
@@ -296,27 +292,33 @@ def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     theta_3 product at tau + 1.  tau -> tau + 1 sends q^(1/2) to -q^(1/2),
     which turns each factor theta_3(z, tau) into theta_2(z, tau), so it
     sends u^e to (-1)^(e/12) u^e in a product whose exponents are all
-    multiples of 12 (asserted).  Each product takes its factors by
-    increasing |beta_l|: the product is the same, the small factors keep the
-    partial products short, and a zero beta_l comes first, where it ends the
-    theta_1 product at once.
+    multiples of 12 (asserted): the theta_2 and theta_3 products sum to
+    twice the theta_3 product's terms at multiples of 24 and cancel at the
+    others.  The four are summed in one pass, through the smallest validity.
+    Each product takes its factors by increasing |beta_l|: the product is
+    the same, the small factors keep the partial products short, and a zero
+    beta_l comes first, where it ends the theta_1 product at once.
     """
     factors = sorted(beta, key=abs)
+    theta, theta1, theta3 = (
+        theta_product([(kind, b) for b in factors], order)
+        for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA3)
+    )
     half_q = U_PER_Q // 2
-    theta3 = theta_product([(ThetaKind.THETA3, b) for b in factors], order)
     if any(e % half_q for e in theta3[0]):
         raise AssertionError("the theta_3 product has a term off the q^(1/2) lattice")
-    theta2 = {
-        e: {w: -c for w, c in p.items()} if e % U_PER_Q else p for e, p in theta3[0].items()
-    }
-    total = ({}, U_PER_Q * order)
-    for kind in (ThetaKind.THETA, ThetaKind.THETA1):
-        total = intseries.add(total, theta_product([(kind, b) for b in factors], order))
-    total = intseries.add(intseries.add(total, (theta2, theta3[1])), theta3)
-    for e, poly in total[0].items():
-        if any(c % 2 for c in poly.values()):
+    through = min(U_PER_Q * order, theta[1], theta1[1], theta3[1])
+    # theta_2 + theta_3 is twice the theta_3 terms at whole powers of q
+    whole_q = {e: p for e, p in theta3[0].items() if e % U_PER_Q == 0}
+    total: dict[int, dict[int, int]] = {}
+    for coeffs, scale in ((theta[0], 1), (theta1[0], 1), (whole_q, 2)):
+        for e, p in coeffs.items():
+            if e <= through:
+                intseries._add_into(total, e, p, 0, scale)
+    for e in sorted(total):
+        if any(c % 2 for c in total[e].values()):
             raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")
-    return {e: {w: c // 2 for w, c in p.items()} for e, p in total[0].items()}, total[1]
+    return {e: {w: c // 2 for w, c in p.items()} for e, p in total.items()}, through
 
 
 def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:

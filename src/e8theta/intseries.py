@@ -10,15 +10,33 @@ numerators (bundles.lefschetz_sums, one atom table per point) and the
 cofactors D / D_p, as u^0 blocks.  A TruncatedSeries is made only at the
 public boundary, by to_series (or, over a denominator, by index._over);
 nothing is converted back into a block.
+
+Packed layout.  The hot dynamic programs (e8._lattice_block and
+theta.theta_product) hold a w-polynomial as one int: the coefficient of
+the exponent low + k * stride sits in the k-th _SLOT_BITS-bit slot, lowest
+first, so multiplying by c w^(j * stride) is the shift-add
+c * (poly << j * _SLOT_BITS) and a whole polynomial moves in one big-int
+operation.  The caller keeps low and stride, and must bound every
+coefficient below 2^(_SLOT_BITS - 1) in absolute value so that no slot
+carries into the next.  _slots reads the slots back as unsigned ints (the
+lattice counts); _unpack reads signed ones back into a {w-exponent: int} map.
 Standard library only.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .laurent import LaurentPolynomial
 from .series import TruncatedSeries, U_PER_Q
 
 Block = tuple[dict[int, dict[int, int]], int]
+
+# width of one coefficient's slot in a packed int; the slots are read as C
+# 64-bit ints
+_SLOT_BITS = 64
+_SLOT_BIAS = 1 << (_SLOT_BITS - 1)
+_SLOT_BIAS_BYTES = _SLOT_BIAS.to_bytes(_SLOT_BITS // 8, "little")
 
 
 def to_series(block: Block, unit=1) -> TruncatedSeries:
@@ -128,3 +146,27 @@ def _add_into(
             del acc[w + x]
     if not acc:
         del coeffs[e]
+
+
+def _slots(poly: int) -> memoryview:
+    """The _SLOT_BITS-bit slots of a packed int >= 0, as unsigned ints, lowest first."""
+    size = -(-poly.bit_length() // _SLOT_BITS) * (_SLOT_BITS // 8)
+    slots = memoryview(poly.to_bytes(size, sys.byteorder)).cast("Q")
+    return slots if sys.byteorder == "little" else slots[::-1]
+
+
+def _unpack(poly: int, low: int, stride: int) -> dict[int, int]:
+    """{low + k * stride: the k-th slot} for the nonzero slots of a packed int
+    whose coefficients are all below 2^(_SLOT_BITS - 1) in absolute value.
+
+    A negative coefficient borrows from the slot above it.  Adding
+    2^(_SLOT_BITS - 1) to every slot makes each one a positive int below
+    2^_SLOT_BITS with nothing borrowed, so the unsigned read, less that bias,
+    is the coefficient.  The top coefficient's slot is the highest one that
+    |poly| reaches, so exactly the slots through it are read.
+    """
+    if -_SLOT_BIAS < poly < _SLOT_BIAS:  # one slot
+        return {low: poly} if poly else {}
+    n = abs(poly).bit_length() // _SLOT_BITS + 1
+    slots = _slots(poly + int.from_bytes(_SLOT_BIAS_BYTES * n, "little"))
+    return {low + k * stride: c - _SLOT_BIAS for k, c in enumerate(slots) if c != _SLOT_BIAS}

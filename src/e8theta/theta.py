@@ -13,11 +13,15 @@ half-angle factors are Laurent monomials: 2*sin(pi*z) = -i*(w - w^-1) and
 theta_3 respectively).  Expansions live on the u = q^(1/24) lattice with
 coefficients in Z[w^+-1]: the q-products are real, and so is i*theta, so
 each kind is built as an `intseries` block (_theta_block, with i*theta for
-theta), and products of theta factors multiply those blocks
-(theta_product).  theta_series is the Laurent view of one block, with
-theta's -i put back.  The product form is the only route here; the tests
-build the equivalent sum forms (triple product) independently, in
-tests/conftest.py, as its oracle.
+theta).  theta_product multiplies such blocks, at w -> w^m, as a chain in
+intseries' packed layout, where one int per u-exponent holds the partial
+product's w-polynomial at the stride 2 gcd(m), and each term of the next
+(lacunary) factor adds one shifted copy of each row; the coefficients are
+bounded below the 64-bit slots before the chain runs.  theta_series is the
+Laurent view of one block, with theta's -i put back.  The product form is
+the only route here; the tests build the equivalent sum forms (triple
+product) independently, in tests/conftest.py, as its oracle, and keep the
+factor-by-factor intseries.mul chain as the packed chain's.
 """
 
 from __future__ import annotations
@@ -95,18 +99,67 @@ def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries
 
     theta's lead is -i (w - w^-1), so i*theta is real (and an 8-fold product
     of i*theta is theta's, as i^8 = 1).  Each factor is _theta_block(kind,
-    order) with w -> w^m.  The factors multiply in the given order; the
-    product stops at the first zero.
+    order) with w -> w^m; one factor is that block.  More multiply in the
+    given order as a chain in intseries' packed layout.  The partial product
+    is one int per u-exponent, and its w-exponents are low + k * stride for
+    the stride 2 gcd(m), which holds every factor's exponents in one class
+    (m times an odd exponent for theta and theta_1, an even one for theta_2
+    and theta_3).  A factor is lacunary by the triple product (9 terms for
+    theta_3 at order 10), and each of its terms c w^x u^e adds
+    c * (row << shift) into row u + e, where shift packs x less the factor's
+    least exponent, which moves low; so a partial product is only as wide
+    as its own w-exponents.  Each step drops the terms past the validity
+    that intseries.mul would give it, the rows are read back once, at the
+    end, and the product stops at the first zero.  No coefficient may reach
+    2^63, the slot bound: it is at most the product of the factors' sums of
+    |c|, so a list whose sum product reaches it raises AssertionError before
+    the product is expanded (eight factors at MAX_THETA_ORDER: 41^8 < 2^43).
     """
-    prod = None
-    for kind, m in factors:
-        factor = intseries.substitute(_theta_block(kind, order), m)
-        prod = factor if prod is None else intseries.mul(prod, factor)
-        if not prod[0]:
-            break
-    if prod is None:
+    if not factors:
         raise ValueError("theta_product needs at least one factor")
-    return prod
+    if len(factors) == 1:
+        kind, m = factors[0]
+        return intseries.substitute(_theta_block(kind, order), m)
+    stride = 2 * (math.gcd(*(m for _, m in factors)) or 1)
+    steps = []  # per factor: validity, least u- and w-exponent, sorted (e, shift, c)
+    for kind, m in factors:
+        factor = _theta_block(kind, order)
+        if m == 0:  # w -> 1 sums each coefficient, and theta's vanish
+            factor = intseries.substitute(factor, 0)
+        terms = sorted([(e, w * m, c) for e, p in factor[0].items() for w, c in p.items()])
+        least = min([x for _, x, _ in terms], default=0)
+        shifts = [(e, intseries._SLOT_BITS * ((x - least) // stride), c) for e, x, c in terms]
+        steps.append((factor[1], intseries._base(factor), least, shifts))
+    bound = 1
+    for *_, shifts in steps:
+        total = sum([abs(c) for _, _, c in shifts])
+        if not total:  # the product stops at a zero factor
+            break
+        bound *= total
+    if bound >> (intseries._SLOT_BITS - 1):
+        raise AssertionError(
+            f"{len(factors)} theta factors through q^{order} overflow the "
+            f"{intseries._SLOT_BITS}-bit coefficient slots"
+        )
+    rows = {0: 1}  # the partial product, one packed int per u-exponent
+    low = 0  # the w-exponent of slot 0
+    validity = None
+    for v, base, least, shifts in steps:
+        validity = v if validity is None else min(validity + base, v + min(rows))
+        low += least
+        reached: dict[int, int] = {}
+        for u, poly in rows.items():
+            room = validity - u
+            for e, shift, c in shifts:
+                if e > room:
+                    break
+                term = poly << shift
+                reached[u + e] = reached.get(u + e, 0) + (term if c == 1 else c * term)
+        rows = {u: poly for u, poly in reached.items() if poly}
+        if not rows:
+            break
+    out = {u: intseries._unpack(rows[u], low, stride) for u in sorted(rows)}
+    return out, validity
 
 
 # numeric evaluation

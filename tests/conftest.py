@@ -18,7 +18,7 @@ from e8theta.fixtures import FixedPoint, FixedPointFixture
 from e8theta.gaussian import ONE, ZERO, GaussianRational, I, MINUS_I
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import TruncatedSeries, U_PER_Q
-from e8theta.theta import ThetaKind, base_exponent, theta_series
+from e8theta.theta import ThetaKind, _theta_block, base_exponent, theta_series
 
 
 def map_coefficients(series: TruncatedSeries, fn) -> TruncatedSeries:
@@ -113,6 +113,23 @@ def theta_product_qi(factors, order: int) -> TruncatedSeries:
         factor = map_coefficients(theta_series(kind, order), lambda c: substitute_power(c, m))
         prod = factor if prod is None else prod * factor
         if prod.is_zero():
+            break
+    return prod
+
+
+def theta_product_by_mul(factors, order: int):
+    """theta.theta_product's block, multiplied factor by factor by intseries.mul.
+
+    The oracle for theta_product's packed chain: each factor is
+    theta._theta_block(kind, order) with w -> w^m, the factors multiply as
+    dict-of-dict blocks in the given order, and the product stops at the
+    first zero.
+    """
+    prod = None
+    for kind, m in factors:
+        factor = intseries.substitute(_theta_block(kind, order), m)
+        prod = factor if prod is None else intseries.mul(prod, factor)
+        if not prod[0]:
             break
     return prod
 

@@ -6,6 +6,7 @@ validity order included.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     map_coefficients,
@@ -110,3 +111,34 @@ def test_phi_block_powers_match_naive_products(order):
     }
     qi = intseries.to_series(intseries.phi_block(-3, order))
     assert qi == map_coefficients(power(phi_series(order), -3), lambda c: LaurentPolynomial({0: c}))
+
+
+_SLOT_MAX = (1 << intseries._SLOT_BITS - 1) - 1
+
+
+def _pack(coefficients: list[int]) -> int:
+    """coefficients[k] in the k-th slot: the packed layout, written out."""
+    return sum(c << intseries._SLOT_BITS * k for k, c in enumerate(coefficients))
+
+
+@given(st.lists(st.integers(-_SLOT_MAX, _SLOT_MAX) | st.sampled_from([0, 1, -1]), max_size=12),
+       st.integers(-50, 50), st.integers(1, 6))
+@example([-1, 0], 0, 1)
+@example([0, -1], 0, 1)
+@example([-1, 0, 1], -7, 2)
+@example([-3, -_SLOT_MAX, 5, -1], 4, 2)
+@example([_SLOT_MAX, -_SLOT_MAX], 0, 1)
+@example([-_SLOT_MAX], 0, 1)
+@example([0], 3, 2)
+@example([], 0, 1)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_unpack_reads_back_signed_slots(coefficients, low, stride):
+    """A negative slot borrows from the one above it; the read undoes that."""
+    got = intseries._unpack(_pack(coefficients), low, stride)
+    assert got == {low + k * stride: c for k, c in enumerate(coefficients) if c}
+
+
+def test_unpack_single_slot_rows():
+    for c in (1, -1, 5, -_SLOT_MAX, _SLOT_MAX):
+        assert intseries._unpack(c, 7, 2) == {7: c}
+    assert intseries._unpack(0, 7, 2) == {}

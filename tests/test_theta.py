@@ -1,12 +1,14 @@
 import cmath
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     evaluate_expansion,
     first_difference,
     map_coefficients,
     theta_prime_zero_series,
+    theta_product_by_mul,
     theta_product_qi,
     theta_sum_series,
     truncate,
@@ -18,6 +20,7 @@ from e8theta.gaussian import GaussianRational, I, ONE
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import U_PER_Q, format_series
 from e8theta.theta import (
+    MAX_THETA_ORDER,
     ThetaKind,
     check_lattice_transform,
     check_modular_transform,
@@ -101,6 +104,42 @@ def test_integer_product_equals_qi_product(rng):
             unit = _unit(factors)
             expected = map_coefficients(theta_product_qi(factors, order), lambda c: c * unit)
             assert intseries.to_series(theta_product(factors, order)) == expected, (factors, order)
+
+
+README_BETA = (30, 29, 27, 23, 19, 13, 7, 2)
+
+_factor_lists = st.lists(
+    st.tuples(st.sampled_from(list(ThetaKind)), st.integers(-30, 30) | st.just(0)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(_factor_lists, st.integers(0, 10))
+@example([(ThetaKind.THETA, b) for b in README_BETA], 10)
+@example([(ThetaKind.THETA1, b) for b in README_BETA], 10)
+@example([(ThetaKind.THETA2, b) for b in README_BETA], 10)
+@example([(ThetaKind.THETA3, b) for b in README_BETA], 10)
+@example([(ThetaKind.THETA3, 2), (ThetaKind.THETA, 0), (ThetaKind.THETA1, -3)], 4)
+@example([(ThetaKind.THETA2, 0), (ThetaKind.THETA1, 0), (ThetaKind.THETA3, 0)], 3)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_packed_product_equals_the_mul_chain(factors, order):
+    """The packed chain gives the dict-of-dict mul chain's block and validity."""
+    product = theta_product_by_mul(factors, order)
+    assert theta_product(factors, order) == product
+    if (ThetaKind.THETA, 0) in factors:  # theta(0) = 0
+        assert product[0] == {}
+
+
+def test_product_past_the_slot_bound_raises_before_it_is_expanded():
+    """Every coefficient is at most the product of the factors' sums of |c|:
+    41 for theta_3 at MAX_THETA_ORDER, so 41^8 < 2^63 <= 41^12.  The bound
+    counts the factors the product reaches: a zero factor ends it."""
+    many = [(ThetaKind.THETA3, 1)] * 12
+    with pytest.raises(AssertionError, match="overflow the 64-bit coefficient slots"):
+        theta_product(many + [(ThetaKind.THETA, 0)], MAX_THETA_ORDER)
+    zero_first = theta_product([(ThetaKind.THETA, 0)] + many, MAX_THETA_ORDER)
+    assert zero_first == ({}, U_PER_Q * MAX_THETA_ORDER + 3)
 
 
 def test_theta_gap_returns_laurent_zero():
