@@ -6,11 +6,12 @@ u = q^(1/24) lattice, divided by the tangent lead below:
 * tangent block: over the rotation weights alpha_j, the quotient
   theta'(0,tau) / (2 pi i theta(alpha_j t, tau)), implemented as the
   identity  phi(q)^2 / ((w^a - w^-a) prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m));
-  the 2 pi i cancels symbolically.  The q-product's inverse is the one of
-  a = 1 with w -> w^(a_1), times a product of factors 1 + y^(2^j),
-  y = w^(+-2a) q^m, per later weight; only the lead D_p = prod_j (w^a - w^-a)
-  needs the fraction field.  The identity is asserted against a numeric
-  evaluation once per process before first use.
+  the 2 pi i cancels symbolically.  The q-product's inverse is built in
+  place, as a product of factors 1 + y^(2^j), y = w^(+-2a) q^m, per weight;
+  only the lead D_p = prod_j (w^a - w^-a) needs the fraction field.  Once
+  per process before first use, the block of the weight 1 is checked
+  exactly against the product form of theta: i theta times it is
+  u^3 (w - w^-1) phi, as integer blocks through q^6.
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
   single quotient i * theta(c t) / (theta_1 theta_2 theta_3)(0).  The i
@@ -46,9 +47,8 @@ Each block depends only on its key, so it is built once per process and
 shared, never mutated, by every fixture and job.  The point block is keyed
 by (alpha, c, flavour, order), which _summed passes as the group key, in an
 lru_cache of 32; alpha (10, 9), c 0, I at order 30 holds 7.6k terms
-(~0.4 MiB), and the size grows with sum |alpha_j| times the order.  The
-tangent block of a = 1 is keyed by its validity, 24 order, in a cache of
-32 that holds every order; at order 30 it holds 960 terms.  The shared
+(~0.4 MiB), and the size grows with sum |alpha_j| times the order; the
+tangent block is built inside it and kept by nothing else.  The shared
 factor is keyed by (k, order), in a cache of 16; it holds 31 terms at
 order 30.  The lattice block is keyed by the W(D8) orbit of beta and the
 order, in e8's cache of 32.
@@ -120,26 +120,14 @@ _EVEN_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
 
 def _tangent_block(alpha: tuple[int, ...], validity: int) -> intseries.Block:
     """The inverse of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), the
-    tangent denominator without its lead: the weight-1 block with
-    w -> w^(a_1), times the later weights in place."""
-    return _times_tangent(intseries.substitute(_unit_tangent_block(validity), alpha[0]), alpha[1:])
-
-
-@lru_cache(maxsize=32)
-def _unit_tangent_block(validity: int) -> intseries.Block:
-    """_tangent_block((1,), validity); shared, never mutated."""
-    return _times_tangent(({0: {0: 1}}, validity), (1,))
-
-
-def _times_tangent(block, alpha) -> intseries.Block:
-    """The block times alpha's tangent block, in place, as
-    1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... with y = w^(+-2a) q^m."""
-    coeffs, validity = block
+    tangent denominator without its lead, every weight multiplied in place
+    as 1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... with y = w^(+-2a) q^m."""
+    coeffs = {0: {0: 1}}
     for a in alpha:
         for x in (2 * a, -2 * a):
             for e in range(U_PER_Q, validity + 1, U_PER_Q):
                 intseries.times_inverse(coeffs, x, e, validity)
-    return block
+    return coeffs, validity
 
 
 def _through(block: intseries.Block, order: int) -> intseries.Block:
@@ -179,22 +167,21 @@ _factor_identity_checked = False
 
 
 def _assert_quotient_identity():
-    """One-shot numeric check of the tangent-block series identity."""
+    """One-shot exact check of the tangent block: by the product form,
+    i theta times the block of the weight 1 is u^3 (w - w^-1) phi, compared
+    as integer blocks through q^6."""
     global _factor_identity_checked
     if _factor_identity_checked:
         return
     order = 6
-    mult, (cofactor,) = cyclotomic_lcm([(1,)])
-    block = intseries.mul(intseries.phi_block(2, order), _unit_tangent_block(U_PER_Q * order))
-    quotient = _over(intseries.mul(block, ({0: cofactor}, block[1])), mult, order)
-    t, tau = 0.23, 1.3j
-    w = cmath.exp(1j * cmath.pi * t)
-    u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
-    lhs = quotient.evaluate(u, lambda c: c.evaluate(w))
-    rhs = theta_prime_zero(tau) / (2j * cmath.pi * theta_eval(ThetaKind.THETA, t, tau))
-    if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
+    tangent = _tangent_block((1,), U_PER_Q * order)
+    lhs = intseries.mul(theta_product([(ThetaKind.THETA, 1)], order), tangent)
+    lead = ({3: {1: 1, -1: -1}}, U_PER_Q * order + 3)
+    rhs = intseries.mul(lead, intseries.phi_block(1, order))
+    if _through(lhs, order) != _through(rhs, order):
         raise AssertionError(
-            f"tangent-block series identity failed numerically: {lhs} vs {rhs}"
+            f"tangent-block identity failed: i theta times the weight-1 tangent "
+            f"block is not u^3 (w - w^-1) phi through q^{order}"
         )
     _factor_identity_checked = True
 

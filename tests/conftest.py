@@ -5,13 +5,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-import e8theta.e8
-import e8theta.index
-import e8theta.ratfunc
 from e8theta import intseries
 from e8theta.errors import BeyondTruncationError
 from e8theta.fixtures import FixedPoint, FixedPointFixture
@@ -132,19 +130,6 @@ def theta_product_by_mul(factors, order: int):
         if not prod[0]:
             break
     return prod
-
-
-def tangent_block_in_place(alpha, validity: int):
-    """prod_j prod_m 1/((1 - w^(2a) q^m)(1 - w^(-2a) q^m)) as an intseries
-    block, every weight multiplied in place as 1/(1 - y) = (1 + y)(1 + y^2)...:
-    the route index._tangent_block took before its first weight came from
-    the weight-1 block by w -> w^a."""
-    coeffs = {0: {0: 1}}
-    for a in alpha:
-        for x in (2 * a, -2 * a):
-            for e in range(U_PER_Q, validity + 1, U_PER_Q):
-                intseries.times_inverse(coeffs, x, e, validity)
-    return coeffs, validity
 
 
 def naive_q_product(factors, order):
@@ -305,15 +290,14 @@ def sphere_product_fixture(rng: random.Random, max_k=2, spread=2):
 
 @pytest.fixture(autouse=True)
 def _fresh_block_caches():
-    """Empty the per-process block caches before each test, so that a test
-    that patches a builder's internals builds its blocks under the patch
-    and never reads one that an earlier test cached."""
-    e8theta.e8._lattice_block.cache_clear()
-    e8theta.index._point_block.cache_clear()
-    e8theta.index._shared_block.cache_clear()
-    e8theta.index._unit_tangent_block.cache_clear()
-    e8theta.ratfunc._lcm.cache_clear()
-    e8theta.ratfunc._denominator.cache_clear()
+    """Empty every functools cache on the e8theta modules before each test,
+    so that a test that patches a builder's internals builds its blocks
+    under the patch and never reads one that an earlier test cached."""
+    for name, module in list(sys.modules.items()):
+        if name == "e8theta" or name.startswith("e8theta."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture

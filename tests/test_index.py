@@ -29,7 +29,6 @@ from conftest import (
     series_sum,
     sphere_product_fixture,
     substitute_power,
-    tangent_block_in_place,
     truncate,
 )
 
@@ -195,12 +194,33 @@ def test_tangent_inverse_equals_build_then_invert(rng):
 @example([1], 6)
 @example([-3, 3, 2], 6)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-def test_substituted_tangent_block_equals_in_place_build(alpha, order):
-    """The weight-1 block with w -> w^(a_1), times the later weights in
-    place, is the block with every weight multiplied in place."""
+def test_tangent_block_equals_the_inverted_q_product(alpha, order):
+    """Every weight multiplied in place gives the inverse of the q-product
+    that is built as a series and then inverted."""
     validity = U_PER_Q * order
     got = _tangent_block(tuple(alpha), validity)
-    assert got == tangent_block_in_place(alpha, validity), (alpha, order)
+    assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, order)
+
+
+def test_a_wrong_sign_tangent_block_fails_the_identity_check(monkeypatch):
+    """The one-shot tangent check compares exact blocks: a build with the
+    factor 1 - w^(2a) q^m in place of 1 - w^(-2a) q^m is caught before any
+    index series is expanded."""
+    import e8theta.index
+
+    def wrong_sign(alpha, validity):
+        coeffs = {0: {0: 1}}
+        for a in alpha:
+            for x in (2 * a, 2 * a):
+                for e in range(U_PER_Q, validity + 1, U_PER_Q):
+                    intseries.times_inverse(coeffs, x, e, validity)
+        return coeffs, validity
+
+    monkeypatch.setattr(e8theta.index, "_tangent_block", wrong_sign)
+    monkeypatch.setattr(e8theta.index, "_factor_identity_checked", False)
+    cp2, _ = resolve_fixture("cp2")
+    with pytest.raises(AssertionError, match="tangent-block identity"):
+        index_series(cp2, IndexFlavor.I_SERIES, 2)
 
 
 def _tangent_lead(alpha):
@@ -747,11 +767,11 @@ def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, f
 
 
 def test_cached_blocks_are_never_mutated(monkeypatch):
-    """The lattice, point, shared and weight-1 tangent blocks, the lcm maps
-    and the reduced denominators are cached and shared by every caller.
-    Running the bundled fixtures' index path, and the e8 entry points, a
-    second time builds nothing, and finds everything the first run was
-    handed as deep copies taken after that run."""
+    """The lattice, point and shared blocks, the lcm maps and the reduced
+    denominators are cached and shared by every caller.  Running the
+    bundled fixtures' index path, and the e8 entry points, a second time
+    builds nothing, and finds everything the first run was handed as deep
+    copies taken after that run."""
     import copy
 
     import e8theta.e8
@@ -763,7 +783,6 @@ def test_cached_blocks_are_never_mutated(monkeypatch):
         "_lattice_block": (e8theta.e8, e8theta.e8._lattice_block),
         "_point_block": (e8theta.index, e8theta.index._point_block),
         "_shared_block": (e8theta.index, e8theta.index._shared_block),
-        "_unit_tangent_block": (e8theta.index, e8theta.index._unit_tangent_block),
         "_lcm": (e8theta.ratfunc, e8theta.ratfunc._lcm),
         "_denominator": (e8theta.ratfunc, e8theta.ratfunc._denominator),
     }
