@@ -24,20 +24,23 @@ and even sign changes, so _lattice_series keys an lru_cache of 32 blocks
 by sorted |beta|, plus the parity of its negative entries when no entry is
 zero.  The largest block, at the README-bound beta (30, 29, 27, 23, 19,
 13, 7, 2) and order 30, holds 18.6k terms, ~1.6 MiB.  The other side of
-identity 116, theta_product_side, adds the four 8-fold theta products as
-integer blocks and halves the sum exactly.  It multiplies out three of
-them (theta.theta_product, a chain over the same packed layout as the
-lattice states, intseries', with signed slots): the theta_2 product is
-the theta_3 product at tau + 1, by the law tau -> tau + 1, which sends
+identity 116, theta_product_side, adds the four 8-fold theta products and
+halves the sum exactly.  It multiplies out three of them
+(theta.packed_product, a chain over the same packed layout as the lattice
+states, intseries', with signed slots): the theta_2 product is the
+theta_3 product at tau + 1, by the law tau -> tau + 1, which sends
 q^(1/2) to -q^(1/2), so the two sum to twice the theta_3 product's terms
-at whole powers of q, and the four are summed in one pass.  basic_character
-multiplies the lattice block by the block of phi^-8.  Each public function
-makes a TruncatedSeries only from its final block (intseries.to_series).
-e8_roots writes the 240 roots down.  Explicit enumeration
-(enumerate_shells, also bounded by MAX_HALF_NORM, and its cache
-_cached_shells, which the benchmark's tracer counts) serves only the tests,
-where it is the brute-force oracle for the shell counts and the roots.  A
-beta other than 8 integers in -MAX_BETA..MAX_BETA raises ValueError
+at whole powers of q.  The four are summed as packed ints, one per u-row
+and w-class (the theta and theta_1 products share a class, and the
+theta_3 product's is the same one or disjoint from it), and each summed
+row is decoded once and halved.  basic_character multiplies the lattice
+block by the block of phi^-8 (intseries.phi_block, by Euler's
+recurrence).  Each public function makes a TruncatedSeries only from its
+final block (intseries.to_series).  e8_roots writes the 240 roots down.
+Explicit enumeration (enumerate_shells, also bounded by MAX_HALF_NORM, and
+its cache _cached_shells, which the benchmark's tracer counts) serves only
+the tests, where it is the brute-force oracle for the shell counts and the
+roots.  A beta other than 8 integers in -MAX_BETA..MAX_BETA raises ValueError
 (validate_beta, which also checks a fixture's beta and --beta) before any
 block is built.
 """
@@ -54,7 +57,7 @@ from .errors import FixtureFormatError
 from .record import Record
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
-from .theta import ThetaKind, theta_product
+from .theta import ThetaKind, check_slots, packed_product, slot_bound
 
 MAX_HALF_NORM = 10
 
@@ -285,40 +288,68 @@ def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     return intseries.to_series(_product_side(validate_beta(beta), order))
 
 
+# the products multiplied out, each with its weight in the sum: the theta_2
+# product enters as the theta_3 one's whole-q terms, counted twice
+_PRODUCT_KINDS = ((ThetaKind.THETA, 1), (ThetaKind.THETA1, 1), (ThetaKind.THETA3, 2))
+
+
 def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     """theta_product_side's block, for a validated beta.
 
-    Three 8-fold products are multiplied out; the theta_2 product is the
-    theta_3 product at tau + 1.  tau -> tau + 1 sends q^(1/2) to -q^(1/2),
-    which turns each factor theta_3(z, tau) into theta_2(z, tau), so it
-    sends u^e to (-1)^(e/12) u^e in a product whose exponents are all
-    multiples of 12 (asserted): the theta_2 and theta_3 products sum to
-    twice the theta_3 product's terms at multiples of 24 and cancel at the
-    others.  The four are summed in one pass, through the smallest validity.
-    Each product takes its factors by increasing |beta_l|: the product is
-    the same, the small factors keep the partial products short, and a zero
-    beta_l comes first, where it ends the theta_1 product at once.
+    Three 8-fold products are multiplied out, as theta.packed_product
+    chains; the theta_2 product is the theta_3 product at tau + 1.
+    tau -> tau + 1 sends q^(1/2) to -q^(1/2), which turns each factor
+    theta_3(z, tau) into theta_2(z, tau), so it sends u^e to (-1)^(e/12) u^e
+    in a product whose exponents are all multiples of 12 (asserted): the
+    theta_2 and theta_3 products sum to twice the theta_3 product's terms at
+    multiples of 24 and cancel at the others.  The four are summed through
+    the smallest validity as packed ints, one per u-row and w-class: all
+    three chains share the stride 2 gcd(beta), and the theta and theta_1
+    products hold the w-exponents = sum(beta) mod the stride, the theta_3
+    product those = 0, so the two classes are one or disjoint.  Within a
+    class each row is shifted to the class's smaller low and added; each
+    summed row is decoded once, and its ints are checked even and halved.
+    Every |coefficient| of the sum is at most bound(theta) + bound(theta_1)
+    + 2 bound(theta_3) (theta.slot_bound), which must stay below 2^63
+    before any chain runs.  Each product takes its factors by increasing
+    |beta_l|: the product is the same, the small factors keep the partial
+    products short, and a zero beta_l comes first, where it ends the theta
+    product at once.
     """
     factors = sorted(beta, key=abs)
-    theta, theta1, theta3 = (
-        theta_product([(kind, b) for b in factors], order)
-        for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA3)
+    lists = [(kind, [(kind, b) for b in factors], scale) for kind, scale in _PRODUCT_KINDS]
+    check_slots(
+        sum(scale * slot_bound(f, order) for _, f, scale in lists),
+        f"the theta products through q^{order}",
     )
-    half_q = U_PER_Q // 2
-    if any(e % half_q for e in theta3[0]):
-        raise AssertionError("the theta_3 product has a term off the q^(1/2) lattice")
-    through = min(U_PER_Q * order, theta[1], theta1[1], theta3[1])
-    # theta_2 + theta_3 is twice the theta_3 terms at whole powers of q
-    whole_q = {e: p for e, p in theta3[0].items() if e % U_PER_Q == 0}
+    classes: dict[int, list] = {}  # low mod stride: (rows, low, scale) of each product
+    through = U_PER_Q * order
+    for kind, f, scale in lists:
+        rows, low, stride, validity = packed_product(f, order)
+        through = min(through, validity)
+        if kind is ThetaKind.THETA3:
+            if any(e % (U_PER_Q // 2) for e in rows):
+                raise AssertionError("the theta_3 product has a term off the q^(1/2) lattice")
+            # theta_2 + theta_3 is twice the theta_3 terms at whole powers of q
+            rows = {e: r for e, r in rows.items() if e % U_PER_Q == 0}
+        if rows:
+            classes.setdefault(low % stride, []).append((rows, low, scale))
     total: dict[int, dict[int, int]] = {}
-    for coeffs, scale in ((theta[0], 1), (theta1[0], 1), (whole_q, 2)):
-        for e, p in coeffs.items():
-            if e <= through:
-                intseries._add_into(total, e, p, 0, scale)
+    for members in classes.values():
+        base = min(low for _, low, _ in members)
+        summed: dict[int, int] = {}
+        for rows, low, scale in members:
+            shift = intseries._SLOT_BITS * ((low - base) // stride)
+            for e, r in rows.items():
+                if e <= through:
+                    summed[e] = summed.get(e, 0) + (scale * r << shift)
+        for e, r in summed.items():
+            if r:
+                total.setdefault(e, {}).update(intseries._unpack(r, base, stride))
     for e in sorted(total):
         if any(c % 2 for c in total[e].values()):
             raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")
-    return {e: {w: c // 2 for w, c in p.items()} for e, p in total.items()}, through
+    return {e: {w: c // 2 for w, c in p.items()} for e, p in sorted(total.items())}, through
 
 
 def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:

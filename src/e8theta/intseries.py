@@ -12,7 +12,7 @@ public boundary, by to_series (or, over a denominator, by index._over);
 nothing is converted back into a block.
 
 Packed layout.  The hot dynamic programs (e8._lattice_block and
-theta.theta_product) hold a w-polynomial as one int: the coefficient of
+theta.packed_product) hold a w-polynomial as one int: the coefficient of
 the exponent low + k * stride sits in the k-th _SLOT_BITS-bit slot, lowest
 first, so multiplying by c w^(j * stride) is the shift-add
 c * (poly << j * _SLOT_BITS) and a whole polynomial moves in one big-int
@@ -57,20 +57,31 @@ def substitute(block: Block, m: int) -> Block:
     return {e: {0: c} for e, c in values.items() if c}, block[1]
 
 
+def _divisor_sums(order: int) -> list[int]:
+    """[0, sigma(1), ..., sigma(order)], sigma(j) the sum of j's divisors."""
+    sigma = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for j in range(d, order + 1, d):
+            sigma[j] += d
+    return sigma
+
+
 def phi_block(n: int, order: int) -> Block:
     """phi(q)^n = prod_m (1 - q^m)^n through q^order, for any integer n.
 
-    A negative n takes each factor's inverse as 1/(1 - q^m) (times_inverse).
+    By Euler's recurrence, the logarithmic derivative of the product:
+    q d/dq log phi = -sum_j sigma(j) q^j, so the q^k coefficient of phi^n
+    is f_k = -n sum_{1 <= j <= k} sigma(j) f_(k-j) / k.  Each f_k is an
+    integer, so each division is exact (asserted).
     """
-    validity = U_PER_Q * order + U_PER_Q - 1
-    coeffs = {0: {0: 1}}
-    for e in range(U_PER_Q, U_PER_Q * order + 1, U_PER_Q):
-        for _ in range(abs(n)):
-            if n > 0:
-                times_one_plus(coeffs, -1, 0, e, validity)
-            else:
-                times_inverse(coeffs, 0, e, validity)
-    return coeffs, validity
+    sigma = _divisor_sums(order)
+    f = [1]
+    for k in range(1, order + 1):
+        total = -n * sum([sigma[j] * f[k - j] for j in range(1, k + 1)])
+        if total % k:
+            raise AssertionError(f"phi^{n}: the q^{k} coefficient is not an integer")
+        f.append(total // k)
+    return {U_PER_Q * k: {0: c} for k, c in enumerate(f) if c}, U_PER_Q * order + U_PER_Q - 1
 
 
 def _base(block: Block) -> int:

@@ -16,7 +16,7 @@ from e8theta.fixtures import FixedPoint, FixedPointFixture
 from e8theta.gaussian import ONE, ZERO, GaussianRational, I, MINUS_I
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import TruncatedSeries, U_PER_Q
-from e8theta.theta import ThetaKind, _theta_block, base_exponent, theta_series
+from e8theta.theta import ThetaKind, _theta_block, base_exponent, theta_product, theta_series
 
 
 def map_coefficients(series: TruncatedSeries, fn) -> TruncatedSeries:
@@ -130,6 +130,32 @@ def theta_product_by_mul(factors, order: int):
         if not prod[0]:
             break
     return prod
+
+
+def product_side_by_decoding(beta, order: int):
+    """e8._product_side's block by the decoded route it took before the
+    packed sum: three theta.theta_product blocks, the theta_2 product as the
+    theta_3 product at tau + 1 (u^e -> (-1)^(e/12) u^e), the four summed by
+    intseries._add_into through the smallest validity, then halved.
+
+    The oracle for the packed sum; the factors go by increasing |beta_l|,
+    as there.
+    """
+    factors = sorted(beta, key=abs)
+    theta, theta1, theta3 = (
+        theta_product([(kind, b) for b in factors], order)
+        for kind in (ThetaKind.THETA, ThetaKind.THETA1, ThetaKind.THETA3)
+    )
+    assert all(e % (U_PER_Q // 2) == 0 for e in theta3[0])
+    theta2 = {e: {w: (-1) ** (e // 12) * c for w, c in p.items()} for e, p in theta3[0].items()}
+    through = min(U_PER_Q * order, theta[1], theta1[1], theta3[1])
+    total: dict[int, dict[int, int]] = {}
+    for coeffs in (theta[0], theta1[0], theta2, theta3[0]):
+        for e, p in coeffs.items():
+            if e <= through:
+                intseries._add_into(total, e, p, 0)
+    assert all(c % 2 == 0 for p in total.values() for c in p.values())
+    return {e: {w: c // 2 for w, c in p.items()} for e, p in total.items()}, through
 
 
 def naive_q_product(factors, order):

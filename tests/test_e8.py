@@ -12,6 +12,7 @@ from conftest import (
     first_difference,
     map_coefficients,
     naive_partition_power,
+    product_side_by_decoding,
     series_sum,
     shell_counts,
     substitute_power,
@@ -33,7 +34,7 @@ from e8theta.e8 import (
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import U_PER_Q
-from e8theta.theta import ThetaKind, theta_product
+from e8theta.theta import ThetaKind, packed_product, theta_product
 
 
 def test_shell_zero_is_origin():
@@ -318,19 +319,61 @@ def test_product_side_equals_qi_half_sum(rng):
 
 
 def test_product_side_raises_on_an_odd_sum(monkeypatch):
+    # one more at the least w-exponent of the theta_1 product's lowest row,
+    # u^24; the theta product is empty and the theta_3 one in the other w-class
     def one_more_theta1_term(factors, order):
-        coeffs, validity = theta_product(factors, order)
+        rows, low, stride, validity = packed_product(factors, order)
         if factors[0][0] is ThetaKind.THETA1:
-            e = min(coeffs)
-            coeffs = {**coeffs, e: {**coeffs[e], max(coeffs[e]) + 1: 1}}
-        return coeffs, validity
+            e = min(rows)
+            rows = {**rows, e: rows[e] + 1}
+        return rows, low, stride, validity
 
-    monkeypatch.setattr(e8theta.e8, "theta_product", one_more_theta1_term)
+    monkeypatch.setattr(e8theta.e8, "packed_product", one_more_theta1_term)
     with pytest.raises(AssertionError, match=r"odd coefficient at u\^24"):
         theta_product_side((1, 0, 0, 0, 0, 0, 0, 0), 1)
 
 
 README_BETA = (30, 29, 27, 23, 19, 13, 7, 2)
+
+
+@given(st.tuples(*[st.integers(-30, 30)] * 8), st.integers(0, 10))
+@example(README_BETA, 10)
+@example((0,) * 8, 10)
+@example((1, 0, -3, 0, 5, 7, 0, -9), 7)  # a zero entry: the theta product is empty
+@example((3, -6, 9, 12, 3, 6, 9, 3), 6)  # sum / gcd odd: two w-classes
+@example((2, 4, -6, 8, 2, 2, 4, 12), 8)  # all even: stride 4
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_packed_product_side_equals_the_decoded_sum(beta, order):
+    """The packed sum of the three chains gives the block, and the validity,
+    of the decoded route: three theta_product blocks, the theta_2 twist, the
+    dict sum and the halving."""
+    assert e8theta.e8._product_side(beta, order) == product_side_by_decoding(beta, order)
+
+
+def test_product_side_slot_guard_counts_the_sum(monkeypatch):
+    """Every |coefficient| of the sum is at most bound(theta) + bound(theta_1)
+    + 2 bound(theta_3).  At 2^63 the product side raises before any chain
+    runs, though each bound alone is below it; one less and the chains run."""
+    ran = []
+
+    def recording(factors, order):
+        ran.append(factors[0][0])
+        return packed_product(factors, order)
+
+    monkeypatch.setattr(e8theta.e8, "packed_product", recording)
+    beta = (1, 2, 0, -3, 0, 0, 1, 1)
+    expected = product_side_by_decoding(beta, 3)
+    for theta1_bound, raises in ((2**61, True), (2**61 - 1, False)):
+        bounds = {ThetaKind.THETA: 2**62, ThetaKind.THETA1: theta1_bound, ThetaKind.THETA3: 2**60}
+        monkeypatch.setattr(e8theta.e8, "slot_bound", lambda factors, order: bounds[factors[0][0]])
+        ran.clear()
+        if raises:
+            with pytest.raises(AssertionError, match="overflow the 64-bit coefficient slots"):
+                e8theta.e8._product_side(beta, 3)
+            assert ran == []
+        else:
+            assert e8theta.e8._product_side(beta, 3) == expected
+            assert len(ran) == 3
 
 
 def test_product_side_multiplies_three_products(monkeypatch):
@@ -339,9 +382,9 @@ def test_product_side_multiplies_three_products(monkeypatch):
 
     def recording(factors, order):
         kinds.append({kind for kind, _ in factors})
-        return theta_product(factors, order)
+        return packed_product(factors, order)
 
-    monkeypatch.setattr(e8theta.e8, "theta_product", recording)
+    monkeypatch.setattr(e8theta.e8, "packed_product", recording)
     for beta in ((0,) * 8, (1, 2, 0, -3, 0, 0, 1, 1), README_BETA):
         kinds.clear()
         theta_product_side(beta, 4)
@@ -402,16 +445,17 @@ def test_lattice_sum_equals_theta_products_past_the_e8_bound(beta, order):
 
 
 def test_identity_mismatch_item_wording(monkeypatch):
-    # two more at a theta_1 term of q^1: the half-sum gains one w^2 there;
-    # the item reads as when the two sides were compared as series
-    def two_more_theta1_terms(factors, order):
-        coeffs, validity = theta_product(factors, order)
-        if factors[0][0] is ThetaKind.THETA1:
-            e = min(coeffs)
-            coeffs = {**coeffs, e: {**coeffs[e], max(coeffs[e]) + 1: 2}}
-        return coeffs, validity
+    # one more at the theta_3 product's w^2 u^24, which the sum counts
+    # twice: the half-sum gains one w^2 at q^1; the item reads as when the
+    # two sides were compared as series
+    def one_more_theta3_term(factors, order):
+        rows, low, stride, validity = packed_product(factors, order)
+        if factors[0][0] is ThetaKind.THETA3:
+            slot = intseries._SLOT_BITS * ((2 - low) // stride)
+            rows = {**rows, U_PER_Q: rows[U_PER_Q] + (1 << slot)}
+        return rows, low, stride, validity
 
-    monkeypatch.setattr(e8theta.e8, "theta_product", two_more_theta1_terms)
+    monkeypatch.setattr(e8theta.e8, "packed_product", one_more_theta3_term)
     report = check_identity_116((1, 0, 0, 0, 0, 0, 0, 0), 2)
     assert [item.to_dict() for item in report.items] == [{
         "name": "first mismatching coefficient",
@@ -446,7 +490,8 @@ def test_beta_checked_before_any_block(monkeypatch):
         raise AssertionError("a block was built for an out-of-range beta")
 
     monkeypatch.setattr(e8theta.e8, "_lattice_series", no_work)
-    monkeypatch.setattr(e8theta.e8, "theta_product", no_work)
+    monkeypatch.setattr(e8theta.e8, "slot_bound", no_work)
+    monkeypatch.setattr(e8theta.e8, "packed_product", no_work)
     for beta in ((31,) + (0,) * 7, (0,) * 7 + (-31,), (1.5,) + (0,) * 7, (True,) + (0,) * 7, (0,) * 7):
         for fn in (theta_e8, theta_product_side, check_identity_116, basic_character):
             with pytest.raises(ValueError, match="beta"):

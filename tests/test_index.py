@@ -626,7 +626,7 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
     def recorder(label, fn):
         def wrapped(*args):
             block = fn(*args)
-            requested.append((label, args[-1], block[1]))
+            requested.append((label, args[-1], block[-1]))  # order, validity
             return block
 
         return wrapped
@@ -637,7 +637,7 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         (e8theta.index, "theta_product"),
         (e8theta.index, "_lattice_series"),
         (intseries, "phi_block"),
-        (e8theta.e8, "theta_product"),
+        (e8theta.e8, "packed_product"),
         (e8theta.e8, "_lattice_series"),
     ):
         label = f"{module.__name__}.{name}"
@@ -650,7 +650,7 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         "e8theta.index.theta_product",
         "e8theta.index._lattice_series",
         "e8theta.intseries.phi_block",
-        "e8theta.e8.theta_product",
+        "e8theta.e8.packed_product",
         "e8theta.e8._lattice_series",
     }
     character_start = len(requested)
@@ -661,7 +661,7 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
     }
     assert max(order for _, order, _ in requested) == 3, sorted(set(requested))
     # a product of theta factors is valid as far as its factors allow
-    expanded = [v for label, _, v in requested if not label.endswith("theta_product")]
+    expanded = [v for label, _, v in requested if not label.endswith("_product")]
     assert max(expanded) <= U_PER_Q * 3 + U_PER_Q - 1, sorted(set(requested))
 
 
@@ -767,8 +767,9 @@ def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, f
 
 
 def test_cached_blocks_are_never_mutated(monkeypatch):
-    """The lattice, point and shared blocks, the lcm maps and the reduced
-    denominators are cached and shared by every caller.  Running the
+    """The lattice, point and shared blocks, the theta factors' chain steps,
+    the lcm maps and the reduced denominators are cached and shared by every
+    caller.  Running the
     bundled fixtures' index path, and the e8 entry points, a second time
     builds nothing, and finds everything the first run was handed as deep
     copies taken after that run."""
@@ -777,10 +778,12 @@ def test_cached_blocks_are_never_mutated(monkeypatch):
     import e8theta.e8
     import e8theta.index
     import e8theta.ratfunc
+    import e8theta.theta
     from e8theta.e8 import basic_character, check_identity_116, theta_e8
 
     builders = {
         "_lattice_block": (e8theta.e8, e8theta.e8._lattice_block),
+        "_factor_steps": (e8theta.theta, e8theta.theta._factor_steps),
         "_point_block": (e8theta.index, e8theta.index._point_block),
         "_shared_block": (e8theta.index, e8theta.index._shared_block),
         "_lcm": (e8theta.ratfunc, e8theta.ratfunc._lcm),

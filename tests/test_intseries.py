@@ -94,10 +94,10 @@ def test_times_inverse_equals_build_then_invert(rng):
         assert truncate(intseries.to_series((coeffs, validity)), expected.order) == expected
 
 
-@pytest.mark.parametrize("order", range(11))
+@pytest.mark.parametrize("order", range(31))
 def test_phi_block_powers_match_naive_products(order):
     one = ({0: {0: 1}}, U_PER_Q * order + U_PER_Q - 1)
-    for n in range(-8, 9):
+    for n in range(-24, 25):
         block = intseries.phi_block(n, order)
         assert block[1] == one[1]
         assert all(e % U_PER_Q == 0 and set(p) == {0} for e, p in block[0].items())
@@ -111,6 +111,22 @@ def test_phi_block_powers_match_naive_products(order):
     }
     qi = intseries.to_series(intseries.phi_block(-3, order))
     assert qi == map_coefficients(power(phi_series(order), -3), lambda c: LaurentPolynomial({0: c}))
+
+
+def test_a_wrong_divisor_sum_trips_the_exact_division(monkeypatch):
+    """Euler's recurrence divides by k at q^k; with sigma(3) = 5 instead of 4
+    the q^3 division of phi and of phi^-8 is not exact, and raises."""
+    right = intseries._divisor_sums
+
+    def wrong(order):
+        sigma = right(order)
+        sigma[3] += 1
+        return sigma
+
+    monkeypatch.setattr(intseries, "_divisor_sums", wrong)
+    for n in (1, -8):
+        with pytest.raises(AssertionError, match=r"q\^3 coefficient is not an integer"):
+            intseries.phi_block(n, 3)
 
 
 _SLOT_MAX = (1 << intseries._SLOT_BITS - 1) - 1
