@@ -99,10 +99,9 @@ class BundleExpr:
             parts.append(f"{n}*{name}")
         return f"<BundleExpr {' + '.join(parts)}>"
 
-    def char_at(self, alpha: tuple[int, ...], c: int, beta: tuple[int, ...], table=None):
-        """Equivariant character at a fixed point, as the block ({0: {w: int}}, 0),
-        read from the point's _atom_table (built here when none is given)."""
-        table = table or _atom_table(alpha, c, _w_character(beta))
+    def char_at(self, table: dict[str, dict[int, int]]) -> dict[int, int]:
+        """Equivariant character at a fixed point, as a {w: int} map, read
+        from the point's _atom_table."""
         total = {}
         for mono, n in self.terms.items():
             term = {0: n}
@@ -111,10 +110,10 @@ class BundleExpr:
                     raise ValueError(f"unknown bundle atom {name!r}")
                 product = {}
                 for x, v in term.items():
-                    intseries._add_into(product, 0, table[name], x, v)
-                term = product[0]
-            intseries._add_into(total, 0, term, 0)
-        return total, 0
+                    intseries.add_poly(product, table[name], x, v)
+                term = product
+            intseries.add_poly(total, term)
+        return total
 
 
 def _w_character(beta: tuple[int, ...]) -> dict[int, int]:
@@ -144,15 +143,15 @@ def lefschetz_sums(points, cofactors, exprs, even_tower: bool) -> list[dict[int,
     for p, cofactor in zip(points, cofactors):
         scale = {}
         for x, v in ((p.c, 1), (-p.c, 1 if even_tower else -1)):
-            intseries._add_into(scale, 0, cofactor, x, v)
+            intseries.add_poly(scale, cofactor, x, v)
         if not scale:
             continue  # w^c - w^-c at c = 0
         table = _atom_table(p.alpha, p.c, w_chars[p.beta])
         for total, expr in zip(sums, exprs):
-            char = expr.char_at(p.alpha, p.c, p.beta, table)[0].get(0, {})
-            for x, v in scale[0].items():
-                intseries._add_into(total, 0, char, x, v)
-    return [total.get(0, {}) for total in sums]
+            char = expr.char_at(table)
+            for x, v in scale.items():
+                intseries.add_poly(total, char, x, v)
+    return sums
 
 
 def order_one_twist(flavor_is_even_tower: bool, k: int) -> BundleExpr:

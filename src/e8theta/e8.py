@@ -25,9 +25,9 @@ by sorted |beta|, plus the parity of its negative entries when no entry is
 zero.  The largest block, at the README-bound beta (30, 29, 27, 23, 19,
 13, 7, 2) and order 30, holds 18.6k terms, ~1.6 MiB.  The other side of
 identity 116, theta_product_side, adds the four 8-fold theta products and
-halves the sum exactly.  It multiplies out three of them
-(theta.packed_product, a chain over the same packed layout as the lattice
-states, intseries', with signed slots): the theta_2 product is the
+halves the sum exactly.  It multiplies out three of them, each as an
+intseries.chain over theta's cached factor steps (the same packed layout
+as the lattice states, with signed slots): the theta_2 product is the
 theta_3 product at tau + 1, by the law tau -> tau + 1, which sends
 q^(1/2) to -q^(1/2), so the two sum to twice the theta_3 product's terms
 at whole powers of q.  The four are summed as packed ints, one per u-row
@@ -57,7 +57,7 @@ from .errors import FixtureFormatError
 from .record import Record
 from .report import ReportItem, VerificationReport
 from .series import TruncatedSeries, U_PER_Q
-from .theta import ThetaKind, check_slots, packed_product, slot_bound
+from .theta import ThetaKind, chain_steps
 
 MAX_HALF_NORM = 10
 
@@ -219,9 +219,10 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
     A dynamic program over the eight doubled coordinates, once per parity
     class, whose states (sum d_l^2, sum d_l mod 4) count the coordinate
     prefixes reaching them; no lattice vector is listed.  A state's counts by
-    w-exponent are packed into one int, intseries._SLOT_BITS bits per
-    exponent (intseries' packed layout, read back by intseries._slots), so a
-    coordinate step adds the state's int shifted by the step's exponent.
+    w-exponent are packed into one int, intseries.SLOT_BITS bits per
+    exponent (intseries' packed layout, read back unsigned by
+    intseries.slots: the counts are never negative), so a coordinate step
+    adds the state's int shifted by the step's exponent.
     The packed exponent is sum floor(d_l / 2) b_l for b = beta / gcd(beta),
     less its minimum: with the parity p of the class, the w-exponent is
     gcd(beta) (2 sum floor(d_l / 2) b_l + p sum b_l), and neither the zero
@@ -234,10 +235,8 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
     r = math.isqrt(norm_sq)
     # a slot counts coordinate tuples, at most (r + 1)^8 of them, and must
     # not carry into the next slot
-    if (r + 1) ** 8 >> intseries._SLOT_BITS:
-        raise AssertionError(
-            f"order {order} overflows the {intseries._SLOT_BITS}-bit count slots"
-        )
+    if (r + 1) ** 8 >> intseries.SLOT_BITS:
+        raise AssertionError(f"order {order} overflows the {intseries.SLOT_BITS}-bit count slots")
     g = math.gcd(*beta) or 1
     beta = [b // g for b in beta]
     shells: list[dict[int, int]] = [{} for _ in range(order + 1)]
@@ -250,7 +249,7 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
             least = min(halves, default=0)  # no odd values at order 0
             low += least
             steps = [
-                (v * v, v, intseries._SLOT_BITS * (h - least)) for v, h in zip(values, halves)
+                (v * v, v, intseries.SLOT_BITS * (h - least)) for v, h in zip(values, halves)
             ]
             reached: dict[tuple[int, int], int] = {}
             for (n, s), poly in states.items():
@@ -269,7 +268,7 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
                 raise AssertionError(f"a point of squared length {n}/4 is off the even lattice")
             shell = shells[n // 8]
             e = base
-            for count in intseries._slots(poly):
+            for count in intseries.slots(poly):
                 if count:
                     shell[e] = shell.get(e, 0) + count
                 e += 2 * g
@@ -296,8 +295,9 @@ _PRODUCT_KINDS = ((ThetaKind.THETA, 1), (ThetaKind.THETA1, 1), (ThetaKind.THETA3
 def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     """theta_product_side's block, for a validated beta.
 
-    Three 8-fold products are multiplied out, as theta.packed_product
-    chains; the theta_2 product is the theta_3 product at tau + 1.
+    Three 8-fold products are multiplied out, as intseries.chain runs over
+    the factor steps that theta.chain_steps looks up once per product; the
+    theta_2 product is the theta_3 product at tau + 1.
     tau -> tau + 1 sends q^(1/2) to -q^(1/2), which turns each factor
     theta_3(z, tau) into theta_2(z, tau), so it sends u^e to (-1)^(e/12) u^e
     in a product whose exponents are all multiples of 12 (asserted): the
@@ -310,22 +310,23 @@ def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     class each row is shifted to the class's smaller low and added; each
     summed row is decoded once, and its ints are checked even and halved.
     Every |coefficient| of the sum is at most bound(theta) + bound(theta_1)
-    + 2 bound(theta_3) (theta.slot_bound), which must stay below 2^63
-    before any chain runs.  Each product takes its factors by increasing
-    |beta_l|: the product is the same, the small factors keep the partial
-    products short, and a zero beta_l comes first, where it ends the theta
-    product at once.
+    + 2 bound(theta_3) (intseries.bound of each product's steps), which must
+    stay below 2^63 before any chain runs.  Each product takes its factors
+    by increasing |beta_l|: the product is the same, the small factors keep
+    the partial products short, and a zero beta_l comes first, where it
+    ends the theta product at once.
     """
     factors = sorted(beta, key=abs)
-    lists = [(kind, [(kind, b) for b in factors], scale) for kind, scale in _PRODUCT_KINDS]
-    check_slots(
-        sum(scale * slot_bound(f, order) for _, f, scale in lists),
-        f"the theta products through q^{order}",
-    )
+    chains = [
+        (kind, scale, *chain_steps([(kind, b) for b in factors], order))
+        for kind, scale in _PRODUCT_KINDS
+    ]
+    what = f"the theta products through q^{order}"
+    intseries.check_slots(sum(scale * intseries.bound(steps) for _, scale, _, steps in chains), what)
     classes: dict[int, list] = {}  # low mod stride: (rows, low, scale) of each product
     through = U_PER_Q * order
-    for kind, f, scale in lists:
-        rows, low, stride, validity = packed_product(f, order)
+    for kind, scale, stride, steps in chains:
+        rows, low, validity = intseries.chain(steps, what)
         through = min(through, validity)
         if kind is ThetaKind.THETA3:
             if any(e % (U_PER_Q // 2) for e in rows):
@@ -339,13 +340,13 @@ def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
         base = min(low for _, low, _ in members)
         summed: dict[int, int] = {}
         for rows, low, scale in members:
-            shift = intseries._SLOT_BITS * ((low - base) // stride)
+            shift = intseries.SLOT_BITS * ((low - base) // stride)
             for e, r in rows.items():
                 if e <= through:
                     summed[e] = summed.get(e, 0) + (scale * r << shift)
         for e, r in summed.items():
             if r:
-                total.setdefault(e, {}).update(intseries._unpack(r, base, stride))
+                total.setdefault(e, {}).update(intseries.unpack(r, base, stride))
     for e in sorted(total):
         if any(c % 2 for c in total[e].values()):
             raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")

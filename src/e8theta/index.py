@@ -163,16 +163,12 @@ def _shared_block(k: int, order: int) -> intseries.Block:
     return {e - 3: p for e, p in coeffs.items()}, validity - 3
 
 
-_factor_identity_checked = False
-
-
-def _assert_quotient_identity():
+@lru_cache(maxsize=1)
+def _assert_quotient_identity() -> None:
     """One-shot exact check of the tangent block: by the product form,
     i theta times the block of the weight 1 is u^3 (w - w^-1) phi, compared
-    as integer blocks through q^6."""
-    global _factor_identity_checked
-    if _factor_identity_checked:
-        return
+    as integer blocks through q^6.  A pass is cached; a failure raises, so it
+    is not."""
     order = 6
     tangent = _tangent_block((1,), U_PER_Q * order)
     lhs = intseries.mul(theta_product([(ThetaKind.THETA, 1)], order), tangent)
@@ -183,17 +179,16 @@ def _assert_quotient_identity():
             f"tangent-block identity failed: i theta times the weight-1 tangent "
             f"block is not u^3 (w - w^-1) phi through q^{order}"
         )
-    _factor_identity_checked = True
 
 
 def _numerator(terms, k: int, flavor: IndexFlavor, order: int) -> intseries.Block:
-    """Sum over the (alpha, c, beta, {0: cofactor}) terms of the cofactor
+    """Sum over the (alpha, c, beta, cofactor) terms of the cofactor
     times the point block and the lattice block of beta, times the shared
     factor once; the terms with one beta share one lattice block."""
     by_beta = {}
     for alpha, c, beta, cofactor in terms:
         own = _point_block(alpha, c, flavor, order)
-        own = intseries.mul(own, (cofactor, own[1]))
+        own = intseries.mul(own, ({0: cofactor}, own[1]))
         by_beta[beta] = intseries.add(own, by_beta.get(beta, ({}, own[1])))
     numer = None  # from the first term: ({}, 24 order) would cap its validity
     for beta, part in by_beta.items():
@@ -222,7 +217,7 @@ def _summed(fixture: FixedPointFixture, flavor: IndexFlavor, order: int):
         if sign:
             beta = max(p.beta, tuple(-b for b in p.beta))
             key = (tuple(sorted(map(abs, p.alpha))), abs(p.c), beta)
-            intseries._add_into(groups.setdefault(key, {}), 0, cofactor, 0, sign)
+            intseries.add_poly(groups.setdefault(key, {}), cofactor, 0, sign)
     terms = [key + (summed,) for key, summed in groups.items() if summed]
     block = _through(_numerator(terms, fixture.k, flavor, order), order)
     if bad := [e for e in block[0] if e % U_PER_Q]:
@@ -242,7 +237,7 @@ def point_contribution(
     """
     _assert_quotient_identity()
     mult, (cofactor,) = cyclotomic_lcm([point.alpha])
-    terms = [(point.alpha, point.c, point.beta, {0: cofactor})]
+    terms = [(point.alpha, point.c, point.beta, cofactor)]
     return _over(_numerator(terms, k, flavor, order), mult, order)
 
 

@@ -7,19 +7,21 @@ series the package computes (theta products, the E8 lattice sum, powers
 of phi, the index blocks) has real integer coefficients, so it is built and
 multiplied here with plain ints, and so are the index path's Lefschetz
 numerators (bundles.lefschetz_sums, one atom table per point) and the
-cofactors D / D_p, as u^0 blocks.  A TruncatedSeries is made only at the
-public boundary, by to_series (or, over a denominator, by index._over);
-nothing is converted back into a block.
+cofactors D / D_p, as {w-exponent: int} maps (add_poly adds one into
+another).  A TruncatedSeries is made only at the public boundary, by
+to_series (or, over a denominator, by index._over); nothing is converted
+back into a block.
 
-Packed layout.  The hot dynamic programs (e8._lattice_block and
-theta.packed_product) hold a w-polynomial as one int: the coefficient of
-the exponent low + k * stride sits in the k-th _SLOT_BITS-bit slot, lowest
-first, so multiplying by c w^(j * stride) is the shift-add
-c * (poly << j * _SLOT_BITS) and a whole polynomial moves in one big-int
-operation.  The caller keeps low and stride, and must bound every
-coefficient below 2^(_SLOT_BITS - 1) in absolute value so that no slot
-carries into the next.  _slots reads the slots back as unsigned ints (the
-lattice counts); _unpack reads signed ones back into a {w-exponent: int} map.
+Packed layout, owned here.  The hot dynamic programs (e8._lattice_block
+and the theta products' chain) hold a w-polynomial as one int: the
+coefficient of the exponent low + k * stride sits in the k-th
+SLOT_BITS-bit slot, lowest first, so multiplying by c w^(j * stride) is
+the shift-add c * (poly << j * SLOT_BITS).  The caller keeps low and
+stride and bounds every coefficient below 2^(SLOT_BITS - 1) in absolute
+value (check_slots), so that no slot carries into the next.  chain runs a
+product of factor_steps factors under the guard of their bound; slots
+reads the slots back unsigned (the lattice counts), unpack signed.
+SLOT_BITS is the one name of the layout that callers read.
 Standard library only.
 """
 
@@ -34,9 +36,9 @@ Block = tuple[dict[int, dict[int, int]], int]
 
 # width of one coefficient's slot in a packed int; the slots are read as C
 # 64-bit ints
-_SLOT_BITS = 64
-_SLOT_BIAS = 1 << (_SLOT_BITS - 1)
-_SLOT_BIAS_BYTES = _SLOT_BIAS.to_bytes(_SLOT_BITS // 8, "little")
+SLOT_BITS = 64
+_SLOT_BIAS = 1 << (SLOT_BITS - 1)
+_SLOT_BIAS_BYTES = _SLOT_BIAS.to_bytes(SLOT_BITS // 8, "little")
 
 
 def to_series(block: Block, unit=1) -> TruncatedSeries:
@@ -149,35 +151,103 @@ def _add_into(
 ) -> None:
     """coeffs[e] += c w^x * poly, dropping zeros."""
     acc = coeffs.setdefault(e, {})
+    add_poly(acc, poly, x, c)
+    if not acc:
+        del coeffs[e]
+
+
+def add_poly(acc: dict[int, int], poly: dict[int, int], x: int = 0, c: int = 1) -> None:
+    """acc += c w^x * poly in place, for {w-exponent: int} maps, dropping zeros."""
     for w, v in poly.items():
         s = acc.get(w + x, 0) + c * v
         if s:
             acc[w + x] = s
         else:
             del acc[w + x]
-    if not acc:
-        del coeffs[e]
 
 
-def _slots(poly: int) -> memoryview:
-    """The _SLOT_BITS-bit slots of a packed int >= 0, as unsigned ints, lowest first."""
-    size = -(-poly.bit_length() // _SLOT_BITS) * (_SLOT_BITS // 8)
-    slots = memoryview(poly.to_bytes(size, sys.byteorder)).cast("Q")
-    return slots if sys.byteorder == "little" else slots[::-1]
+def check_slots(bound: int, what: str) -> None:
+    """Raise AssertionError unless bound < 2^(SLOT_BITS - 1), the signed slots' bound."""
+    if bound >> (SLOT_BITS - 1):
+        raise AssertionError(f"{what} overflow the {SLOT_BITS}-bit coefficient slots")
 
 
-def _unpack(poly: int, low: int, stride: int) -> dict[int, int]:
+def factor_steps(block: Block, m: int, stride: int) -> tuple:
+    """One factor of a chain, the block at w -> w^m, as (validity, base,
+    least, shifts, sum of |c|): shifts holds its terms c w^x u^e as
+    (e, shift, c), sorted by e, where shift packs x less the least exponent
+    at the chain's stride, which must divide each such difference."""
+    if m == 0:  # w -> 1 sums each coefficient
+        block = substitute(block, 0)
+    terms = sorted([(e, w * m, c) for e, p in block[0].items() for w, c in p.items()])
+    least = min([x for _, x, _ in terms], default=0)
+    shifts = tuple([(e, SLOT_BITS * ((x - least) // stride), c) for e, x, c in terms])
+    return block[1], _base(block), least, shifts, sum([abs(c) for _, _, c in terms])
+
+
+def bound(steps: list[tuple]) -> int:
+    """The product of the factors' sums of |c|, through the first zero factor,
+    where the chain stops: it bounds every coefficient of the product."""
+    total = 1
+    for *_, size in steps:
+        if not size:
+            break
+        total *= size
+    return total
+
+
+def chain(steps: list[tuple], what: str) -> tuple[dict[int, int], int, int]:
+    """The product of factor_steps factors in the packed layout, as (rows,
+    low, validity): row u's k-th slot is the coefficient of
+    w^(low + k * stride) u^u, at the steps' stride.
+
+    Each term c w^x u^e of the next factor adds c * (row << shift) into row
+    u + e, and low moves by the factor's least exponent, so a partial
+    product is only as wide as its own w-exponents.  Each step drops the
+    terms past the validity that mul would give it, and the product stops
+    at the first zero.  Steps whose bound reaches the slots raise
+    AssertionError, naming `what`, before the product is expanded.
+    """
+    check_slots(bound(steps), what)
+    rows = {0: 1}  # the partial product, one packed int per u-exponent
+    low = 0  # the w-exponent of slot 0
+    validity = None
+    for v, base, least, shifts, _ in steps:
+        validity = v if validity is None else min(validity + base, v + min(rows))
+        low += least
+        reached: dict[int, int] = {}
+        for u, poly in rows.items():
+            room = validity - u
+            for e, shift, c in shifts:
+                if e > room:
+                    break
+                term = poly << shift
+                reached[u + e] = reached.get(u + e, 0) + (term if c == 1 else c * term)
+        rows = {u: poly for u, poly in reached.items() if poly}
+        if not rows:
+            break
+    return rows, low, validity
+
+
+def slots(poly: int) -> memoryview:
+    """The SLOT_BITS-bit slots of a packed int >= 0, as unsigned ints, lowest first."""
+    size = -(-poly.bit_length() // SLOT_BITS) * (SLOT_BITS // 8)
+    packed = memoryview(poly.to_bytes(size, sys.byteorder)).cast("Q")
+    return packed if sys.byteorder == "little" else packed[::-1]
+
+
+def unpack(poly: int, low: int, stride: int) -> dict[int, int]:
     """{low + k * stride: the k-th slot} for the nonzero slots of a packed int
-    whose coefficients are all below 2^(_SLOT_BITS - 1) in absolute value.
+    whose coefficients are all below 2^(SLOT_BITS - 1) in absolute value.
 
     A negative coefficient borrows from the slot above it.  Adding
-    2^(_SLOT_BITS - 1) to every slot makes each one a positive int below
-    2^_SLOT_BITS with nothing borrowed, so the unsigned read, less that bias,
+    2^(SLOT_BITS - 1) to every slot makes each one a positive int below
+    2^SLOT_BITS with nothing borrowed, so the unsigned read, less that bias,
     is the coefficient.  The top coefficient's slot is the highest one that
     |poly| reaches, so exactly the slots through it are read.
     """
     if -_SLOT_BIAS < poly < _SLOT_BIAS:  # one slot
         return {low: poly} if poly else {}
-    n = abs(poly).bit_length() // _SLOT_BITS + 1
-    slots = _slots(poly + int.from_bytes(_SLOT_BIAS_BYTES * n, "little"))
-    return {low + k * stride: c - _SLOT_BIAS for k, c in enumerate(slots) if c != _SLOT_BIAS}
+    n = abs(poly).bit_length() // SLOT_BITS + 1
+    read = slots(poly + int.from_bytes(_SLOT_BIAS_BYTES * n, "little"))
+    return {low + k * stride: c - _SLOT_BIAS for k, c in enumerate(read) if c != _SLOT_BIAS}

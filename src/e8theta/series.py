@@ -10,10 +10,11 @@ package builds and multiplies its series as integer blocks over Z[w^+-1]
 (intseries.py) and makes a TruncatedSeries only at the end: with
 Laurent-polynomial coefficients (intseries.to_series) for theta and E8
 series, with rational-function coefficients (index._over) for an index
-series.  Here a series is read, compared, evaluated and printed; the
-tests' Q(i) oracles also multiply and invert series and multiply them by
-factors (1 + c u^e), and a product of series over different coefficient
-types promotes through the coefficients' own operators.
+series.  Here a series is read, compared and printed; the tests also
+evaluate series, and their Q(i) oracles multiply and invert series and
+multiply them by factors (1 + c u^e), and a product of series over
+different coefficient types promotes through the coefficients' own
+operators.
 
 Validity propagation is conservative and never overstates what was
 computed: a product of a (valid to Ma, lowest exponent ma) with b (valid
@@ -22,7 +23,6 @@ to Mb, lowest mb) is valid to min(Ma + mb, Mb + ma).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import BeyondTruncationError, ExponentLatticeError
@@ -143,9 +143,6 @@ class TruncatedSeries:
             else:
                 out[k] = s
         return TruncatedSeries(out, self.order, zero)
-
-    def evaluate(self, u_value: complex, coeff_value: Callable = complex) -> complex:
-        return sum((coeff_value(c) * u_value**e for e, c in self.coeffs.items()), 0j)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -13,15 +13,16 @@ half-angle factors are Laurent monomials: 2*sin(pi*z) = -i*(w - w^-1) and
 theta_3 respectively).  Expansions live on the u = q^(1/24) lattice with
 coefficients in Z[w^+-1]: the q-products are real, and so is i*theta, so
 each kind is built as an `intseries` block (_theta_block, with i*theta for
-theta).  packed_product multiplies such blocks, at w -> w^m, as a chain in
-intseries' packed layout, where one int per u-exponent holds the partial
+theta).  theta_product multiplies such blocks, at w -> w^m, as one
+intseries.chain, where one int per u-exponent holds the partial
 product's w-polynomial at the stride 2 gcd(m), and each term of the next
 (lacunary) factor adds one shifted copy of each row; the coefficients are
-bounded below the 64-bit slots before the chain runs.  A factor's terms,
-sorted and turned into shifts, are built once per (kind, m, order,
-stride) and kept in a bounded cache (_factor_steps, 256 entries).
-theta_product is that chain with its rows decoded once, into a block;
-e8's product side sums three chains' rows before it decodes them.
+bounded below the 64-bit slots before the chain runs.  A factor's steps
+(intseries.factor_steps: its terms, sorted and turned into shifts) are
+built once per (kind, m, order, stride) and kept in a bounded cache
+(_factor_steps, 256 entries); chain_steps looks a factor list's up, and
+e8's product side runs three such chains and sums their rows before it
+decodes them.
 theta_series is the Laurent view of one block, with theta's -i put back.
 The product form is the only route here; the tests build the equivalent
 sum forms (triple product) independently, in tests/conftest.py, as its
@@ -100,91 +101,20 @@ def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=256)
 def _factor_steps(kind: ThetaKind, m: int, order: int, stride: int) -> tuple:
-    """One factor of a packed chain: _theta_block(kind, order) at w -> w^m, as
-    (validity, base, least, shifts, sum of |c|); shared, never mutated.
-
-    least is the factor's least w-exponent, and shifts holds its terms
-    c w^x u^e as (e, shift, c), sorted by e, where shift packs x - least at
-    the chain's stride (a multiple of 2 gcd(m), which holds every exponent
-    of the factor in one class: m times an odd exponent for theta and
-    theta_1, an even one for theta_2 and theta_3).
-    """
-    factor = _theta_block(kind, order)
-    if m == 0:  # w -> 1 sums each coefficient, and theta's vanish
-        factor = intseries.substitute(factor, 0)
-    terms = sorted([(e, w * m, c) for e, p in factor[0].items() for w, c in p.items()])
-    least = min([x for _, x, _ in terms], default=0)
-    shifts = tuple([(e, intseries._SLOT_BITS * ((x - least) // stride), c) for e, x, c in terms])
-    return factor[1], intseries._base(factor), least, shifts, sum([abs(c) for _, _, c in terms])
+    """intseries.factor_steps of _theta_block(kind, order) at w -> w^m; shared,
+    never mutated.  A stride that is a multiple of 2 gcd(m) holds every
+    exponent of the factor in one class: m times an odd exponent for theta
+    and theta_1, an even one for theta_2 and theta_3; at m = 0 theta's
+    coefficients sum to zero, so the factor is empty."""
+    return intseries.factor_steps(_theta_block(kind, order), m, stride)
 
 
-def _chain(factors: list[tuple[ThetaKind, int]], order: int) -> tuple[int, list[tuple]]:
-    """The stride 2 gcd(m) of a factor list and its factors' steps."""
+def chain_steps(factors: list[tuple[ThetaKind, int]], order: int) -> tuple[int, list[tuple]]:
+    """The stride 2 gcd(m) of a factor list and its factors' steps, for intseries.chain."""
     if not factors:
         raise ValueError("theta_product needs at least one factor")
     stride = 2 * (math.gcd(*(m for _, m in factors)) or 1)
     return stride, [_factor_steps(kind, m, order, stride) for kind, m in factors]
-
-
-def _bound(steps: list[tuple]) -> int:
-    """The product of the factors' sums of |c|, through the first zero factor,
-    where the product stops: it bounds every coefficient of the product."""
-    bound = 1
-    for *_, total in steps:
-        if not total:
-            break
-        bound *= total
-    return bound
-
-
-def slot_bound(factors: list[tuple[ThetaKind, int]], order: int) -> int:
-    """A bound on every |coefficient| of theta_product(factors, order)."""
-    return _bound(_chain(factors, order)[1])
-
-
-def check_slots(bound: int, what: str) -> None:
-    """Raise AssertionError unless bound < 2^63, the packed slots' bound."""
-    if bound >> (intseries._SLOT_BITS - 1):
-        raise AssertionError(f"{what} overflow the {intseries._SLOT_BITS}-bit coefficient slots")
-
-
-def packed_product(
-    factors: list[tuple[ThetaKind, int]], order: int
-) -> tuple[dict[int, int], int, int, int]:
-    """theta_product(factors, order) in intseries' packed layout, as
-    (rows, low, stride, validity): rows maps each u-exponent to one int whose
-    k-th slot is the coefficient of w^(low + k * stride).
-
-    The factors multiply in the given order as a chain.  Each term
-    c w^x u^e of the next factor (its _factor_steps) adds
-    c * (row << shift) into row u + e, where shift packs x less the factor's
-    least exponent, which moves low; so a partial product is only as wide as
-    its own w-exponents.  Each step drops the terms past the validity that
-    intseries.mul would give it, and the product stops at the first zero.
-    No coefficient may reach 2^63, the slot bound: it is at most _bound of
-    the steps, so a list whose bound reaches it raises AssertionError before
-    the product is expanded (eight factors at MAX_THETA_ORDER: 41^8 < 2^43).
-    """
-    stride, steps = _chain(factors, order)
-    check_slots(_bound(steps), f"{len(factors)} theta factors through q^{order}")
-    rows = {0: 1}  # the partial product, one packed int per u-exponent
-    low = 0  # the w-exponent of slot 0
-    validity = None
-    for v, base, least, shifts, _ in steps:
-        validity = v if validity is None else min(validity + base, v + min(rows))
-        low += least
-        reached: dict[int, int] = {}
-        for u, poly in rows.items():
-            room = validity - u
-            for e, shift, c in shifts:
-                if e > room:
-                    break
-                term = poly << shift
-                reached[u + e] = reached.get(u + e, 0) + (term if c == 1 else c * term)
-        rows = {u: poly for u, poly in reached.items() if poly}
-        if not rows:
-            break
-    return rows, low, stride, validity
 
 
 def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries.Block:
@@ -193,16 +123,19 @@ def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries
 
     theta's lead is -i (w - w^-1), so i*theta is real (and an 8-fold product
     of i*theta is theta's, as i^8 = 1).  Each factor is _theta_block(kind,
-    order) with w -> w^m; one factor is that block.  More multiply in two
-    parts: the packed core, packed_product, runs the chain over the steps
-    that _factor_steps caches per factor, and its rows are decoded once,
-    here (intseries._unpack).
+    order) with w -> w^m; one factor is that block.  More multiply as one
+    intseries.chain over the steps that _factor_steps caches per factor,
+    whose rows are decoded once, here.  Every coefficient is at most the
+    product of the factors' sums of |c|, so a list whose bound reaches the
+    slots raises AssertionError before the product is expanded (eight
+    factors at MAX_THETA_ORDER: 41^8 < 2^43).
     """
     if len(factors) == 1:
         kind, m = factors[0]
         return intseries.substitute(_theta_block(kind, order), m)
-    rows, low, stride, validity = packed_product(factors, order)
-    return {u: intseries._unpack(rows[u], low, stride) for u in sorted(rows)}, validity
+    stride, steps = chain_steps(factors, order)
+    rows, low, validity = intseries.chain(steps, f"{len(factors)} theta factors through q^{order}")
+    return {u: intseries.unpack(rows[u], low, stride) for u in sorted(rows)}, validity
 
 
 # numeric evaluation

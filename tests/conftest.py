@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -179,23 +180,43 @@ def naive_euler_phi(order):
     return naive_q_product([(Fraction(-1), n) for n in range(1, order + 1)], order)
 
 
-def naive_partition_power(order, power):
-    """Coefficients of prod (1-q^n)^(-power) by divisor-sum recurrence.
+def _truncated_product(a, b, order):
+    """The product of two q-coefficient lists, cut after q^order."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(order + 1)]
 
-    Uses  n*a_n = sum_{m=1..n} power*sigma_1(m)*a_{n-m},  the logarithmic
-    derivative of the Euler product; entirely independent of series code.
+
+@cache
+def _phi_step(order, sign):
+    """phi^sign through q^order, sign = +-1, by plain integer products: the
+    naive Euler product, or the product of the geometric series
+    sum_k q^(m k) = 1 / (1 - q^m) over m = 1..order."""
+    step = [1] + [0] * order
+    for m in range(1, order + 1):
+        if sign > 0:  # 1 - q^m
+            factor = [(k == 0) - (k == m) for k in range(order + 1)]
+        else:  # 1 + q^m + q^(2m) + ...
+            factor = [int(k % m == 0) for k in range(order + 1)]
+        step = _truncated_product(step, factor, order)
+    return tuple(step)
+
+
+@cache
+def _phi_power(order, n):
+    if n == 0:
+        return (1,) + (0,) * order
+    sign = 1 if n > 0 else -1
+    return tuple(_truncated_product(_phi_power(order, n - sign), _phi_step(order, sign), order))
+
+
+def naive_partition_power(order, power):
+    """Coefficients of prod (1-q^n)^(-power) through q^order, as ints.
+
+    phi^n is phi^(n -+ 1), the power next to it toward 0, times phi or
+    phi^-1 (_phi_step): one truncated product of integer lists per power,
+    each power built once.  Entirely independent of series code and of the
+    divisor-sum recurrence that intseries.phi_block uses.
     """
-    sigma = [0] * (order + 1)
-    for d in range(1, order + 1):
-        for m in range(d, order + 1, d):
-            sigma[m] += d
-    a = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        total = Fraction(0)
-        for m in range(1, n + 1):
-            total += power * sigma[m] * a[n - m]
-        a[n] = total / n
-    return a
+    return list(_phi_power(order, -power))
 
 
 def brute_force_e8_shell(m):
@@ -279,7 +300,12 @@ def evaluate_expansion(series: TruncatedSeries, z: complex, tau: complex) -> com
     """Specialize an exact expansion at w = e^(pi i z), u = e^(2 pi i tau / 24)."""
     w = cmath.exp(1j * cmath.pi * z)
     u = cmath.exp(2j * cmath.pi * tau / U_PER_Q)
-    return series.evaluate(u, lambda c: c.evaluate(w))
+    return evaluate_series(series, u, lambda c: c.evaluate(w))
+
+
+def evaluate_series(series: TruncatedSeries, u, coeff_value=complex) -> complex:
+    """sum_e coeff_value(c_e) u^e over a series' stored terms."""
+    return sum((coeff_value(c) * u**e for e, c in series.coeffs.items()), 0j)
 
 
 def random_fixture(rng: random.Random, max_k=3, max_points=3, spread=2):

@@ -11,7 +11,7 @@ from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
-from e8theta.bundles import BundleExpr
+from e8theta.bundles import BundleExpr, _atom_table, _w_character
 
 
 def _w_exponents(beta):
@@ -59,5 +59,5 @@ def test_char_at_counts_exponent_sums(terms, alpha, c, beta):
         for choice in itertools.product(*lists):
             expected[sum(choice)] += n
     poly = {w: n for w, n in expected.items() if n}
-    got = BundleExpr(terms).char_at(alpha, c, beta)
-    assert got == ({0: poly} if poly else {}, 0), (terms, alpha, c, beta)
+    got = BundleExpr(terms).char_at(_atom_table(alpha, c, _w_character(beta)))
+    assert got == poly, (terms, alpha, c, beta)

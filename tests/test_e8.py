@@ -34,7 +34,7 @@ from e8theta.e8 import (
 from e8theta.gaussian import GaussianRational
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import U_PER_Q
-from e8theta.theta import ThetaKind, packed_product, theta_product
+from e8theta.theta import ThetaKind, chain_steps, theta_product
 
 
 def test_shell_zero_is_origin():
@@ -318,17 +318,42 @@ def test_product_side_equals_qi_half_sum(rng):
             assert theta_product_side(beta, order) == _qi_half_sum(beta, order), (beta, order)
 
 
-def test_product_side_raises_on_an_odd_sum(monkeypatch):
+class _Steps(list):
+    """A product's factor steps, labelled with its factors and stride."""
+
+
+@pytest.fixture
+def labelled_chains(monkeypatch):
+    """e8's chain_steps, labelling each product's steps with its factors and
+    stride, so that a patched intseries.chain tells the three chains apart."""
+
+    def labelled(factors, order):
+        stride, steps = chain_steps(factors, order)
+        steps = _Steps(steps)
+        steps.factors, steps.stride = factors, stride
+        return stride, steps
+
+    monkeypatch.setattr(e8theta.e8, "chain_steps", labelled)
+
+
+def _kind(steps):
+    """The kind of a labelled product's factors, None for unlabelled steps."""
+    return steps.factors[0][0] if isinstance(steps, _Steps) else None
+
+
+def test_product_side_raises_on_an_odd_sum(monkeypatch, labelled_chains):
     # one more at the least w-exponent of the theta_1 product's lowest row,
     # u^24; the theta product is empty and the theta_3 one in the other w-class
-    def one_more_theta1_term(factors, order):
-        rows, low, stride, validity = packed_product(factors, order)
-        if factors[0][0] is ThetaKind.THETA1:
+    chain = intseries.chain
+
+    def one_more_theta1_term(steps, what):
+        rows, low, validity = chain(steps, what)
+        if _kind(steps) is ThetaKind.THETA1:
             e = min(rows)
             rows = {**rows, e: rows[e] + 1}
-        return rows, low, stride, validity
+        return rows, low, validity
 
-    monkeypatch.setattr(e8theta.e8, "packed_product", one_more_theta1_term)
+    monkeypatch.setattr(intseries, "chain", one_more_theta1_term)
     with pytest.raises(AssertionError, match=r"odd coefficient at u\^24"):
         theta_product_side((1, 0, 0, 0, 0, 0, 0, 0), 1)
 
@@ -350,22 +375,23 @@ def test_packed_product_side_equals_the_decoded_sum(beta, order):
     assert e8theta.e8._product_side(beta, order) == product_side_by_decoding(beta, order)
 
 
-def test_product_side_slot_guard_counts_the_sum(monkeypatch):
+def test_product_side_slot_guard_counts_the_sum(monkeypatch, labelled_chains):
     """Every |coefficient| of the sum is at most bound(theta) + bound(theta_1)
     + 2 bound(theta_3).  At 2^63 the product side raises before any chain
     runs, though each bound alone is below it; one less and the chains run."""
     ran = []
+    chain = intseries.chain
 
-    def recording(factors, order):
-        ran.append(factors[0][0])
-        return packed_product(factors, order)
+    def recording(steps, what):
+        ran.append(_kind(steps))
+        return chain(steps, what)
 
-    monkeypatch.setattr(e8theta.e8, "packed_product", recording)
     beta = (1, 2, 0, -3, 0, 0, 1, 1)
     expected = product_side_by_decoding(beta, 3)
+    monkeypatch.setattr(intseries, "chain", recording)
     for theta1_bound, raises in ((2**61, True), (2**61 - 1, False)):
         bounds = {ThetaKind.THETA: 2**62, ThetaKind.THETA1: theta1_bound, ThetaKind.THETA3: 2**60}
-        monkeypatch.setattr(e8theta.e8, "slot_bound", lambda factors, order: bounds[factors[0][0]])
+        monkeypatch.setattr(intseries, "bound", lambda steps: bounds[_kind(steps)])
         ran.clear()
         if raises:
             with pytest.raises(AssertionError, match="overflow the 64-bit coefficient slots"):
@@ -376,20 +402,29 @@ def test_product_side_slot_guard_counts_the_sum(monkeypatch):
             assert len(ran) == 3
 
 
-def test_product_side_multiplies_three_products(monkeypatch):
+def test_product_side_multiplies_three_products(monkeypatch, labelled_chains):
     """The theta_2 product is not multiplied out: it is the theta_3 one twisted."""
     kinds = []
+    chain = intseries.chain
 
-    def recording(factors, order):
-        kinds.append({kind for kind, _ in factors})
-        return packed_product(factors, order)
+    def recording(steps, what):
+        kinds.append({kind for kind, _ in steps.factors})
+        return chain(steps, what)
 
-    monkeypatch.setattr(e8theta.e8, "packed_product", recording)
+    monkeypatch.setattr(intseries, "chain", recording)
     for beta in ((0,) * 8, (1, 2, 0, -3, 0, 0, 1, 1), README_BETA):
         kinds.clear()
         theta_product_side(beta, 4)
         assert len(kinds) == 3 and all(len(k) == 1 for k in kinds), kinds
         assert ThetaKind.THETA2 not in set().union(*kinds)
+
+
+def test_product_side_looks_each_factor_up_once():
+    """The three products' steps are looked up once each, for the slot guard
+    and the chains both: 3 x 8 _factor_steps lookups."""
+    e8theta.e8._product_side(README_BETA, 4)
+    info = e8theta.theta._factor_steps.cache_info()
+    assert (info.hits + info.misses, info.misses) == (24, 24)
 
 
 @given(st.tuples(*[st.integers(-30, 30)] * 8), st.integers(0, 10))
@@ -444,18 +479,20 @@ def test_lattice_sum_equals_theta_products_past_the_e8_bound(beta, order):
     assert not lhs.q_coefficient(order).is_zero()
 
 
-def test_identity_mismatch_item_wording(monkeypatch):
+def test_identity_mismatch_item_wording(monkeypatch, labelled_chains):
     # one more at the theta_3 product's w^2 u^24, which the sum counts
     # twice: the half-sum gains one w^2 at q^1; the item reads as when the
     # two sides were compared as series
-    def one_more_theta3_term(factors, order):
-        rows, low, stride, validity = packed_product(factors, order)
-        if factors[0][0] is ThetaKind.THETA3:
-            slot = intseries._SLOT_BITS * ((2 - low) // stride)
-            rows = {**rows, U_PER_Q: rows[U_PER_Q] + (1 << slot)}
-        return rows, low, stride, validity
+    chain = intseries.chain
 
-    monkeypatch.setattr(e8theta.e8, "packed_product", one_more_theta3_term)
+    def one_more_theta3_term(steps, what):
+        rows, low, validity = chain(steps, what)
+        if _kind(steps) is ThetaKind.THETA3:
+            slot = intseries.SLOT_BITS * ((2 - low) // steps.stride)
+            rows = {**rows, U_PER_Q: rows[U_PER_Q] + (1 << slot)}
+        return rows, low, validity
+
+    monkeypatch.setattr(intseries, "chain", one_more_theta3_term)
     report = check_identity_116((1, 0, 0, 0, 0, 0, 0, 0), 2)
     assert [item.to_dict() for item in report.items] == [{
         "name": "first mismatching coefficient",
@@ -490,8 +527,8 @@ def test_beta_checked_before_any_block(monkeypatch):
         raise AssertionError("a block was built for an out-of-range beta")
 
     monkeypatch.setattr(e8theta.e8, "_lattice_series", no_work)
-    monkeypatch.setattr(e8theta.e8, "slot_bound", no_work)
-    monkeypatch.setattr(e8theta.e8, "packed_product", no_work)
+    monkeypatch.setattr(e8theta.e8, "chain_steps", no_work)
+    monkeypatch.setattr(intseries, "chain", no_work)
     for beta in ((31,) + (0,) * 7, (0,) * 7 + (-31,), (1.5,) + (0,) * 7, (True,) + (0,) * 7, (0,) * 7):
         for fn in (theta_e8, theta_product_side, check_identity_116, basic_character):
             with pytest.raises(ValueError, match="beta"):

@@ -217,7 +217,6 @@ def test_a_wrong_sign_tangent_block_fails_the_identity_check(monkeypatch):
         return coeffs, validity
 
     monkeypatch.setattr(e8theta.index, "_tangent_block", wrong_sign)
-    monkeypatch.setattr(e8theta.index, "_factor_identity_checked", False)
     cp2, _ = resolve_fixture("cp2")
     with pytest.raises(AssertionError, match="tangent-block identity"):
         index_series(cp2, IndexFlavor.I_SERIES, 2)
@@ -626,7 +625,10 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
     def recorder(label, fn):
         def wrapped(*args):
             block = fn(*args)
-            requested.append((label, args[-1], block[-1]))  # order, validity
+            # order, validity; chain_steps hands back (stride, factor steps),
+            # each step led by its factor's validity
+            validity = max(v for v, *_ in block[1]) if label.endswith("chain_steps") else block[-1]
+            requested.append((label, args[-1], validity))
             return block
 
         return wrapped
@@ -637,7 +639,7 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         (e8theta.index, "theta_product"),
         (e8theta.index, "_lattice_series"),
         (intseries, "phi_block"),
-        (e8theta.e8, "packed_product"),
+        (e8theta.e8, "chain_steps"),
         (e8theta.e8, "_lattice_series"),
     ):
         label = f"{module.__name__}.{name}"
@@ -650,7 +652,7 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         "e8theta.index.theta_product",
         "e8theta.index._lattice_series",
         "e8theta.intseries.phi_block",
-        "e8theta.e8.packed_product",
+        "e8theta.e8.chain_steps",
         "e8theta.e8._lattice_series",
     }
     character_start = len(requested)

@@ -129,12 +129,12 @@ def test_a_wrong_divisor_sum_trips_the_exact_division(monkeypatch):
             intseries.phi_block(n, 3)
 
 
-_SLOT_MAX = (1 << intseries._SLOT_BITS - 1) - 1
+_SLOT_MAX = (1 << intseries.SLOT_BITS - 1) - 1
 
 
 def _pack(coefficients: list[int]) -> int:
     """coefficients[k] in the k-th slot: the packed layout, written out."""
-    return sum(c << intseries._SLOT_BITS * k for k, c in enumerate(coefficients))
+    return sum(c << intseries.SLOT_BITS * k for k, c in enumerate(coefficients))
 
 
 @given(st.lists(st.integers(-_SLOT_MAX, _SLOT_MAX) | st.sampled_from([0, 1, -1]), max_size=12),
@@ -150,11 +150,11 @@ def _pack(coefficients: list[int]) -> int:
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_unpack_reads_back_signed_slots(coefficients, low, stride):
     """A negative slot borrows from the one above it; the read undoes that."""
-    got = intseries._unpack(_pack(coefficients), low, stride)
+    got = intseries.unpack(_pack(coefficients), low, stride)
     assert got == {low + k * stride: c for k, c in enumerate(coefficients) if c}
 
 
 def test_unpack_single_slot_rows():
     for c in (1, -1, 5, -_SLOT_MAX, _SLOT_MAX):
-        assert intseries._unpack(c, 7, 2) == {7: c}
-    assert intseries._unpack(0, 7, 2) == {}
+        assert intseries.unpack(c, 7, 2) == {7: c}
+    assert intseries.unpack(0, 7, 2) == {}

@@ -186,3 +186,24 @@ def test_cli_import_loads_no_pathlib_or_random():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]", out
+
+
+def test_only_intseries_reads_its_private_names():
+    """intseries owns the packed layout: no other module of src/e8theta reads
+    an attribute intseries._name or imports one from it."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "intseries.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "intseries"
+                and node.attr.startswith("_")
+            ):
+                reads.append(f"{path.name}:{node.lineno} intseries.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "intseries":
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+                reads += [f"{path.name}:{node.lineno} intseries.{name}" for name in names]
+    assert not reads, "private intseries names read outside it: " + ", ".join(reads)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     evaluate_expansion,
+    evaluate_series,
     first_difference,
     map_coefficients,
     theta_prime_zero_series,
@@ -215,8 +216,8 @@ def test_theta_prime_numeric_laws():
 
 def test_theta_prime_matches_2pi_series():
     tau = 0.2 + 1.1j
-    series_value = 2 * cmath.pi * theta_prime_zero_series(12).evaluate(
-        cmath.exp(2j * cmath.pi * tau / U_PER_Q), complex
+    series_value = 2 * cmath.pi * evaluate_series(
+        theta_prime_zero_series(12), cmath.exp(2j * cmath.pi * tau / U_PER_Q)
     )
     assert abs(series_value - theta_prime_zero(tau)) < 1e-10
 
