@@ -267,8 +267,8 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (FixtureFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FixtureFormatError, MemoryError, OSError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,16 +1,16 @@
 """Equivariant index series for circle actions with isolated fixed points.
 
-Per fixed point the series is a product of three blocks on the
+Per fixed point the series is a product of three factors on the
 u = q^(1/24) lattice, divided by the tangent lead below:
 
-* tangent block: over the rotation weights alpha_j, the quotient
+* tangent factors: over the rotation weights alpha_j, the quotient
   theta'(0,tau) / (2 pi i theta(alpha_j t, tau)), implemented as the
   identity  phi(q)^2 / ((w^a - w^-a) prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m));
-  the 2 pi i cancels symbolically.  The q-product's inverse is built in
-  place, as a product of factors 1 + y^(2^j), y = w^(+-2a) q^m, per weight;
+  the 2 pi i cancels symbolically.  No tangent block is built: the line
+  block is divided in place by each 1 - w^(+-2a) q^m (_divide_tangent), and
   only the lead D_p = prod_j (w^a - w^-a) needs the fraction field.  Once
-  per process before first use, the block of the weight 1 is checked
-  exactly against the product form of theta: i theta times it is
+  per process before first use, that division is checked exactly against
+  the product form of theta: i theta divided by the weight 1's factors is
   u^3 (w - w^-1) phi, as integer blocks through q^6.
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
@@ -29,7 +29,7 @@ ratfunc.cyclotomic_lcm gives factored into cyclotomic polynomials, with the
 integer cofactors D / D_p as u^0 blocks, so the result is real by
 construction.  index_series groups the points by the parities of their
 blocks (_summed); each group whose summed cofactor is not zero adds its
-point block (tangent q-series times line numerator) times that cofactor,
+point block (line numerator over the tangent q-product) times that cofactor,
 each beta's sum is multiplied by its lattice block, and the total once by
 the shared factor.  point_contribution groups nothing.  Each q^n
 coefficient becomes one RationalFunction over D (in point_contribution,
@@ -47,8 +47,8 @@ Each block depends only on its key, so it is built once per process and
 shared, never mutated, by every fixture and job.  The point block is keyed
 by (alpha, c, flavour, order), which _summed passes as the group key, in an
 lru_cache of 32; alpha (10, 9), c 0, I at order 30 holds 7.6k terms
-(~0.4 MiB), and the size grows with sum |alpha_j| times the order; the
-tangent block is built inside it and kept by nothing else.  The shared
+(~0.4 MiB), and the size grows with sum |alpha_j| times the order; it is
+the fresh block of theta_product, divided in place.  The shared
 factor is keyed by (k, order), in a cache of 16; it holds 31 terms at
 order 30.  The lattice block is keyed by the W(D8) orbit of beta and the
 order, in e8's cache of 32.
@@ -70,8 +70,8 @@ from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 # largest order index_series expands to: cp2 (k = 2, three points, two point
-# groups) takes about 0.06 s (I) at order 30 on a 2-vCPU host, nearly all of
-# it block multiplies, and under 1 ms (J), whose mirrored points cancel
+# groups) takes about 0.035 s (I) at order 30 on a 2-vCPU host, half of it
+# the point blocks' division, and under 1 ms (J), whose mirrored points cancel
 MAX_INDEX_ORDER = 30
 
 
@@ -118,16 +118,15 @@ class IndexSeries(Record):
 _EVEN_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
 
 
-def _tangent_block(alpha: tuple[int, ...], validity: int) -> intseries.Block:
-    """The inverse of prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), the
-    tangent denominator without its lead, every weight multiplied in place
-    as 1/(1 - y) = (1 + y)(1 + y^2)(1 + y^4)... with y = w^(+-2a) q^m."""
-    coeffs = {0: {0: 1}}
+def _divide_tangent(block: intseries.Block, alpha: tuple[int, ...]) -> intseries.Block:
+    """A fresh block divided in place by prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m),
+    the tangent denominator without its lead, one ascending pass per factor."""
+    coeffs, validity = block
     for a in alpha:
         for x in (2 * a, -2 * a):
             for e in range(U_PER_Q, validity + 1, U_PER_Q):
                 intseries.times_inverse(coeffs, x, e, validity)
-    return coeffs, validity
+    return block
 
 
 def _through(block: intseries.Block, order: int) -> intseries.Block:
@@ -149,10 +148,9 @@ def _over(block: intseries.Block, mult: dict[int, int], order: int) -> Truncated
 def _point_block(
     alpha: tuple[int, ...], c: int, flavor: IndexFlavor, order: int
 ) -> intseries.Block:
-    """A point's tangent q-series times its line numerator; shared, never mutated."""
-    tangent = _tangent_block(alpha, U_PER_Q * order)
+    """A point's line numerator divided by its tangent q-product; shared, never mutated."""
     kinds = _EVEN_KINDS if flavor is IndexFlavor.I_SERIES else (ThetaKind.THETA,)
-    return intseries.mul(tangent, theta_product([(kind, c) for kind in kinds], order))
+    return _divide_tangent(theta_product([(kind, c) for kind in kinds], order), alpha)
 
 
 @lru_cache(maxsize=16)
@@ -165,19 +163,18 @@ def _shared_block(k: int, order: int) -> intseries.Block:
 
 @lru_cache(maxsize=1)
 def _assert_quotient_identity() -> None:
-    """One-shot exact check of the tangent block: by the product form,
-    i theta times the block of the weight 1 is u^3 (w - w^-1) phi, compared
-    as integer blocks through q^6.  A pass is cached; a failure raises, so it
-    is not."""
+    """One-shot exact check of _divide_tangent, the point blocks' division: by
+    the product form, i theta divided by the weight 1's factors is
+    u^3 (w - w^-1) phi, compared as integer blocks through q^6.  A pass is
+    cached; a failure raises, so it is not."""
     order = 6
-    tangent = _tangent_block((1,), U_PER_Q * order)
-    lhs = intseries.mul(theta_product([(ThetaKind.THETA, 1)], order), tangent)
+    lhs = _divide_tangent(theta_product([(ThetaKind.THETA, 1)], order), (1,))
     lead = ({3: {1: 1, -1: -1}}, U_PER_Q * order + 3)
     rhs = intseries.mul(lead, intseries.phi_block(1, order))
     if _through(lhs, order) != _through(rhs, order):
         raise AssertionError(
-            f"tangent-block identity failed: i theta times the weight-1 tangent "
-            f"block is not u^3 (w - w^-1) phi through q^{order}"
+            f"tangent-block identity failed: i theta over the weight-1 tangent "
+            f"factors is not u^3 (w - w^-1) phi through q^{order}"
         )
 
 
@@ -202,7 +199,7 @@ def _summed(fixture: FixedPointFixture, flavor: IndexFlavor, order: int):
     over D of the summed summands, cut at q^order; only whole q-powers survive.
 
     A point's blocks depend on it only through (sorted |alpha_j|, |c|, beta
-    up to sign), up to a sign: the tangent block is even in each alpha_j,
+    up to sign), up to a sign: the tangent factors are even in each alpha_j,
     the lattice block even in beta (gamma -> -gamma), the I line block even
     in c and the J line block odd in c.  So each group of points with one
     such key adds its cofactors D / D_p, times 1 (I) or sign(c) (J), and a

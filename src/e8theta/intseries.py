@@ -136,14 +136,16 @@ def times_one_plus(
 
 
 def times_inverse(coeffs: dict[int, dict[int, int]], x: int, e: int, validity: int) -> None:
-    """Multiply the block's map by 1/(1 - w^x u^e) in place, e > 0.
+    """Divide the block's map by (1 - w^x u^e) in place, e > 0.
 
-    The inverse is expanded as (1 + y)(1 + y^2)(1 + y^4)... with y = w^x u^e;
-    a factor that moves the lowest term past the validity changes nothing.
+    Row u + e gains w^x times row u, each class of rows mod e walked up
+    from its lowest row, so every row is complete before it is read.
+    Terms pushed beyond the validity are dropped; the validity stays.
     """
-    span = validity - min(coeffs, default=validity)
-    for j in range((span // e).bit_length()):
-        times_one_plus(coeffs, 1, x << j, e << j, validity)
+    for low in {u % e: u for u in sorted(coeffs, reverse=True)}.values():
+        for u in range(low, validity - e + 1, e):
+            if u in coeffs:
+                _add_into(coeffs, u + e, coeffs[u], x)
 
 
 def _add_into(

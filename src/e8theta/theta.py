@@ -123,12 +123,13 @@ def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries
 
     theta's lead is -i (w - w^-1), so i*theta is real (and an 8-fold product
     of i*theta is theta's, as i^8 = 1).  Each factor is _theta_block(kind,
-    order) with w -> w^m; one factor is that block.  More multiply as one
-    intseries.chain over the steps that _factor_steps caches per factor,
-    whose rows are decoded once, here.  Every coefficient is at most the
-    product of the factors' sums of |c|, so a list whose bound reaches the
-    slots raises AssertionError before the product is expanded (eight
-    factors at MAX_THETA_ORDER: 41^8 < 2^43).
+    order) with w -> w^m; two or more multiply as one intseries.chain over
+    the steps that _factor_steps caches per factor, decoded once, here.
+    The block is fresh, never a cached one: index._point_block divides it
+    in place.  Every coefficient is at most the product of the factors'
+    sums of |c|, so a list whose bound reaches the slots raises
+    AssertionError before the product is expanded (eight factors at
+    MAX_THETA_ORDER: 41^8 < 2^43).
     """
     if len(factors) == 1:
         kind, m = factors[0]

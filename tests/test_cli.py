@@ -184,6 +184,21 @@ def test_empty_fixture_is_a_usage_error_naming_the_option(capsys):
         assert "Is a directory" not in err
 
 
+def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    """A weight too large for memory (a c of 10^12 makes a dense reduction
+    that long) ends in one `error:` line and exit 2, not a traceback."""
+    import e8theta.index
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(e8theta.index, "_point_block", exhausted)
+    for command in (("index", "expand"), ("index", "check"), ("classify",)):
+        code, _, err = invoke(capsys, *command, "--fixture", "cp2", "--order", "1")
+        assert code == 2, command
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
 def test_beta_entries_are_bounded(capsys):
     """--beta takes the fixture files' bound: -30..30 runs, 31 exits 2."""
     for beta in ("30,-30,0,0,0,0,0,0", "-30,0,0,0,0,0,0,30"):

@@ -48,8 +48,9 @@ from e8theta.ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
 from e8theta.series import TruncatedSeries, U_PER_Q
 from e8theta.theta import ThetaKind, theta_product
 from e8theta.index import (
+    _divide_tangent,
+    _point_block,
     _shared_block,
-    _tangent_block,
     anomaly,
     check_rigidity,
     classify,
@@ -182,11 +183,16 @@ def _tangent_alphas(rng):
     return alphas
 
 
+def _unit_over_tangent(alpha, validity):
+    """The unit block divided by the tangent factors: the inverted q-product."""
+    return _divide_tangent(({0: {0: 1}}, validity), tuple(alpha))
+
+
 def test_tangent_inverse_equals_build_then_invert(rng):
     for alpha in _tangent_alphas(rng):
         for n in range(7):
             validity = U_PER_Q * n
-            got = _tangent_block(alpha, validity)
+            got = _unit_over_tangent(alpha, validity)
             assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, n)
 
 
@@ -195,28 +201,58 @@ def test_tangent_inverse_equals_build_then_invert(rng):
 @example([-3, 3, 2], 6)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 def test_tangent_block_equals_the_inverted_q_product(alpha, order):
-    """Every weight multiplied in place gives the inverse of the q-product
+    """Every weight divided out in place gives the inverse of the q-product
     that is built as a series and then inverted."""
     validity = U_PER_Q * order
-    got = _tangent_block(tuple(alpha), validity)
+    got = _unit_over_tangent(alpha, validity)
     assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, order)
 
 
+def _as_block(series):
+    """A series with integer coefficients as an intseries block."""
+    coeffs = {e: {w: c.as_integer() for w, c in p.coeffs.items()} for e, p in series.coeffs.items()}
+    return coeffs, series.order
+
+
+@given(
+    st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=4),
+    st.integers(-4, 4),
+    st.sampled_from(list(IndexFlavor)),
+    st.integers(0, 10),
+)
+@example([1, 2], 1, IndexFlavor.I_SERIES, 2)  # rows in two classes, u = 3 and 15 mod 24
+@example([2, -1], 0, IndexFlavor.J_SERIES, 4)  # theta(0) = 0: an empty line block
+@example([10, 9], 5, IndexFlavor.I_SERIES, 30)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_point_block_equals_the_line_block_times_the_inverted_tangent(alpha, c, flavor, order):
+    """The line block divided in place by each tangent factor is the dense
+    product of that block and the inverted q-product."""
+    kinds = (
+        [ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3]
+        if flavor is IndexFlavor.I_SERIES
+        else [ThetaKind.THETA]
+    )
+    line = theta_product([(kind, c) for kind in kinds], order)
+    tangent = _as_block(_tangent_by_inversion(alpha, U_PER_Q * order))
+    expected = intseries.mul(tangent, line)
+    assert _point_block(tuple(alpha), c, flavor, order) == expected, (alpha, c, flavor, order)
+
+
 def test_a_wrong_sign_tangent_block_fails_the_identity_check(monkeypatch):
-    """The one-shot tangent check compares exact blocks: a build with the
+    """The one-shot tangent check compares exact blocks: a division by the
     factor 1 - w^(2a) q^m in place of 1 - w^(-2a) q^m is caught before any
     index series is expanded."""
     import e8theta.index
 
-    def wrong_sign(alpha, validity):
-        coeffs = {0: {0: 1}}
+    def wrong_sign(block, alpha):
+        coeffs, validity = block
         for a in alpha:
             for x in (2 * a, 2 * a):
                 for e in range(U_PER_Q, validity + 1, U_PER_Q):
                     intseries.times_inverse(coeffs, x, e, validity)
-        return coeffs, validity
+        return block
 
-    monkeypatch.setattr(e8theta.index, "_tangent_block", wrong_sign)
+    monkeypatch.setattr(e8theta.index, "_divide_tangent", wrong_sign)
     cp2, _ = resolve_fixture("cp2")
     with pytest.raises(AssertionError, match="tangent-block identity"):
         index_series(cp2, IndexFlavor.I_SERIES, 2)
@@ -769,12 +805,11 @@ def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, f
 
 
 def test_cached_blocks_are_never_mutated(monkeypatch):
-    """The lattice, point and shared blocks, the theta factors' chain steps,
-    the lcm maps and the reduced denominators are cached and shared by every
-    caller.  Running the
-    bundled fixtures' index path, and the e8 entry points, a second time
-    builds nothing, and finds everything the first run was handed as deep
-    copies taken after that run."""
+    """The lattice, point, shared and theta blocks, the theta factors' chain
+    steps, the lcm maps and the reduced denominators are cached and shared
+    by every caller.  Running the bundled fixtures' index path, and the e8
+    entry points, a second time builds nothing, and finds everything it was
+    handed as the deep copies taken when it was first handed out."""
     import copy
 
     import e8theta.e8
@@ -786,16 +821,19 @@ def test_cached_blocks_are_never_mutated(monkeypatch):
     builders = {
         "_lattice_block": (e8theta.e8, e8theta.e8._lattice_block),
         "_factor_steps": (e8theta.theta, e8theta.theta._factor_steps),
+        "_theta_block": (e8theta.theta, e8theta.theta._theta_block),
         "_point_block": (e8theta.index, e8theta.index._point_block),
         "_shared_block": (e8theta.index, e8theta.index._shared_block),
         "_lcm": (e8theta.ratfunc, e8theta.ratfunc._lcm),
         "_denominator": (e8theta.ratfunc, e8theta.ratfunc._denominator),
     }
-    handed = {}
+    handed, frozen = {}, {}
 
     def recording(name, fn):
         def run(*args):
             handed[name, args] = block = fn(*args)
+            if (name, args) not in frozen:
+                frozen[name, args] = copy.deepcopy(block)
             return block
 
         return run
@@ -816,7 +854,6 @@ def test_cached_blocks_are_never_mutated(monkeypatch):
         check_identity_116(beta, 3)
 
     run_all()
-    frozen = copy.deepcopy(handed)
     misses = {name: fn.cache_info().misses for name, (_, fn) in builders.items()}
     run_all()
     assert {name: fn.cache_info().misses for name, (_, fn) in builders.items()} == misses

@@ -297,3 +297,27 @@ def test_theta_series_order_and_cache_are_bounded():
             theta_product([(ThetaKind.THETA3, 1)], order)
     assert theta_series.cache_info().maxsize is not None
     assert _theta_block.cache_info().maxsize is not None
+
+
+def test_theta_product_hands_out_a_fresh_block():
+    """index._point_block divides theta_product's block in place: writing
+    into a one-factor and a three-factor result leaves the cached theta
+    blocks, their factor steps and a second call unchanged."""
+    import copy
+
+    from e8theta.theta import _theta_block, chain_steps
+
+    order = 3
+    even = [(ThetaKind.THETA1, 2), (ThetaKind.THETA2, 2), (ThetaKind.THETA3, 2)]
+    lists = ([(ThetaKind.THETA, 1)], even)
+    before = [copy.deepcopy(theta_product(factors, order)) for factors in lists]
+    blocks = {kind: copy.deepcopy(_theta_block(kind, order)) for kind in ThetaKind}
+    steps = [copy.deepcopy(chain_steps(factors, order)) for factors in lists]
+    for factors in lists:
+        coeffs, _ = theta_product(factors, order)
+        for poly in coeffs.values():
+            poly[1] = poly.get(1, 0) + 7
+        coeffs[U_PER_Q * order] = {0: 5}
+    assert {kind: _theta_block(kind, order) for kind in ThetaKind} == blocks
+    assert [chain_steps(factors, order) for factors in lists] == steps
+    assert [theta_product(factors, order) for factors in lists] == before
