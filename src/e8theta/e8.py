@@ -10,12 +10,14 @@ shells, and shell m holds 240 * sigma_3(m) points (m >= 1).
 The lattice theta function is a dynamic program over the eight doubled
 coordinates: it counts points by (half-norm, w-exponent) without listing
 them, so its cost grows polynomially in the order.  A state is a squared
-length and a coordinate sum mod 4, at most 21 of them per parity class
-through half-norm 10 and 61 through 30, and it holds its counts for every
-w-exponent packed into one int, so a generic beta, whose points can each
-have their own w-exponent, adds no states: it only widens the ints, by
-sum |beta_l| / gcd(beta) slots.  Its counts form an `intseries` block over
-Z[w^+-1].
+length n = sum(d_l^2), which d_l and -d_l reach together.  With d_l =
+2 e_l + p in the class of parity p, membership is sum(e_l) even: for
+p = 0, e = e^2 mod 2 makes that n = 0 mod 8, a filter on the final states;
+for p = 1 a state also sums the characters (-1)^sum(e_l) of its tuples,
+and its points are half the sum of that and its tuple count.  A state
+holds its counts for every w-exponent packed into one int, so a generic
+beta adds no states: it only widens the ints, by sum |beta_l| / gcd(beta)
+slots.  Its counts form an `intseries` block over Z[w^+-1].
 It serves theta_e8, check_identity_116 and basic_character, which take
 orders 0..MAX_HALF_NORM = 10, and the lattice block of the index series,
 which takes the index bound 0..30.  All of them share one block per (W(D8)
@@ -24,16 +26,11 @@ and even sign changes, so _lattice_series keys an lru_cache of 32 blocks
 by sorted |beta|, plus the parity of its negative entries when no entry is
 zero.  The largest block, at the README-bound beta (30, 29, 27, 23, 19,
 13, 7, 2) and order 30, holds 18.6k terms, ~1.6 MiB.  The other side of
-identity 116, theta_product_side, adds the four 8-fold theta products and
-halves the sum exactly.  It multiplies out three of them, each as an
-intseries.chain over theta's cached factor steps (the same packed layout
-as the lattice states, with signed slots): the theta_2 product is the
-theta_3 product at tau + 1, by the law tau -> tau + 1, which sends
-q^(1/2) to -q^(1/2), so the two sum to twice the theta_3 product's terms
-at whole powers of q.  The four are summed as packed ints, one per u-row
-and w-class (the theta and theta_1 products share a class, and the
-theta_3 product's is the same one or disjoint from it), and each summed
-row is decoded once and halved.  basic_character multiplies the lattice
+identity 116, theta_product_side, halves the sum of the four 8-fold theta
+products, three of them intseries.chain runs (_product_side).  The two
+sides stay independent routes: the lattice sum counts vectors coordinate
+by coordinate and reads no theta block and no intseries.chain, and the
+product side counts no points.  basic_character multiplies the lattice
 block by the block of phi^-8 (intseries.phi_block, by Euler's
 recurrence).  Each public function makes a TruncatedSeries only from its
 final block (intseries.to_series).  e8_roots writes the 240 roots down.
@@ -216,56 +213,59 @@ def _lattice_series(beta: tuple[int, ...], order: int) -> intseries.Block:
 def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
     """_lattice_series's block, built at beta itself.
 
-    A dynamic program over the eight doubled coordinates, once per parity
-    class, whose states (sum d_l^2, sum d_l mod 4) count the coordinate
-    prefixes reaching them; no lattice vector is listed.  A state's counts by
-    w-exponent are packed into one int, intseries.SLOT_BITS bits per
-    exponent (intseries' packed layout, read back unsigned by
-    intseries.slots: the counts are never negative), so a coordinate step
-    adds the state's int shifted by the step's exponent.
-    The packed exponent is sum floor(d_l / 2) b_l for b = beta / gcd(beta),
-    less its minimum: with the parity p of the class, the w-exponent is
-    gcd(beta) (2 sum floor(d_l / 2) b_l + p sum b_l), and neither the zero
-    slots between multiples of the gcd nor those of the other parity are
-    stored.  Membership (sum d_l = 0 mod 4) is applied to the final states.
-    The caller bounds the order: theta_e8 and basic_character by
-    MAX_HALF_NORM, the index lattice block by its own MAX_INDEX_ORDER.
+    A dynamic program over the doubled coordinates, once per parity class p:
+    a state counts coordinate prefixes by squared length n, packed by
+    w-exponent into one int, and a step adds it shifted by the step's
+    exponent, d and -d into one state.  With d_l = 2 e_l + p and b = beta /
+    gcd(beta), the packed exponent is sum e_l b_l less its minimum and the
+    w-exponent gcd(beta) (2 sum e_l b_l + p sum b_l).  A point has sum e_l
+    even: n = 0 mod 8 for p = 0; for p = 1 a state also keeps its counts
+    weighted by (-1)^sum e_l, and the points are half the sum of the two
+    ints, halved exactly before the unsigned decode.  It reads no theta block
+    and no intseries.chain, so check_identity_116 compares two independent
+    routes.  The caller bounds the order (MAX_HALF_NORM or MAX_INDEX_ORDER).
     """
     norm_sq = 8 * order
     r = math.isqrt(norm_sq)
-    # a slot counts coordinate tuples, at most (r + 1)^8 of them, and must
-    # not carry into the next slot
+    # a slot counts at most (r + 1)^8 coordinate tuples and must not carry
     if (r + 1) ** 8 >> intseries.SLOT_BITS:
         raise AssertionError(f"order {order} overflows the {intseries.SLOT_BITS}-bit count slots")
     g = math.gcd(*beta) or 1
     beta = [b // g for b in beta]
     shells: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    width = intseries.SLOT_BITS
     for parity in (0, 1):
-        values = sorted((v for v in range(-r, r + 1) if v % 2 == parity), key=abs)
-        low = 0  # the half-exponent of slot 0
-        states = {(0, 0): 1}
+        low, plus, minus, pairs = 0, {0: 1}, {0: 1}, []  # slot 0's half-exponent; A+, A- by n
+        for d in range(parity, r + 1, 2):  # pairs d >= 0, -d: d^2, both floor(d / 2), even first
+            e, f = d >> 1, -(d >> 1) - parity
+            pairs.append((d * d, e, f) if e % 2 == 0 else (d * d, f, e))
         for b in beta:
-            halves = [(v >> 1) * b for v in values]
-            least = min(halves, default=0)  # no odd values at order 0
+            least = min([min(e * b, f * b) for _, e, f in pairs], default=0)
             low += least
-            steps = [
-                (v * v, v, intseries.SLOT_BITS * (h - least)) for v, h in zip(values, halves)
-            ]
-            reached: dict[tuple[int, int], int] = {}
-            for (n, s), poly in states.items():
+            steps = [(d2, width * (e * b - least), width * (f * b - least)) for d2, e, f in pairs]
+            reached, twisted = {}, {}
+            if not parity:  # d = 0 is its own pair
+                (_, stay, _), *steps = steps
+                reached = {n: p << stay for n, p in plus.items()}
+            for n, p in plus.items():
+                m = minus.get(n, 0)
                 room = norm_sq - n
-                for v2, v, shift in steps:
-                    if v2 > room:
+                for d2, up, down in steps:
+                    if d2 > room:
                         break
-                    key = (n + v2, (s + v) % 4)
-                    reached[key] = reached.get(key, 0) + (poly << shift)
-            states = reached
+                    key = n + d2
+                    reached[key] = reached.get(key, 0) + (p << up) + (p << down)
+                    if parity:  # the e of up is even, that of down odd
+                        twisted[key] = twisted.get(key, 0) + (m << up) - (m << down)
+            plus, minus = reached, twisted
         base = g * (2 * low + parity * sum(beta))  # the w-exponent of slot 0
-        for (n, s), poly in states.items():
-            if s:
-                continue
-            if n % 8 != 0:  # impossible for even-sum vectors of either parity class
-                raise AssertionError(f"a point of squared length {n}/4 is off the even lattice")
+        for n, poly in plus.items():
+            if n % 8:
+                if parity:  # impossible: every odd d has d^2 = 1 mod 8
+                    raise AssertionError(f"a point of squared length {n}/4 is off the even lattice")
+                continue  # sum d = 2 sum e = 2 sum e^2 = n / 2 mod 4: not a member
+            if parity:
+                poly = intseries.halve(poly + minus[n], f"the half-integer count of shell {n // 8}")
             shell = shells[n // 8]
             e = base
             for count in intseries.slots(poly):

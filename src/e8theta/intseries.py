@@ -20,7 +20,9 @@ the shift-add c * (poly << j * SLOT_BITS).  The caller keeps low and
 stride and bounds every coefficient below 2^(SLOT_BITS - 1) in absolute
 value (check_slots), so that no slot carries into the next.  chain runs a
 product of factor_steps factors under the guard of their bound; slots
-reads the slots back unsigned (the lattice counts), unpack signed.
+reads the slots back unsigned (the lattice counts), unpack signed, and
+halve halves every slot of an int whose slots are all even (the lattice's
+half-integer class, a count plus a character sum).
 SLOT_BITS is the one name of the layout that callers read.
 Standard library only.
 """
@@ -39,6 +41,7 @@ Block = tuple[dict[int, dict[int, int]], int]
 SLOT_BITS = 64
 _SLOT_BIAS = 1 << (SLOT_BITS - 1)
 _SLOT_BIAS_BYTES = _SLOT_BIAS.to_bytes(SLOT_BITS // 8, "little")
+_SLOT_ONE_BYTES = (1).to_bytes(SLOT_BITS // 8, "little")
 
 
 def to_series(block: Block, unit=1) -> TruncatedSeries:
@@ -236,6 +239,15 @@ def slots(poly: int) -> memoryview:
     size = -(-poly.bit_length() // SLOT_BITS) * (SLOT_BITS // 8)
     packed = memoryview(poly.to_bytes(size, sys.byteorder)).cast("Q")
     return packed if sys.byteorder == "little" else packed[::-1]
+
+
+def halve(poly: int, what: str) -> int:
+    """poly / 2 for a packed int >= 0 whose slots are all even and below
+    2^SLOT_BITS, so that bit 0 of each slot is its parity: an odd slot
+    raises AssertionError naming `what`."""
+    if poly & int.from_bytes(_SLOT_ONE_BYTES * -(-poly.bit_length() // SLOT_BITS), "little"):
+        raise AssertionError(f"{what} has an odd slot")
+    return poly >> 1
 
 
 def unpack(poly: int, low: int, stride: int) -> dict[int, int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -237,6 +238,55 @@ def brute_force_e8_shell(m):
             if sum(x * x for x in vec) == target and sum(vec) % 4 == 0:
                 out.add(vec)
     return sorted(out)
+
+
+def lattice_block_by_residues(beta, order: int):
+    """e8._lattice_block's block by the dynamic program it ran before its
+    states were keyed by squared length alone.
+
+    The oracle for the paired, character-counted program: once per parity
+    class, the states (sum d_l^2, sum d_l mod 4) count the coordinate
+    prefixes reaching them, one step per doubled coordinate d (never d and
+    -d together), each state's counts packed by w-exponent as there, and
+    membership (sum d_l = 0 mod 4) read off the final states.
+    """
+    norm_sq = 8 * order
+    r = math.isqrt(norm_sq)
+    g = math.gcd(*beta) or 1
+    beta = [b // g for b in beta]
+    shells = [{} for _ in range(order + 1)]
+    for parity in (0, 1):
+        values = sorted((v for v in range(-r, r + 1) if v % 2 == parity), key=abs)
+        low = 0  # the half-exponent of slot 0
+        states = {(0, 0): 1}
+        for b in beta:
+            halves = [(v >> 1) * b for v in values]
+            least = min(halves, default=0)  # no odd values at order 0
+            low += least
+            steps = [
+                (v * v, v, intseries.SLOT_BITS * (h - least)) for v, h in zip(values, halves)
+            ]
+            reached = {}
+            for (n, s), poly in states.items():
+                room = norm_sq - n
+                for v2, v, shift in steps:
+                    if v2 > room:
+                        break
+                    key = (n + v2, (s + v) % 4)
+                    reached[key] = reached.get(key, 0) + (poly << shift)
+            states = reached
+        base = g * (2 * low + parity * sum(beta))  # the w-exponent of slot 0
+        for (n, s), poly in states.items():
+            if s:
+                continue
+            assert n % 8 == 0, (beta, order, n)
+            shell = shells[n // 8]
+            e = base
+            for count in intseries.slots(poly):
+                if count:
+                    shell[e] = shell.get(e, 0) + count
+                e += 2 * g
+    return {U_PER_Q * m: shell for m, shell in enumerate(shells)}, U_PER_Q * order + U_PER_Q - 1
 
 
 def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     brute_force_e8_shell,
     first_difference,
+    lattice_block_by_residues,
     map_coefficients,
     naive_partition_power,
     product_side_by_decoding,
@@ -155,6 +156,29 @@ def test_lattice_sum_equals_enumeration_for_wide_betas(beta, n):
     # entries up to the MAX_BETA bound, shared factors and odd sums
     s = intseries.to_series(e8theta.e8._lattice_series(beta, n))
     assert s.coeffs == _lattice_sum_from_shells(beta, _shells_through_5(), n), (beta, n)
+
+
+@given(_wide_betas(), st.integers(0, 10))
+@example((1,) * 8, 30)
+@example((0,) * 8, 30)
+@example((2, 7, 13, 19, 23, 27, 29, -30), 30)  # the README beta's key
+@example((1,) * 7 + (-1,), 30)  # an odd flip with no zero entry
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_lattice_block_equals_the_residue_program(beta, order):
+    # states keyed by squared length, d and -d paired, the half-integer class
+    # counted by its two characters: the same block, validity included, as
+    # one step per d over (squared length, coordinate sum mod 4) states
+    block = e8theta.e8._lattice_block.__wrapped__(beta, order)
+    assert block == lattice_block_by_residues(beta, order), (beta, order)
+
+
+def test_an_odd_half_integer_slot_raises_naming_its_shell(monkeypatch):
+    # at order 1 the half-integer class reaches one squared length, 8: one
+    # more in the sum of its count and character sum makes that slot odd
+    halve = intseries.halve
+    monkeypatch.setattr(intseries, "halve", lambda poly, what: halve(poly + 1, what))
+    with pytest.raises(AssertionError, match="^the half-integer count of shell 1 has an odd slot$"):
+        e8theta.e8._lattice_series((1,) * 8, 1)
 
 
 def test_lattice_sum_checks_the_slot_width_before_any_state(monkeypatch):

@@ -158,3 +158,15 @@ def test_unpack_single_slot_rows():
     for c in (1, -1, 5, -_SLOT_MAX, _SLOT_MAX):
         assert intseries.unpack(c, 7, 2) == {7: c}
     assert intseries.unpack(0, 7, 2) == {}
+
+
+@given(st.lists(st.integers(0, _SLOT_MAX), min_size=1, max_size=12), st.integers(0, 11))
+@example([0, 1], 1)
+@example([_SLOT_MAX, 0, 3], 2)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_halve_halves_every_slot_and_raises_on_an_odd_one(halves, k):
+    """Twice the slots halve back slot by slot; one slot made odd raises."""
+    assert intseries.halve(_pack([2 * c for c in halves]), "x") == _pack(halves)
+    odd = [2 * c + (i == k % len(halves)) for i, c in enumerate(halves)]
+    with pytest.raises(AssertionError, match="^x has an odd slot$"):
+        intseries.halve(_pack(odd), "x")
