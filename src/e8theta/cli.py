@@ -1,8 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage or
-input errors.  Reports print as text or JSON (--format json); JSON output
+input errors.  Every command prints as text or as one JSON object
+(--format json) with the keys command, verdict, items and meta; JSON output
 is byte-identical across identical invocations apart from the timestamp.
+A command that prints a computed series or list (theta expand, e8 theta,
+e8 dims, index expand) reports verdict "ok" with no items, and its meta
+holds the inputs, the order, the validity (the u-exponent, u = q^(1/24),
+through which the result is exact) and the text it prints as "result".
 """
 
 from __future__ import annotations
@@ -50,8 +55,15 @@ def _emit(args, command: str, report: VerificationReport, text: str | None = Non
     else:
         if text:
             print(text)
-        print(report.summary())
+        if report.verdict != "ok":  # a computed result prints its text alone
+            print(report.summary())
     return 0 if report.ok else 1
+
+
+def _result(args, command: str, text: str, meta: dict) -> int:
+    """Emit a computed result: its text, or a report with verdict "ok", no
+    items, and the text in meta as "result"."""
+    return _emit(args, command, VerificationReport("ok", True, meta={**meta, "result": text}), text)
 
 
 def _parse_beta(text: str) -> tuple[int, ...]:
@@ -168,8 +180,9 @@ def _load(args):
 
 def _cmd_theta_expand(args) -> int:
     series = theta_series(_THETA_NAMES[args.kind], args.order)
-    print(f"{args.kind}(z, tau) =", format_series(series, fractional=True))
-    return 0
+    text = f"{args.kind}(z, tau) = {format_series(series, fractional=True)}"
+    meta = {"kind": args.kind, "order": args.order, "validity": series.order}
+    return _result(args, "theta expand", text, meta)
 
 
 def _cmd_theta_check(args) -> int:
@@ -193,14 +206,14 @@ def _cmd_theta_check(args) -> int:
 
 def _cmd_e8_theta(args) -> int:
     s = theta_e8(args.beta, args.order)
-    print(format_series(s, fractional=False))
-    return 0
+    meta = {"beta": list(args.beta), "order": args.order, "validity": s.order}
+    return _result(args, "e8 theta", format_series(s, fractional=False), meta)
 
 
 def _cmd_e8_dims(args) -> int:
     ch = basic_character((0,) * 8, args.order)
-    print(" ".join(str(d) for d in ch.graded_dims))
-    return 0
+    meta = {"order": args.order, "validity": ch.series.order, "graded_dims": ch.graded_dims}
+    return _result(args, "e8 dims", " ".join(str(d) for d in ch.graded_dims), meta)
 
 
 def _cmd_e8_identity(args) -> int:
@@ -228,9 +241,16 @@ def _cmd_e8_identity(args) -> int:
 def _cmd_index_expand(args) -> int:
     fixture, flavor = _load(args)
     ixs = index_series(fixture, flavor, args.order)
-    print(f"# {fixture.label} (flavor {flavor.value}, k={fixture.k})")
-    print(format_series(ixs.series, fractional=False))
-    return 0
+    text = f"# {fixture.label} (flavor {flavor.value}, k={fixture.k})\n"
+    text += format_series(ixs.series, fractional=False)
+    meta = {
+        "label": fixture.label,
+        "flavor": flavor.value,
+        "k": fixture.k,
+        "order": args.order,
+        "validity": ixs.series.order,
+    }
+    return _result(args, "index expand", text, meta)
 
 
 def _cmd_index_check(args) -> int:

@@ -23,13 +23,14 @@ orders 0..MAX_HALF_NORM = 10, and the lattice block of the index series,
 which takes the index bound 0..30.  All of them share one block per (W(D8)
 orbit of beta, order): the series is a function of beta up to permutations
 and even sign changes, so _lattice_series keys an lru_cache of 32 blocks
-by sorted |beta|, plus the parity of its negative entries when no entry is
-zero.  The largest block, at the README-bound beta (30, 29, 27, 23, 19,
-13, 7, 2) and order 30, holds 18.6k terms, ~1.6 MiB.  The other side of
-identity 116, theta_product_side, halves the sum of the four 8-fold theta
-products, three of them intseries.chain runs (_product_side).  The two
-sides stay independent routes: the lattice sum counts vectors coordinate
-by coordinate and reads no theta block and no intseries.chain, and the
+by lattice_key(beta), which index also groups its points by.  The largest
+block, at the README-bound beta (30, 29, 27, 23, 19, 13, 7, 2) and order
+30, holds 18.6k terms, ~1.6 MiB.  The other side of identity 116,
+theta_product_side, halves the sum of the four 8-fold theta products,
+three of them intseries.chain runs (_product_side).  Both sides bound and
+halve their packed ints by intseries.check_slots and halve, but stay
+independent routes: the lattice sum counts vectors coordinate by
+coordinate and reads no theta block and no intseries.chain, and the
 product side counts no points.  basic_character multiplies the lattice
 block by the block of phi^-8 (intseries.phi_block, by Euler's
 recurrence).  Each public function makes a TruncatedSeries only from its
@@ -62,7 +63,7 @@ MAX_HALF_NORM = 10
 # the block multiplies after it grows with the span of the w-exponents
 # beta.d, and a two-point k = 1 fixture with beta = (1, 10, ..., 10^7) took
 # 456 MiB at order 10; with every |beta_l| <= 30 order 30 stays under 2 s
-# and 25 MiB
+# and 26 MiB
 MAX_BETA = 30
 
 LatticeVector = tuple[int, int, int, int, int, int, int, int]
@@ -192,21 +193,20 @@ def theta_e8(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     return intseries.to_series(_lattice_series(beta, order))
 
 
-def _lattice_series(beta: tuple[int, ...], order: int) -> intseries.Block:
-    """The lattice theta series along an 8-entry beta, through q^order, as a block.
-
-    The series depends on beta only up to W(D8): permutations and even sign
-    changes map the lattice to itself.  So the block is built once per orbit
-    and order, at the orbit's representative: sorted |beta|, with its largest
-    entry negated when an odd number of entries are negative.  An odd flip
-    is a symmetry only when a zero entry absorbs it, so the parity is kept
-    exactly when no entry is zero.  The block is shared: callers must not
-    mutate it.
-    """
+def lattice_key(beta: tuple[int, ...]) -> tuple[int, ...]:
+    """The key of beta's W(D8) orbit (permutations and even sign changes),
+    on which the lattice series is constant: sorted |beta|, its largest entry
+    negated when an odd number of entries are negative and none is zero (an
+    odd flip is a symmetry only when a zero entry absorbs it)."""
     key = sorted(map(abs, beta))
     if key[0] and sum(b < 0 for b in beta) % 2:
         key[-1] = -key[-1]
-    return _lattice_block(tuple(key), order)
+    return tuple(key)
+
+
+def _lattice_series(beta: tuple[int, ...], order: int) -> intseries.Block:
+    """The lattice series along beta through q^order, shared: never mutate it."""
+    return _lattice_block(lattice_key(beta), order)
 
 
 @lru_cache(maxsize=32)
@@ -221,15 +221,15 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
     w-exponent gcd(beta) (2 sum e_l b_l + p sum b_l).  A point has sum e_l
     even: n = 0 mod 8 for p = 0; for p = 1 a state also keeps its counts
     weighted by (-1)^sum e_l, and the points are half the sum of the two
-    ints, halved exactly before the unsigned decode.  It reads no theta block
+    ints, halved exactly before the unsigned decode; check_slots bounds that
+    sum before any state (orders through 5778).  It reads no theta block
     and no intseries.chain, so check_identity_116 compares two independent
     routes.  The caller bounds the order (MAX_HALF_NORM or MAX_INDEX_ORDER).
     """
     norm_sq = 8 * order
     r = math.isqrt(norm_sq)
-    # a slot counts at most (r + 1)^8 coordinate tuples and must not carry
-    if (r + 1) ** 8 >> intseries.SLOT_BITS:
-        raise AssertionError(f"order {order} overflows the {intseries.SLOT_BITS}-bit count slots")
+    # a slot of A+ + A- holds at most twice the (r + 1)^8 coordinate tuples
+    intseries.check_slots(2 * (r + 1) ** 8, f"the lattice counts through q^{order}")
     g = math.gcd(*beta) or 1
     beta = [b // g for b in beta]
     shells: list[dict[int, int]] = [{} for _ in range(order + 1)]
@@ -239,8 +239,9 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
         for d in range(parity, r + 1, 2):  # pairs d >= 0, -d: d^2, both floor(d / 2), even first
             e, f = d >> 1, -(d >> 1) - parity
             pairs.append((d * d, e, f) if e % 2 == 0 else (d * d, f, e))
+        ends = pairs[-1][1:] if pairs else (0, 0)  # the largest d: the extreme e of each sign
         for b in beta:
-            least = min([min(e * b, f * b) for _, e, f in pairs], default=0)
+            least = min(ends[0] * b, ends[1] * b)
             low += least
             steps = [(d2, width * (e * b - least), width * (f * b - least)) for d2, e, f in pairs]
             reached, twisted = {}, {}
@@ -280,9 +281,9 @@ def _lattice_block(beta: tuple[int, ...], order: int) -> intseries.Block:
 def theta_product_side(beta: tuple[int, ...], order: int) -> TruncatedSeries:
     """Half the sum of the four 8-fold theta products at z_l = beta_l t.
 
-    An odd coefficient of the integer sum raises AssertionError.  Valid
-    through q^order, i.e. u^(24 order): the theta_2 and theta_3 products are
-    valid exactly that far, the other two (which start at q^(1/8)) further.
+    An odd coefficient of the integer sum raises AssertionError naming its
+    row.  Valid through q^order, i.e. u^(24 order): the theta_2 and theta_3
+    products are valid exactly that far, the other two further.
     """
     return intseries.to_series(_product_side(validate_beta(beta), order))
 
@@ -308,7 +309,7 @@ def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     products hold the w-exponents = sum(beta) mod the stride, the theta_3
     product those = 0, so the two classes are one or disjoint.  Within a
     class each row is shifted to the class's smaller low and added; each
-    summed row is decoded once, and its ints are checked even and halved.
+    summed row is halved exactly (intseries.halve) and decoded once.
     Every |coefficient| of the sum is at most bound(theta) + bound(theta_1)
     + 2 bound(theta_3) (intseries.bound of each product's steps), which must
     stay below 2^63 before any chain runs.  Each product takes its factors
@@ -346,11 +347,9 @@ def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
                     summed[e] = summed.get(e, 0) + (scale * r << shift)
         for e, r in summed.items():
             if r:
-                total.setdefault(e, {}).update(intseries.unpack(r, base, stride))
-    for e in sorted(total):
-        if any(c % 2 for c in total[e].values()):
-            raise AssertionError(f"the theta products sum to an odd coefficient at u^{e}")
-    return {e: {w: c // 2 for w, c in p.items()} for e, p in sorted(total.items())}, through
+                half = intseries.halve(r, f"the theta products' sum at u^{e}")
+                total.setdefault(e, {}).update(intseries.unpack(half, base, stride))
+    return dict(sorted(total.items())), through
 
 
 def check_identity_116(beta: tuple[int, ...], order: int) -> VerificationReport:

@@ -61,7 +61,7 @@ from functools import lru_cache
 
 from . import intseries
 from .bundles import BundleExpr, lefschetz_sums, qexpansion_twists
-from .e8 import _lattice_series
+from .e8 import _lattice_series, lattice_key
 from .fixtures import FixedPoint, FixedPointFixture, IndexFlavor
 from .ratfunc import RationalFunction, cyclotomic_lcm, over_cyclotomic
 from .record import FrozenRecord, Record
@@ -198,13 +198,14 @@ def _summed(fixture: FixedPointFixture, flavor: IndexFlavor, order: int):
     """D = lcm_p D_p as {d: m_d}, the cofactors D / D_p, and the numerators
     over D of the summed summands, cut at q^order; only whole q-powers survive.
 
-    A point's blocks depend on it only through (sorted |alpha_j|, |c|, beta
-    up to sign), up to a sign: the tangent factors are even in each alpha_j,
-    the lattice block even in beta (gamma -> -gamma), the I line block even
-    in c and the J line block odd in c.  So each group of points with one
-    such key adds its cofactors D / D_p, times 1 (I) or sign(c) (J), and a
-    group whose sum is zero builds no block; a J point with c = 0 adds
-    nothing, as theta(0) = 0.
+    A point's blocks depend on it only through (sorted |alpha_j|, |c|,
+    e8.lattice_key(beta)), up to a sign: the tangent factors are even in
+    each alpha_j, the lattice block is the same on beta's W(D8) orbit (which
+    holds -beta), the I line block is even in c and the J line block odd in
+    c.  So each group of points with one such key adds its cofactors
+    D / D_p, times 1 (I) or sign(c) (J), and one lattice multiply serves
+    the group; a group whose sum is zero builds no block, and a J point
+    with c = 0 adds nothing, as theta(0) = 0.
     """
     _assert_quotient_identity()
     mult, cofactors = cyclotomic_lcm([p.alpha for p in fixture.points])
@@ -212,8 +213,7 @@ def _summed(fixture: FixedPointFixture, flavor: IndexFlavor, order: int):
     for p, cofactor in zip(fixture.points, cofactors):
         sign = 1 if flavor is IndexFlavor.I_SERIES else (p.c > 0) - (p.c < 0)
         if sign:
-            beta = max(p.beta, tuple(-b for b in p.beta))
-            key = (tuple(sorted(map(abs, p.alpha))), abs(p.c), beta)
+            key = (tuple(sorted(map(abs, p.alpha))), abs(p.c), lattice_key(p.beta))
             intseries.add_poly(groups.setdefault(key, {}), cofactor, 0, sign)
     terms = [key + (summed,) for key, summed in groups.items() if summed]
     block = _through(_numerator(terms, fixture.k, flavor, order), order)

@@ -19,11 +19,11 @@ SLOT_BITS-bit slot, lowest first, so multiplying by c w^(j * stride) is
 the shift-add c * (poly << j * SLOT_BITS).  The caller keeps low and
 stride and bounds every coefficient below 2^(SLOT_BITS - 1) in absolute
 value (check_slots), so that no slot carries into the next.  chain runs a
-product of factor_steps factors under the guard of their bound; slots
-reads the slots back unsigned (the lattice counts), unpack signed, and
-halve halves every slot of an int whose slots are all even (the lattice's
-half-integer class, a count plus a character sum).
-SLOT_BITS is the one name of the layout that callers read.
+product of one or more factor_steps factors under the guard of their
+bound; slots reads the slots back unsigned (the lattice counts), unpack
+signed, and halve halves every signed slot of an int whose slots are all
+even (identity 116's two sides).  SLOT_BITS is the one name of the layout
+that callers read.
 Standard library only.
 """
 
@@ -52,14 +52,6 @@ def to_series(block: Block, unit=1) -> TruncatedSeries:
     else:
         out = {e: LaurentPolynomial({w: unit * c for w, c in p.items()}) for e, p in coeffs.items()}
     return TruncatedSeries(out, validity, LaurentPolynomial())
-
-
-def substitute(block: Block, m: int) -> Block:
-    """The block with w -> w^m; m = 0 evaluates each coefficient at w = 1."""
-    if m:
-        return {e: {w * m: c for w, c in p.items()} for e, p in block[0].items()}, block[1]
-    values = {e: sum(p.values()) for e, p in block[0].items()}
-    return {e: {0: c} for e, c in values.items() if c}, block[1]
 
 
 def _divisor_sums(order: int) -> list[int]:
@@ -181,13 +173,17 @@ def factor_steps(block: Block, m: int, stride: int) -> tuple:
     """One factor of a chain, the block at w -> w^m, as (validity, base,
     least, shifts, sum of |c|): shifts holds its terms c w^x u^e as
     (e, shift, c), sorted by e, where shift packs x less the least exponent
-    at the chain's stride, which must divide each such difference."""
-    if m == 0:  # w -> 1 sums each coefficient
-        block = substitute(block, 0)
-    terms = sorted([(e, w * m, c) for e, p in block[0].items() for w, c in p.items()])
+    at the chain's stride, which must divide each such difference.  At m = 0
+    each row sums at w = 1: a zero sum leaves the factor empty, based at its
+    validity, and it ends the chain."""
+    if m:
+        terms = sorted([(e, w * m, c) for e, p in block[0].items() for w, c in p.items()])
+    else:
+        terms = [(e, 0, c) for e, p in sorted(block[0].items()) if (c := sum(p.values()))]
     least = min([x for _, x, _ in terms], default=0)
     shifts = tuple([(e, SLOT_BITS * ((x - least) // stride), c) for e, x, c in terms])
-    return block[1], _base(block), least, shifts, sum([abs(c) for _, _, c in terms])
+    base = terms[0][0] if terms else block[1]
+    return block[1], base, least, shifts, sum([abs(c) for _, _, c in terms])
 
 
 def bound(steps: list[tuple]) -> int:
@@ -242,10 +238,13 @@ def slots(poly: int) -> memoryview:
 
 
 def halve(poly: int, what: str) -> int:
-    """poly / 2 for a packed int >= 0 whose slots are all even and below
-    2^SLOT_BITS, so that bit 0 of each slot is its parity: an odd slot
-    raises AssertionError naming `what`."""
-    if poly & int.from_bytes(_SLOT_ONE_BYTES * -(-poly.bit_length() // SLOT_BITS), "little"):
+    """poly / 2 for a packed int whose slots are all even and below
+    2^(SLOT_BITS - 1) in absolute value.  Biased as in unpack, by an even
+    number, bit 0 of each slot is its parity: an odd one raises
+    AssertionError naming `what`."""
+    n = abs(poly).bit_length() // SLOT_BITS + 1
+    biased = poly + int.from_bytes(_SLOT_BIAS_BYTES * n, "little")
+    if biased & int.from_bytes(_SLOT_ONE_BYTES * n, "little"):
         raise AssertionError(f"{what} has an odd slot")
     return poly >> 1
 

@@ -14,15 +14,16 @@ theta_3 respectively).  Expansions live on the u = q^(1/24) lattice with
 coefficients in Z[w^+-1]: the q-products are real, and so is i*theta, so
 each kind is built as an `intseries` block (_theta_block, with i*theta for
 theta).  theta_product multiplies such blocks, at w -> w^m, as one
-intseries.chain, where one int per u-exponent holds the partial
-product's w-polynomial at the stride 2 gcd(m), and each term of the next
-(lacunary) factor adds one shifted copy of each row; the coefficients are
-bounded below the 64-bit slots before the chain runs.  A factor's steps
-(intseries.factor_steps: its terms, sorted and turned into shifts) are
-built once per (kind, m, order, stride) and kept in a bounded cache
+intseries.chain, a list of one factor included, where one int per
+u-exponent holds the partial product's w-polynomial at the stride
+2 gcd(m), and each term of the next (lacunary) factor adds one shifted
+copy of each row; the coefficients are bounded below the 64-bit slots
+before the chain runs.  A factor's steps (intseries.factor_steps: its
+terms, sorted and turned into shifts; at m = 0 each row summed at w = 1)
+are built once per (kind, m, order, stride) and kept in a bounded cache
 (_factor_steps, 256 entries); chain_steps looks a factor list's up, and
 e8's product side runs three such chains and sums their rows before it
-decodes them.
+halves and decodes them.
 theta_series is the Laurent view of one block, with theta's -i put back.
 The product form is the only route here; the tests build the equivalent
 sum forms (triple product) independently, in tests/conftest.py, as its
@@ -64,7 +65,8 @@ def base_exponent(kind: ThetaKind) -> int:
     return 3 if kind in (ThetaKind.THETA, ThetaKind.THETA1) else 0
 
 
-# largest order theta_series expands to: about 0.2 s per kind on a 2-vCPU host
+# largest order theta_series expands to: 0.09-0.15 s per kind in process on
+# a 2-vCPU host, ~0.2 s for `theta expand` with start-up
 MAX_THETA_ORDER = 200
 
 # the w-part of the leads of i*theta and theta_1 over Z
@@ -123,17 +125,14 @@ def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries
 
     theta's lead is -i (w - w^-1), so i*theta is real (and an 8-fold product
     of i*theta is theta's, as i^8 = 1).  Each factor is _theta_block(kind,
-    order) with w -> w^m; two or more multiply as one intseries.chain over
-    the steps that _factor_steps caches per factor, decoded once, here.
-    The block is fresh, never a cached one: index._point_block divides it
-    in place.  Every coefficient is at most the product of the factors'
-    sums of |c|, so a list whose bound reaches the slots raises
-    AssertionError before the product is expanded (eight factors at
-    MAX_THETA_ORDER: 41^8 < 2^43).
+    order) with w -> w^m; the factors, one or more, multiply as one
+    intseries.chain over the steps that _factor_steps caches per factor,
+    decoded once, here.  The block is fresh, never a cached one:
+    index._point_block divides it in place.  Every coefficient is at most
+    the product of the factors' sums of |c|, so a list whose bound reaches
+    the slots raises AssertionError before the product is expanded (eight
+    factors at MAX_THETA_ORDER: 41^8 < 2^43).
     """
-    if len(factors) == 1:
-        kind, m = factors[0]
-        return intseries.substitute(_theta_block(kind, order), m)
     stride, steps = chain_steps(factors, order)
     rows, low, validity = intseries.chain(steps, f"{len(factors)} theta factors through q^{order}")
     return {u: intseries.unpack(rows[u], low, stride) for u in sorted(rows)}, validity

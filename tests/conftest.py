@@ -51,6 +51,14 @@ def substitute_power(poly: LaurentPolynomial, m: int) -> LaurentPolynomial:
     return LaurentPolynomial(out)
 
 
+def substitute_block(block, m: int):
+    """An intseries block with w -> w^m; m = 0 evaluates each coefficient at w = 1."""
+    if m:
+        return {e: {w * m: c for w, c in p.items()} for e, p in block[0].items()}, block[1]
+    values = {e: sum(p.values()) for e, p in block[0].items()}
+    return {e: {0: c} for e, c in values.items() if c}, block[1]
+
+
 def shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
     """Multiply by u^k (validity shifts along)."""
     return TruncatedSeries({e + k: c for e, c in series.coeffs.items()}, series.order + k, series.zero)
@@ -127,7 +135,7 @@ def theta_product_by_mul(factors, order: int):
     """
     prod = None
     for kind, m in factors:
-        factor = intseries.substitute(_theta_block(kind, order), m)
+        factor = substitute_block(_theta_block(kind, order), m)
         prod = factor if prod is None else intseries.mul(prod, factor)
         if not prod[0]:
             break

@@ -245,6 +245,11 @@ def test_verification_failure_exits_one(tmp_path, capsys):
     assert "INDETERMINATE" in out
 
 
+def _unstamped(out: str) -> str:
+    """JSON output with its timestamp masked."""
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', out)
+
+
 def test_json_reports_are_deterministic(capsys):
     code1, out1, _ = invoke(
         capsys, "--format", "json", "index", "check", "--fixture", "s2", "--order", "2"
@@ -253,8 +258,7 @@ def test_json_reports_are_deterministic(capsys):
         capsys, "--format", "json", "index", "check", "--fixture", "s2", "--order", "2"
     )
     assert code1 == code2 == 0
-    strip = lambda s: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', s)
-    assert strip(out1) == strip(out2)
+    assert _unstamped(out1) == _unstamped(out2)
     payload = json.loads(out1)
     assert payload["command"] == "index check"
     assert payload["verdict"].startswith("VANISHING")
@@ -285,25 +289,58 @@ def test_theta_check_applies_the_stated_tolerance_to_every_item(capsys):
     assert all(i["status"] == "fail" for i in jacobi)
 
 
-def test_readme_commands_run(capsys):
-    """Each `e8theta ...` line of README's "Command line" block exits 0 and
-    prints the quoted output its comment promises, if any."""
+def _readme_commands():
+    """(argv, comment) for each `e8theta ...` line of README's "Command line" block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    ran = 0
+    commands = []
     for line in block.splitlines():
         command, _, comment = line.partition("#")
         argv = shlex.split(command)
-        if not argv:
-            continue
-        assert argv[0] == "e8theta", line
-        code, out, err = invoke(capsys, *argv[1:])
+        if argv:
+            assert argv[0] == "e8theta", line
+            commands.append((argv[1:], comment))
+    return commands
+
+
+def test_readme_commands_run(capsys):
+    """Each `e8theta ...` line of README's "Command line" block exits 0 and
+    prints the quoted output its comment promises, if any."""
+    ran = 0
+    for argv, comment in _readme_commands():
+        line = " ".join(argv)
+        code, out, err = invoke(capsys, *argv)
         assert code == 0, (line, err)
         promised = re.search(r'"([^"]*)"', comment)
         if promised:
             assert promised.group(1) in out, (line, out)
         ran += 1
     assert ran >= 9
+
+
+def test_every_readme_command_answers_json(capsys):
+    """Under --format json each README command exits 0 and prints one JSON
+    object with the common keys, the same apart from the timestamp on a
+    second run; a computed result is verdict "ok" with no items, and its
+    meta holds the order, the validity and exactly the text the command
+    prints without --format json."""
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    results = set()
+    for argv, _ in commands:
+        code, out, _ = invoke(capsys, "--format", "json", *argv)
+        assert _unstamped(invoke(capsys, "--format", "json", *argv)[1]) == _unstamped(out), argv
+        payload = json.loads(out)
+        assert code == 0 and {"command", "verdict", "items", "meta"} <= set(payload), argv
+        assert payload["command"] == " ".join(a for a in argv[:2] if not a.startswith("-"))
+        if payload["verdict"] == "ok":
+            assert payload["items"] == [], argv
+            assert {"order", "validity", "result"} <= set(payload["meta"]), argv
+            assert invoke(capsys, *argv)[1] == payload["meta"]["result"] + "\n", argv
+            results.add(payload["command"])
+    code, out, _ = invoke(capsys, "--format", "json", "e8", "dims", "--order", "2")
+    assert json.loads(out)["meta"]["graded_dims"] == [1, 248, 4124]
+    assert results == {"theta expand", "e8 dims", "e8 theta", "index expand"}
 
 
 # each subcommand with the options it takes; "nope" and no subcommand at

@@ -182,17 +182,20 @@ def test_an_odd_half_integer_slot_raises_naming_its_shell(monkeypatch):
 
 
 def test_lattice_sum_checks_the_slot_width_before_any_state(monkeypatch):
-    # every count is at most (r + 1)^8 with r = isqrt(8 order), so 64-bit
-    # slots hold every order through 8128.  gcd(beta) is the program's first
-    # step after the check: patched to raise, no state is ever built.
+    # the halved int A+ + A- holds at most 2 (r + 1)^8 per slot, with
+    # r = isqrt(8 order), which the signed slots' bound 2^63 admits through
+    # order 5778.  gcd(beta) is the program's first step after the check:
+    # patched to raise, no state is ever built.
     def no_work(*args):
         raise AssertionError("work started")
 
     monkeypatch.setattr(e8theta.e8, "math", SimpleNamespace(isqrt=math.isqrt, gcd=no_work))
-    with pytest.raises(AssertionError, match="order 8129 overflows the 64-bit count slots"):
-        e8theta.e8._lattice_series((1,) * 8, 8129)
+    with pytest.raises(
+        AssertionError, match=r"^the lattice counts through q\^5779 overflow the 64-bit coefficient slots$"
+    ):
+        e8theta.e8._lattice_series((1,) * 8, 5779)
     with pytest.raises(AssertionError, match="work started"):
-        e8theta.e8._lattice_series((1,) * 8, 8128)
+        e8theta.e8._lattice_series((1,) * 8, 5778)
 
 
 @st.composite
@@ -378,7 +381,7 @@ def test_product_side_raises_on_an_odd_sum(monkeypatch, labelled_chains):
         return rows, low, validity
 
     monkeypatch.setattr(intseries, "chain", one_more_theta1_term)
-    with pytest.raises(AssertionError, match=r"odd coefficient at u\^24"):
+    with pytest.raises(AssertionError, match=r"^the theta products' sum at u\^24 has an odd slot$"):
         theta_product_side((1, 0, 0, 0, 0, 0, 0, 0), 1)
 
 

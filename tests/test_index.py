@@ -161,16 +161,44 @@ def test_point_series_matches_tower_oracle(point, k, flavor):
 # the blocks built as products against their build-then-invert forms
 
 
+def _times_poly(p, q):
+    """The product of two {w-exponent: int} maps, zeros dropped."""
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def _plus_poly(p, q):
+    """The sum of two {w-exponent: int} maps, zeros dropped."""
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
 def _tangent_by_inversion(alpha, validity):
-    """The q-product prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), inverted."""
-    s = one_series(validity, LaurentPolynomial())
-    for a in alpha:
-        m = 1
-        while U_PER_Q * m <= validity:
-            s = s.times_one_plus(W({2 * a: -1}), U_PER_Q * m)
-            s = s.times_one_plus(W({-2 * a: -1}), U_PER_Q * m)
-            m += 1
-    return s.invert()
+    """The q-product prod_j prod_m (1 - w^(2a) q^m)(1 - w^(-2a) q^m), built
+    by dict multiplication and inverted term by term, as an intseries block.
+
+    With a_i its q^i coefficient (a_0 = 1), the inverse has b_0 = 1 and
+    b_r = -sum_(0 < i <= r) a_i b_(r-i).  Plain ints throughout: the oracle
+    of the in-place division, with which it shares no code.
+    """
+    n = validity // U_PER_Q
+    a = [{0: 1}] + [{}] * n
+    for x in alpha:
+        for m in range(1, n + 1):
+            for s in (2 * x, -2 * x):  # times 1 - w^s q^m
+                a = [_plus_poly(p, _times_poly({s: -1}, a[i - m])) if i >= m else p for i, p in enumerate(a)]
+    b = [{0: 1}]
+    for r in range(1, n + 1):
+        total = {}
+        for i in range(1, r + 1):
+            total = _plus_poly(total, _times_poly(a[i], b[r - i]))
+        b.append(_times_poly({0: -1}, total))
+    return {U_PER_Q * r: p for r, p in enumerate(b) if p}, validity
 
 
 def _tangent_alphas(rng):
@@ -193,7 +221,7 @@ def test_tangent_inverse_equals_build_then_invert(rng):
         for n in range(7):
             validity = U_PER_Q * n
             got = _unit_over_tangent(alpha, validity)
-            assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, n)
+            assert got == _tangent_by_inversion(alpha, validity), (alpha, n)
 
 
 @given(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=3), st.integers(0, 6))
@@ -205,13 +233,7 @@ def test_tangent_block_equals_the_inverted_q_product(alpha, order):
     that is built as a series and then inverted."""
     validity = U_PER_Q * order
     got = _unit_over_tangent(alpha, validity)
-    assert intseries.to_series(got) == _tangent_by_inversion(alpha, validity), (alpha, order)
-
-
-def _as_block(series):
-    """A series with integer coefficients as an intseries block."""
-    coeffs = {e: {w: c.as_integer() for w, c in p.coeffs.items()} for e, p in series.coeffs.items()}
-    return coeffs, series.order
+    assert got == _tangent_by_inversion(alpha, validity), (alpha, order)
 
 
 @given(
@@ -233,7 +255,7 @@ def test_point_block_equals_the_line_block_times_the_inverted_tangent(alpha, c, 
         else [ThetaKind.THETA]
     )
     line = theta_product([(kind, c) for kind in kinds], order)
-    tangent = _as_block(_tangent_by_inversion(alpha, U_PER_Q * order))
+    tangent = _tangent_by_inversion(alpha, U_PER_Q * order)
     expected = intseries.mul(tangent, line)
     assert _point_block(tuple(alpha), c, flavor, order) == expected, (alpha, c, flavor, order)
 
@@ -757,8 +779,9 @@ _SIGNS = st.sampled_from((1, -1))
 @st.composite
 def _mirrored_fixtures(draw):
     """k <= 3 and one or two drawn points, each with up to three mirror
-    images (alpha with signs flipped and entries permuted, c -> +-c,
-    beta -> +-beta), and perhaps one more point with c = 0."""
+    images (alpha with signs flipped and entries permuted, c -> +-c, beta
+    permuted with an even number of sign changes), and perhaps one more
+    point with c = 0."""
     k = draw(st.integers(1, 3))
     alphas = st.tuples(*[st.builds(operator.mul, st.integers(1, 3), _SIGNS)] * k)
     betas = st.tuples(*[st.integers(-2, 2)] * 8)
@@ -768,16 +791,20 @@ def _mirrored_fixtures(draw):
         points.append(FixedPoint(alpha, c, beta))
         for _ in range(draw(st.integers(0, 3))):
             flips, perm = draw(st.tuples(*[_SIGNS] * k)), draw(st.permutations(range(k)))
-            s_c, s_b = draw(_SIGNS), draw(_SIGNS)
+            s_c, s_b, (x, y) = draw(_SIGNS), draw(_SIGNS), draw(st.tuples(*[st.integers(0, 7)] * 2))
             mirrored = tuple(flips[j] * alpha[j] for j in perm)
-            points.append(FixedPoint(mirrored, s_c * c, tuple(s_b * b for b in beta)))
+            moved = [s_b * b for b in draw(st.permutations(beta))]
+            if x != y:  # two more sign changes
+                moved[x], moved[y] = -moved[x], -moved[y]
+            points.append(FixedPoint(mirrored, s_c * c, tuple(moved)))
     if draw(st.booleans()):
         points.append(FixedPoint(draw(alphas), 0, draw(betas)))
     return FixedPointFixture(k, tuple(points), "mirrored")
 
 
-# beta up to its overall sign is a symmetry of the lattice block; one entry's
-# sign need not be: (1, ..., 1) lies in 2 E8 and (1, ..., 1, -1) does not, and
+# beta up to W(D8) (permutations and even sign changes, its overall sign
+# among them) is a symmetry of the lattice block; one entry's sign need not
+# be: (1, ..., 1) lies in 2 E8 and (1, ..., 1, -1) does not, and
 # their lattice blocks differ.  With a zero entry it is (flip that entry too:
 # an even number of sign changes lies in the Weyl group), and the Weyl group
 # is transitive on roots, so (1, 1, 0, ...) and (1, -1, 0, ...) give one
@@ -786,7 +813,7 @@ _ONES = (1,) * 8
 _ONES_FLIPPED = (1,) * 7 + (-1,)
 
 
-# index_series groups mirrored points (one block up to sign);
+# index_series groups mirrored points (one block up to sign, one lattice key);
 # point_contribution uses no symmetry, so their sum is the oracle
 @given(
     st.one_of(_fixtures(), _mirrored_fixtures()),
@@ -890,6 +917,35 @@ def test_mirrored_pair_cancels_before_any_block(monkeypatch):
         assert calls == {}
         assert not index_series(fx, IndexFlavor.J_SERIES, 10).series.is_zero()
         assert calls == {"_point_block": 1, "_lattice_series": 1}
+
+
+def test_points_on_one_weyl_orbit_share_one_group(monkeypatch):
+    """Points with one alpha and c whose betas differ by a permutation and
+    an even number of sign changes share one lattice key: one group, one
+    point block and one lattice multiply, and the sum of their terms."""
+    import e8theta.index
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(e8theta.index, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return run
+
+    for name in ("_point_block", "_lattice_series"):
+        monkeypatch.setattr(e8theta.index, name, counted(name))
+    beta = (3, -1, 0, 2, 0, 0, 1, -2)
+    moved = (0, 2, 1, 0, -3, -1, 2, 0)  # permuted, two signs changed
+    fx = fixture(1, ((2,), 1, beta), ((2,), 1, moved))
+    for flavor in IndexFlavor:
+        calls.clear()
+        got = index_series(fx, flavor, 6).series
+        assert calls == {"_point_block": 1, "_lattice_series": 1}, flavor
+        assert got == _summed_point_contributions(fx, flavor, 6), flavor
 
 
 @given(_fixtures(), st.integers(0, 2))

@@ -16,6 +16,7 @@ from conftest import (
     phi_series,
     power,
     series_sum,
+    substitute_block,
     substitute_power,
     truncate,
 )
@@ -54,10 +55,11 @@ def test_to_series_is_the_laurent_view(rng):
 
 
 def test_substitute_equals_substitute_power(rng):
+    # the block-level w -> w^m of the tests' oracles, against the Laurent one
     for _ in range(200):
         block = _random_block(rng)
         for m in (0, 1, -1, 3, -3):
-            got = intseries.substitute(block, m)
+            got = substitute_block(block, m)
             assert all(p and all(p.values()) for p in got[0].values())
             expected = map_coefficients(intseries.to_series(block), lambda c: substitute_power(c, m))
             assert intseries.to_series(got) == expected, m
@@ -160,12 +162,22 @@ def test_unpack_single_slot_rows():
     assert intseries.unpack(0, 7, 2) == {}
 
 
-@given(st.lists(st.integers(0, _SLOT_MAX), min_size=1, max_size=12), st.integers(0, 11))
+_HALF_MAX = 1 << intseries.SLOT_BITS - 2
+
+
+@given(
+    st.lists(st.integers(-_HALF_MAX, _HALF_MAX - 1) | st.sampled_from([0, 1, -1]), min_size=1, max_size=12),
+    st.integers(0, 11),
+)
 @example([0, 1], 1)
-@example([_SLOT_MAX, 0, 3], 2)
+@example([-1, 1], 0)  # slot 0 borrows from slot 1, whose raw bit 0 is then 1
+@example([1, -1, 0, -1], 3)
+@example([-_HALF_MAX, _HALF_MAX - 1, -_HALF_MAX], 2)
+@example([_HALF_MAX - 1, 0, 3], 2)
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_halve_halves_every_slot_and_raises_on_an_odd_one(halves, k):
-    """Twice the slots halve back slot by slot; one slot made odd raises."""
+    """Twice the signed slots halve back slot by slot, a negative one
+    borrowing from the slot above; one slot made odd raises."""
     assert intseries.halve(_pack([2 * c for c in halves]), "x") == _pack(halves)
     odd = [2 * c + (i == k % len(halves)) for i, c in enumerate(halves)]
     with pytest.raises(AssertionError, match="^x has an odd slot$"):

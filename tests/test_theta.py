@@ -123,9 +123,13 @@ _factor_lists = st.lists(
 @example([(ThetaKind.THETA3, b) for b in README_BETA], 10)
 @example([(ThetaKind.THETA3, 2), (ThetaKind.THETA, 0), (ThetaKind.THETA1, -3)], 4)
 @example([(ThetaKind.THETA2, 0), (ThetaKind.THETA1, 0), (ThetaKind.THETA3, 0)], 3)
+@example([(ThetaKind.THETA, 0)], 10)  # one factor that sums to zero
+@example([(ThetaKind.THETA1, -3)], 10)
+@example([(ThetaKind.THETA2, 0)], 10)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 def test_packed_product_equals_the_mul_chain(factors, order):
-    """The packed chain gives the dict-of-dict mul chain's block and validity."""
+    """The packed chain gives the dict-of-dict mul chain's block and
+    validity, for one factor as for many."""
     product = theta_product_by_mul(factors, order)
     assert theta_product(factors, order) == product
     if (ThetaKind.THETA, 0) in factors:  # theta(0) = 0
