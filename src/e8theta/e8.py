@@ -27,13 +27,13 @@ by lattice_key(beta), which index also groups its points by.  The largest
 block, at the README-bound beta (30, 29, 27, 23, 19, 13, 7, 2) and order
 30, holds 18.6k terms, ~1.6 MiB.  The other side of identity 116,
 theta_product_side, halves the sum of the four 8-fold theta products,
-three of them intseries.chain runs (_product_side).  Both sides bound and
-halve their packed ints by intseries.check_slots and halve, but stay
-independent routes: the lattice sum counts vectors coordinate by
-coordinate and reads no theta block and no intseries.chain, and the
-product side counts no points.  basic_character multiplies the lattice
-block by the block of phi^-8 (intseries.phi_block, by Euler's
-recurrence).  Each public function makes a TruncatedSeries only from its
+three of them intseries.chain runs over theta's product form
+(_product_side).  Both sides bound and halve their packed ints by
+intseries.check_slots and halve, but stay independent routes: the lattice
+sum counts vectors coordinate by coordinate and reads no theta block and
+no intseries.chain, and the product side counts no points.
+basic_character multiplies the lattice block by the block of phi^-8
+(intseries.phi_block, by Euler's recurrence).  Each public function makes a TruncatedSeries only from its
 final block (intseries.to_series).  e8_roots writes the 240 roots down.
 Explicit enumeration (enumerate_shells, also bounded by MAX_HALF_NORM, and
 its cache _cached_shells, which the benchmark's tracer counts) serves only
@@ -297,8 +297,8 @@ def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     """theta_product_side's block, for a validated beta.
 
     Three 8-fold products are multiplied out, as intseries.chain runs over
-    the factor steps that theta.chain_steps looks up once per product; the
-    theta_2 product is the theta_3 product at tau + 1.
+    the product-form factor steps that theta.chain_steps looks up once per
+    product; the theta_2 product is the theta_3 product at tau + 1.
     tau -> tau + 1 sends q^(1/2) to -q^(1/2), which turns each factor
     theta_3(z, tau) into theta_2(z, tau), so it sends u^e to (-1)^(e/12) u^e
     in a product whose exponents are all multiples of 12 (asserted): the
@@ -319,7 +319,7 @@ def _product_side(beta: tuple[int, ...], order: int) -> intseries.Block:
     """
     factors = sorted(beta, key=abs)
     chains = [
-        (kind, scale, *chain_steps([(kind, b) for b in factors], order))
+        (kind, scale, *chain_steps([(kind, b) for b in factors], order, product_form=True))
         for kind, scale in _PRODUCT_KINDS
     ]
     what = f"the theta products through q^{order}"

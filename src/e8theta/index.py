@@ -9,9 +9,9 @@ u = q^(1/24) lattice, divided by the tangent lead below:
   the 2 pi i cancels symbolically.  No tangent block is built: the line
   block is divided in place by each 1 - w^(+-2a) q^m (_divide_tangent), and
   only the lead D_p = prod_j (w^a - w^-a) needs the fraction field.  Once
-  per process before first use, that division is checked exactly against
-  the product form of theta: i theta divided by the weight 1's factors is
-  u^3 (w - w^-1) phi, as integer blocks through q^6.
+  per process before first use, that division and the sum form of theta
+  are checked exactly against the triple product: i theta divided by the
+  weight 1's factors is u^3 (w - w^-1) phi, as integer blocks through q^6.
 * line-bundle block: for the even tower ("I") the product of the ratios
   theta_i(c t)/theta_i(0) over i = 1, 2, 3; for the odd tower ("J") the
   single quotient i * theta(c t) / (theta_1 theta_2 theta_3)(0).  The i
@@ -70,8 +70,8 @@ from .series import TruncatedSeries, U_PER_Q
 from .theta import ThetaKind, theta_eval, theta_prime_zero, theta_product
 
 # largest order index_series expands to: cp2 (k = 2, three points, two point
-# groups) takes about 0.035 s (I) at order 30 on a 2-vCPU host, half of it
-# the point blocks' division, and under 1 ms (J), whose mirrored points cancel
+# groups) takes about 0.035 s (I) at order 30 on a 2-vCPU host, over half of
+# it the point blocks' division, and under 1 ms (J), whose mirrored points cancel
 MAX_INDEX_ORDER = 30
 
 
@@ -163,10 +163,10 @@ def _shared_block(k: int, order: int) -> intseries.Block:
 
 @lru_cache(maxsize=1)
 def _assert_quotient_identity() -> None:
-    """One-shot exact check of _divide_tangent, the point blocks' division: by
-    the product form, i theta divided by the weight 1's factors is
-    u^3 (w - w^-1) phi, compared as integer blocks through q^6.  A pass is
-    cached; a failure raises, so it is not."""
+    """One-shot exact check of _divide_tangent, the point blocks' division,
+    over the sum form of theta: by the triple product, i theta divided by the
+    weight 1's factors is u^3 (w - w^-1) phi, compared as integer blocks
+    through q^6.  A pass is cached; a failure raises, so it is not."""
     order = 6
     lhs = _divide_tangent(theta_product([(ThetaKind.THETA, 1)], order), (1,))
     lead = ({3: {1: 1, -1: -1}}, U_PER_Q * order + 3)

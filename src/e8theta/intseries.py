@@ -121,10 +121,8 @@ def add(a: Block, b: Block) -> Block:
 def times_one_plus(
     coeffs: dict[int, dict[int, int]], c: int, x: int, e: int, validity: int
 ) -> None:
-    """Multiply the block's map by (1 + c w^x u^e) in place, e > 0.
-
-    Terms pushed beyond the validity are dropped; the validity stays.
-    """
+    """Multiply the block's map by (1 + c w^x u^e) in place, e > 0, dropping
+    terms past the validity, which stays: theta's product form is built so."""
     for u in sorted(coeffs, reverse=True):  # each source is read before it is written
         if u + e <= validity:
             _add_into(coeffs, u + e, coeffs[u], x, c)

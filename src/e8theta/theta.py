@@ -13,22 +13,23 @@ half-angle factors are Laurent monomials: 2*sin(pi*z) = -i*(w - w^-1) and
 theta_3 respectively).  Expansions live on the u = q^(1/24) lattice with
 coefficients in Z[w^+-1]: the q-products are real, and so is i*theta, so
 each kind is built as an `intseries` block (_theta_block, with i*theta for
-theta).  theta_product multiplies such blocks, at w -> w^m, as one
-intseries.chain, a list of one factor included, where one int per
-u-exponent holds the partial product's w-polynomial at the stride
-2 gcd(m), and each term of the next (lacunary) factor adds one shifted
-copy of each row; the coefficients are bounded below the 64-bit slots
-before the chain runs.  A factor's steps (intseries.factor_steps: its
+theta) from its sum form, the Jacobi triple product: the terms
+s^((j-p)/2) u^(3 j^2) w^j over j = p mod 2, p = 1 for theta and theta_1 and
+0 otherwise, s the sign in the product.  theta_product multiplies such
+blocks, at w -> w^m, as one intseries.chain, a list of one factor included,
+where one int per u-exponent holds the partial product's w-polynomial at
+the stride 2 gcd(m), and each term of the next (lacunary) factor adds one
+shifted copy of each row; the coefficients are bounded below the 64-bit
+slots before the chain runs.  A factor's steps (intseries.factor_steps: its
 terms, sorted and turned into shifts; at m = 0 each row summed at w = 1)
-are built once per (kind, m, order, stride) and kept in a bounded cache
-(_factor_steps, 256 entries); chain_steps looks a factor list's up, and
-e8's product side runs three such chains and sums their rows before it
-halves and decodes them.
+are built once per (kind, m, order, stride, route) and kept in a bounded
+cache (_factor_steps, 256 entries); chain_steps looks a factor list's up.
 theta_series is the Laurent view of one block, with theta's -i put back.
-The product form is the only route here; the tests build the equivalent
-sum forms (triple product) independently, in tests/conftest.py, as its
-oracle, and keep the factor-by-factor intseries.mul chain as the packed
-chain's.
+The product form (_product_block, built in place) is read by e8's product
+side of identity 116 alone, through chain_steps' route argument: that side
+stays independent of the lattice sum, which splits E8 as the sum form does.
+The tests compare both forms with their own sum form (tests/conftest.py),
+and keep the factor-by-factor intseries.mul chain as the packed chain's.
 """
 
 from __future__ import annotations
@@ -65,58 +66,66 @@ def base_exponent(kind: ThetaKind) -> int:
     return 3 if kind in (ThetaKind.THETA, ThetaKind.THETA1) else 0
 
 
-# largest order theta_series expands to: 0.09-0.15 s per kind in process on
-# a 2-vCPU host, ~0.2 s for `theta expand` with start-up
+# largest order theta_series expands to: under 0.1 ms per kind in process on
+# a 2-vCPU host, ~0.09 s for `theta expand` with start-up
 MAX_THETA_ORDER = 200
 
-# the w-part of the leads of i*theta and theta_1 over Z
-_LEAD = {ThetaKind.THETA: {1: 1, -1: -1}, ThetaKind.THETA1: {1: 1, -1: 1}}
+
+def _theta_block(kind: ThetaKind, order: int) -> intseries.Block:
+    """i*theta for THETA, theta_kind otherwise, through q^order, as a real
+    block, from the sum form; the order must lie in 0..MAX_THETA_ORDER."""
+    if not 0 <= order <= MAX_THETA_ORDER:
+        raise ValueError(f"theta order must lie in 0..{MAX_THETA_ORDER}, got {order}")
+    sign, p = _PRODUCT_SHAPE[kind][0], base_exponent(kind) // 3
+    validity = U_PER_Q * order + 3 * p
+    return {  # s^((-j-p)/2) = s^((j+p)/2) for the term at -j
+        3 * j * j: {j: sign ** ((j - p) // 2), -j: sign ** ((j + p) // 2)}
+        for j in range(p, math.isqrt(validity // 3) + 1, 2)
+    }, validity
 
 
 @lru_cache(maxsize=64)
-def _theta_block(kind: ThetaKind, order: int) -> intseries.Block:
-    """i*theta for THETA, theta_kind otherwise, through q^order, as a real block.
-
-    The order must lie in 0..MAX_THETA_ORDER; the q-product is built in place
-    and the lead is applied once, at the end.
-    """
+def _product_block(kind: ThetaKind, order: int) -> intseries.Block:
+    """_theta_block(kind, order) from the product form: the lead (w + s w^-1)
+    u^3 (or 1) times the q-product, built in place; shared, never mutated."""
     if not 0 <= order <= MAX_THETA_ORDER:
         raise ValueError(f"theta order must lie in 0..{MAX_THETA_ORDER}, got {order}")
     m0 = base_exponent(kind)
-    rel = U_PER_Q * order  # factors past u^rel leave every coefficient alone
+    validity = U_PER_Q * order + m0  # factors past u^(24 order) change no term
     sign, half = _PRODUCT_SHAPE[kind]
-    coeffs = {0: {0: 1}}
-    for e in range(U_PER_Q, rel + 1, U_PER_Q):
+    coeffs = {m0: {1: 1, -1: sign} if m0 else {0: 1}}
+    for e in range(U_PER_Q, U_PER_Q * order + 1, U_PER_Q):
         e_w = e - U_PER_Q // 2 if half else e
-        intseries.times_one_plus(coeffs, -1, 0, e, rel)
-        intseries.times_one_plus(coeffs, sign, 2, e_w, rel)
-        intseries.times_one_plus(coeffs, sign, -2, e_w, rel)
-    return intseries.mul(({m0: _LEAD.get(kind, {0: 1})}, rel + m0), (coeffs, rel))
+        intseries.times_one_plus(coeffs, -1, 0, e, validity)
+        intseries.times_one_plus(coeffs, sign, 2, e_w, validity)
+        intseries.times_one_plus(coeffs, sign, -2, e_w, validity)
+    return coeffs, validity
 
 
 # the cache stays for perfbench/tracer.py, which reads its cache_info
 @lru_cache(maxsize=64)
 def theta_series(kind: ThetaKind, order: int) -> TruncatedSeries:
-    """Exact product-form expansion through q^order, 0 <= order <= MAX_THETA_ORDER."""
+    """Exact expansion through q^order, 0 <= order <= MAX_THETA_ORDER."""
     return intseries.to_series(_theta_block(kind, order), MINUS_I if kind is ThetaKind.THETA else 1)
 
 
 @lru_cache(maxsize=256)
-def _factor_steps(kind: ThetaKind, m: int, order: int, stride: int) -> tuple:
-    """intseries.factor_steps of _theta_block(kind, order) at w -> w^m; shared,
-    never mutated.  A stride that is a multiple of 2 gcd(m) holds every
-    exponent of the factor in one class: m times an odd exponent for theta
-    and theta_1, an even one for theta_2 and theta_3; at m = 0 theta's
-    coefficients sum to zero, so the factor is empty."""
-    return intseries.factor_steps(_theta_block(kind, order), m, stride)
+def _factor_steps(kind: ThetaKind, m: int, order: int, stride: int, product_form: bool) -> tuple:
+    """intseries.factor_steps of _theta_block(kind, order), or _product_block's
+    if product_form, at w -> w^m; shared, never mutated.  A stride that is a
+    multiple of 2 gcd(m) holds every exponent of the factor in one class: m
+    times an odd exponent for theta and theta_1, an even one for theta_2 and
+    theta_3; at m = 0 theta's coefficients sum to zero, so the factor is empty."""
+    block = (_product_block if product_form else _theta_block)(kind, order)
+    return intseries.factor_steps(block, m, stride)
 
 
-def chain_steps(factors: list[tuple[ThetaKind, int]], order: int) -> tuple[int, list[tuple]]:
-    """The stride 2 gcd(m) of a factor list and its factors' steps, for intseries.chain."""
+def chain_steps(factors: list[tuple[ThetaKind, int]], order: int, product_form=False) -> tuple:
+    """The stride 2 gcd(m) of a factor list and its factors' _factor_steps, for intseries.chain."""
     if not factors:
         raise ValueError("theta_product needs at least one factor")
     stride = 2 * (math.gcd(*(m for _, m in factors)) or 1)
-    return stride, [_factor_steps(kind, m, order, stride) for kind, m in factors]
+    return stride, [_factor_steps(kind, m, order, stride, product_form) for kind, m in factors]
 
 
 def theta_product(factors: list[tuple[ThetaKind, int]], order: int) -> intseries.Block:
@@ -145,14 +154,17 @@ def _auto_factors(tau: complex, z: complex = 0j) -> int:
     """Number of product factors keeping the truncation error below ~1e-14.
 
     The one check of Im(tau) > 0 in this module: every numeric entry point
-    reaches it before it evaluates a theta product.
+    reaches it before it evaluates a theta product.  More than 4000 factors
+    (Im(tau) below ~1.4e-3 at real z) raise ValueError naming tau.
     """
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     log_q = -2 * math.pi * tau.imag
     amp = 4 * math.pi * abs(z.imag)  # |w^(+/-2)| growth of the z-dependent factors
-    n = int((math.log(1e-14) - amp - math.log(10)) / log_q) + 1
-    return max(8, min(n, 4000))
+    n = (math.log(1e-14) - amp - math.log(10)) / log_q + 1
+    if not n < 4001:
+        raise ValueError(f"theta at tau={tau}, z={z} needs over 4000 product factors for ~1e-14")
+    return max(8, int(n))
 
 
 def theta_eval(kind: ThetaKind, z: complex, tau: complex) -> complex:

@@ -18,7 +18,14 @@ from e8theta.fixtures import FixedPoint, FixedPointFixture
 from e8theta.gaussian import ONE, ZERO, GaussianRational, I, MINUS_I
 from e8theta.laurent import LaurentPolynomial
 from e8theta.series import TruncatedSeries, U_PER_Q
-from e8theta.theta import ThetaKind, _theta_block, base_exponent, theta_product, theta_series
+from e8theta.theta import (
+    ThetaKind,
+    _product_block,
+    _theta_block,
+    base_exponent,
+    theta_product,
+    theta_series,
+)
 
 
 def map_coefficients(series: TruncatedSeries, fn) -> TruncatedSeries:
@@ -329,6 +336,13 @@ def theta_sum_series(kind: ThetaKind, order: int) -> TruncatedSeries:
             coeffs[12 * n * n] = LaurentPolynomial({2 * n: c, -2 * n: c})
             n += 1
     return TruncatedSeries(coeffs, validity, LaurentPolynomial())
+
+
+def theta_product_form_series(kind: ThetaKind, order: int) -> TruncatedSeries:
+    """The product form, theta._product_block, as a series with theta's -i put
+    back: the route identity 116's product side reads, compared with the
+    sum form that theta_series reads."""
+    return intseries.to_series(_product_block(kind, order), MINUS_I if kind is ThetaKind.THETA else 1)
 
 
 def theta_prime_zero_series(order: int) -> TruncatedSeries:

@@ -10,7 +10,7 @@ what the series actually does, and the discrepancy is documented there.
 import random
 import time
 
-from conftest import random_fixture, shell_counts, theta_sum_series
+from conftest import random_fixture, shell_counts, theta_product_form_series, theta_sum_series
 
 from e8theta.e8 import basic_character, check_identity_116, enumerate_shells, theta_product_side
 from e8theta.fixtures import FixedPoint, FixedPointFixture, IndexFlavor, resolve_fixture
@@ -82,7 +82,7 @@ def test_criterion_3_graded_dimensions():
 
 def test_criterion_4_theta_self_consistency():
     forms_ok = all(
-        theta_series(kind, 12) == theta_sum_series(kind, 12)
+        theta_series(kind, 12) == theta_sum_series(kind, 12) == theta_product_form_series(kind, 12)
         for kind in ThetaKind
     )
     jacobi_ok = all(

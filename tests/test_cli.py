@@ -76,6 +76,15 @@ def test_index_transform_reports_resolution(capsys):
     assert "lattice law resolved: standard exponent" in out
 
 
+def test_index_transform_refuses_a_tau_too_close_to_the_real_axis(capsys):
+    code, out, err = invoke(
+        capsys, "index", "transform", "--fixture", "cp1_spinc", "--tau=0.001j"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "tau=0.001j" in err and "4000" in err, err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_classify_cp2(capsys):
     code, out, _ = invoke(capsys, "classify", "--fixture", "cp2", "--order", "1")
     assert code == 0

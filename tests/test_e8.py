@@ -354,8 +354,8 @@ def labelled_chains(monkeypatch):
     """e8's chain_steps, labelling each product's steps with its factors and
     stride, so that a patched intseries.chain tells the three chains apart."""
 
-    def labelled(factors, order):
-        stride, steps = chain_steps(factors, order)
+    def labelled(factors, order, product_form=False):
+        stride, steps = chain_steps(factors, order, product_form)
         steps = _Steps(steps)
         steps.factors, steps.stride = factors, stride
         return stride, steps

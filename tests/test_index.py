@@ -670,6 +670,10 @@ def test_identity_single_point_reports_pole():
 
 
 def test_blocks_expand_through_the_requested_order_only(monkeypatch):
+    """Every block builder is asked for the requested order only, and each
+    route reads its own theta form: the index series the sum form
+    (_theta_block), identity 116's product side the product form
+    (_product_block), so the identity stays a check of the triple product."""
     import e8theta.e8
     import e8theta.index
     import e8theta.theta
@@ -681,8 +685,8 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
     requested = []
 
     def recorder(label, fn):
-        def wrapped(*args):
-            block = fn(*args)
+        def wrapped(*args, **route):
+            block = fn(*args, **route)
             # order, validity; chain_steps hands back (stride, factor steps),
             # each step led by its factor's validity
             validity = max(v for v, *_ in block[1]) if label.endswith("chain_steps") else block[-1]
@@ -694,6 +698,7 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
     # every block builder, under each name its callers look up
     for module, name in (
         (e8theta.theta, "_theta_block"),
+        (e8theta.theta, "_product_block"),
         (e8theta.index, "theta_product"),
         (e8theta.index, "_lattice_series"),
         (intseries, "phi_block"),
@@ -704,12 +709,16 @@ def test_blocks_expand_through_the_requested_order_only(monkeypatch):
         monkeypatch.setattr(module, name, recorder(label, getattr(module, name)))
     for flavor in (IndexFlavor.I_SERIES, IndexFlavor.J_SERIES):
         index_series(cp2, flavor, 3)
+    identity_start = len(requested)
     check_identity_116((1, 0, -1, 2, 0, 0, 1, 1), 3)
-    assert {label for label, _, _ in requested} == {
+    assert {label for label, _, _ in requested[:identity_start]} == {
         "e8theta.theta._theta_block",
         "e8theta.index.theta_product",
         "e8theta.index._lattice_series",
         "e8theta.intseries.phi_block",
+    }
+    assert {label for label, _, _ in requested[identity_start:]} == {
+        "e8theta.theta._product_block",
         "e8theta.e8.chain_steps",
         "e8theta.e8._lattice_series",
     }
@@ -832,9 +841,9 @@ def test_index_series_equals_summed_point_contributions_on_random_fixtures(fx, f
 
 
 def test_cached_blocks_are_never_mutated(monkeypatch):
-    """The lattice, point, shared and theta blocks, the theta factors' chain
-    steps, the lcm maps and the reduced denominators are cached and shared
-    by every caller.  Running the bundled fixtures' index path, and the e8
+    """The lattice, point and shared blocks, the product-form theta blocks
+    (identity 116's side), the theta factors' chain steps, the lcm maps and
+    the reduced denominators are cached and shared by every caller.  Running the bundled fixtures' index path, and the e8
     entry points, a second time builds nothing, and finds everything it was
     handed as the deep copies taken when it was first handed out."""
     import copy
@@ -848,7 +857,7 @@ def test_cached_blocks_are_never_mutated(monkeypatch):
     builders = {
         "_lattice_block": (e8theta.e8, e8theta.e8._lattice_block),
         "_factor_steps": (e8theta.theta, e8theta.theta._factor_steps),
-        "_theta_block": (e8theta.theta, e8theta.theta._theta_block),
+        "_product_block": (e8theta.theta, e8theta.theta._product_block),
         "_point_block": (e8theta.index, e8theta.index._point_block),
         "_shared_block": (e8theta.index, e8theta.index._shared_block),
         "_lcm": (e8theta.ratfunc, e8theta.ratfunc._lcm),

@@ -10,6 +10,7 @@ from conftest import (
     map_coefficients,
     theta_prime_zero_series,
     theta_product_by_mul,
+    theta_product_form_series,
     theta_product_qi,
     theta_sum_series,
     truncate,
@@ -61,7 +62,21 @@ def test_theta3_terms_through_q_9_2():
 @pytest.mark.parametrize("kind", list(ThetaKind))
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 8, 12])
 def test_product_equals_sum_form(kind, order):
-    assert theta_series(kind, order) == theta_sum_series(kind, order)
+    """theta_series (the package's sum form), the tests' own sum form and the
+    product form are one series."""
+    expected = theta_sum_series(kind, order)
+    assert theta_series(kind, order) == expected == theta_product_form_series(kind, order)
+
+
+@pytest.mark.parametrize("kind", list(ThetaKind))
+def test_sum_form_block_equals_the_product_form_block(kind):
+    """_theta_block (sum form) and _product_block (product form) give one
+    block, terms and validity, at orders 0..30, and theta_3's at MAX_THETA_ORDER."""
+    from e8theta.theta import _product_block, _theta_block
+
+    orders = [*range(31), *([MAX_THETA_ORDER] if kind is ThetaKind.THETA3 else [])]
+    for order in orders:
+        assert _theta_block(kind, order) == _product_block(kind, order), order
 
 
 @pytest.mark.parametrize("kind", list(ThetaKind))
@@ -286,42 +301,57 @@ def test_eval_rejects_lower_half_plane():
                 call()
 
 
+def test_eval_refuses_a_tau_too_close_to_the_real_axis():
+    """Past 4000 factors (Im(tau) below ~1.4e-3 at z = 0) the truncated
+    product would miss ~1e-14, by 1e-3 of the value at Im(tau) = 5e-4:
+    theta_eval raises, naming tau.  At Im(tau) = 0.002 it still agrees with
+    its S-law image, sqrt(i/tau) theta_3(0, -1/tau)."""
+    with pytest.raises(ValueError, match=r"tau=0\.001j"):
+        theta_eval(ThetaKind.THETA3, 0, 0.001j)
+    tau = 0.002j
+    image = cmath.sqrt(1j / tau) * theta_eval(ThetaKind.THETA3, 0, -1 / tau)
+    assert abs(theta_eval(ThetaKind.THETA3, 0, tau) - image) < 1e-12 * abs(image)
+
+
 def test_display_has_fractional_exponents():
     text = format_series(theta_series(ThetaKind.THETA, 1), fractional=True)
     assert "q^(1/8)" in text
 
 
 def test_theta_series_order_and_cache_are_bounded():
-    from e8theta.theta import MAX_THETA_ORDER, _theta_block
+    """Both routes, the sum form and the product form, refuse an order out of
+    range; the product form's blocks sit in a bounded cache."""
+    from e8theta.theta import MAX_THETA_ORDER, _product_block, chain_steps
 
     for order in (MAX_THETA_ORDER + 1, -1):
         with pytest.raises(ValueError, match=rf"0\.\.{MAX_THETA_ORDER}"):
             theta_series(ThetaKind.THETA3, order)
         with pytest.raises(ValueError, match=rf"0\.\.{MAX_THETA_ORDER}"):
             theta_product([(ThetaKind.THETA3, 1)], order)
+        with pytest.raises(ValueError, match=rf"0\.\.{MAX_THETA_ORDER}"):
+            chain_steps([(ThetaKind.THETA3, 1)], order, product_form=True)
     assert theta_series.cache_info().maxsize is not None
-    assert _theta_block.cache_info().maxsize is not None
+    assert _product_block.cache_info().maxsize is not None
 
 
 def test_theta_product_hands_out_a_fresh_block():
     """index._point_block divides theta_product's block in place: writing
-    into a one-factor and a three-factor result leaves the cached theta
-    blocks, their factor steps and a second call unchanged."""
+    into a one-factor and a three-factor result leaves the cached factor
+    steps and a second call unchanged.  (The sum-form blocks the steps are
+    made from are built afresh on each call, so no cached block is read.)"""
     import copy
 
-    from e8theta.theta import _theta_block, chain_steps
+    from e8theta.theta import chain_steps
 
     order = 3
     even = [(ThetaKind.THETA1, 2), (ThetaKind.THETA2, 2), (ThetaKind.THETA3, 2)]
     lists = ([(ThetaKind.THETA, 1)], even)
     before = [copy.deepcopy(theta_product(factors, order)) for factors in lists]
-    blocks = {kind: copy.deepcopy(_theta_block(kind, order)) for kind in ThetaKind}
     steps = [copy.deepcopy(chain_steps(factors, order)) for factors in lists]
     for factors in lists:
         coeffs, _ = theta_product(factors, order)
         for poly in coeffs.values():
             poly[1] = poly.get(1, 0) + 7
         coeffs[U_PER_Q * order] = {0: 5}
-    assert {kind: _theta_block(kind, order) for kind in ThetaKind} == blocks
     assert [chain_steps(factors, order) for factors in lists] == steps
     assert [theta_product(factors, order) for factors in lists] == before
